@@ -4,8 +4,9 @@ Every run writes a manifest.json (command, normalized arguments, config
 hash, seed) into the output directory before any computation starts, so a
 finished or failed run can always be reproduced.  Data outputs are CSV/JSON
 with repr-formatted floats: rerunning the same manifest yields byte-identical
-CSV files regardless of thread count.  summary.json additionally records
-wall-clock time and is therefore diagnostic, not reproducible.
+CSV files regardless of the worker count (`--threads`).  summary.json
+additionally records wall-clock time and repair counters and is therefore
+diagnostic, not reproducible.
 
 Exit codes: 0 success, 1 failed verification checks, 2 configuration errors,
 3 numerical failures (event-budget cap, step-size guard, clipping budget,
@@ -172,6 +173,8 @@ def cmd_simulate(args) -> int:
                    "total": stats.events,
                    "max_per_replica": stats.max_replica_events},
         "max_audit_residual": stats.max_audit_residual,
+        "repairs": {"rate_clamps": stats.rate_clamps,
+                    "selection_fallbacks": stats.selection_fallbacks},
         "wall_time_s": wall,
         "estimators": {"cell_side": cell_side, "l_max": args.lmax,
                        "n_max": args.nmax, "k2_bins": k2_bins},
@@ -595,7 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="base seed (fallback: CONTPOP_SEED)")
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes for the replicas, at most "
+                                "one per replica and per CPU (default 1: "
+                                "run in this process)")
 
     p = sub.add_parser("simulate", help="run stochastic replicas")
     common(p, seed=True)
@@ -652,6 +658,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        print("config error: --threads must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

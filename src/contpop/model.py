@@ -13,6 +13,7 @@ they are treated as exactly zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 
@@ -135,6 +136,52 @@ class Window:
         d = self.displacement(x, y)
         return np.sqrt(np.sum(np.square(d), axis=-1))
 
+    def squared_distance(self):
+        """Plain-float |displacement(x, y)|^2 for two positions given as
+        sequences of d floats.
+
+        Minimum-image rounding is skipped on an axis where |y - x| <= L/2,
+        where it would subtract zero, so the result equals the squared norm
+        of `displacement` computed on floats.
+        """
+        d = self.dimension
+        sides = self.sides.tolist()
+        halves = [s / 2.0 if self.boundary == "periodic" else math.inf
+                  for s in sides]
+        # unrolled for d = 1, 2: the simulator calls this once per candidate
+        # pair, and a zip over the axes costs about twice the arithmetic
+        if d == 1:
+            (l0,), (h0,) = sides, halves
+
+            def sq1(x, y):
+                dx = y[0] - x[0]
+                if dx > h0 or dx < -h0:
+                    dx -= l0 * round(dx / l0)
+                return dx * dx
+            return sq1
+        if d == 2:
+            (l0, l1), (h0, h1) = sides, halves
+
+            def sq2(x, y):
+                dx = y[0] - x[0]
+                if dx > h0 or dx < -h0:
+                    dx -= l0 * round(dx / l0)
+                dy = y[1] - x[1]
+                if dy > h1 or dy < -h1:
+                    dy -= l1 * round(dy / l1)
+                return dx * dx + dy * dy
+            return sq2
+
+        def sq(x, y):
+            total = 0.0
+            for xi, yi, side, half in zip(x, y, sides, halves):
+                u = yi - xi
+                if u > half or u < -half:
+                    u -= side * round(u / side)
+                total += u * u
+            return total
+        return sq
+
     def wrap(self, x):
         """Map a position into [0, L) per axis (periodic windows only)."""
         x = np.asarray(x, dtype=float)
@@ -247,6 +294,35 @@ class CompetitionKernel:
         if self.kind == "top-hat":
             return np.where(r <= self.scale, self.amplitude, 0.0)
         return np.interp(r, self._r_table, self._a_table, right=0.0)
+
+    def scalar_profile(self):
+        """`profile` as a plain-float function of one radius r >= 0.
+
+        It applies the formulas of `profile` to Python floats, so a value
+        differs from `profile`'s by rounding only; the simulator's per-event
+        path calls it on the few particles near one position.
+        """
+        amplitude, scale = self.amplitude, self.scale
+        if self.kind == "gaussian":
+            def gaussian(r):
+                q = r / scale
+                return amplitude * math.exp(-0.5 * (q * q))
+            return gaussian
+        if self.kind == "exponential":
+            return lambda r: amplitude * math.exp(-r / scale)
+        if self.kind == "top-hat":
+            return lambda r: amplitude if r <= scale else 0.0
+        r_table = self._r_table.tolist()
+        a_table = self._a_table.tolist()
+        last = len(r_table) - 1
+
+        def interp(r):   # np.interp(r, r_table, a_table, right=0.0)
+            j = bisect.bisect_right(r_table, r) - 1
+            if j >= last:
+                return a_table[last] if r == r_table[last] else 0.0
+            slope = (a_table[j + 1] - a_table[j]) / (r_table[j + 1] - r_table[j])
+            return slope * (r - r_table[j]) + a_table[j]
+        return interp
 
     def radial(self, r):
         """Truncated radial profile: zero beyond r_cut."""
@@ -373,6 +449,34 @@ class RateField:
         if x.ndim == 1:
             return float(self.values[tuple(idx)])
         return self.values[tuple(np.moveaxis(idx, -1, 0))]
+
+    def scalar(self):
+        """The field as a plain-float function of one position (a sequence
+        of d floats), with the arithmetic of `__call__`."""
+        if self.kind == "constant":
+            value = self.value
+            return lambda x: value
+        if self.kind == "gaussian-bump":
+            amplitude, center = self.amplitude, self.center.tolist()
+            width2 = self.width**2
+
+            def bump(x):
+                q = 0.0
+                for xi, ci in zip(x, center):
+                    q += (xi - ci) * (xi - ci)
+                return amplitude * math.exp(-0.5 * q / width2)
+            return bump
+        lo, sides = self.box.lo.tolist(), self.box.sides.tolist()
+        shape = self.values.shape
+        flat = self.values.ravel().tolist()
+
+        def lookup(x):   # nearest grid cell, clipped to the reference box
+            k = 0
+            for xi, lo_i, side, n in zip(x, lo, sides, shape):
+                i = math.floor((xi - lo_i) / side * n)
+                k = k * n + min(max(i, 0), n - 1)
+            return flat[k]
+        return lookup
 
     @property
     def sup(self) -> float:

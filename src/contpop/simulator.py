@@ -9,17 +9,26 @@ against sup b.  Death rates are maintained incrementally under a cell list
 with cell side >= r_cut, so only neighboring cells are touched per event;
 per-cell rate sums drive a two-level search for the dying particle.  Rates
 are recomputed from scratch every AUDIT_PERIOD events to keep float drift in
-check, and the worst residual seen is reported.
+check, and the worst residual seen is reported, with counts of the negative
+rates clamped and of the death-selection fallbacks that drift causes.
+
+The per-event path runs on plain Python floats and lists, with the scalar
+kernel, field and distance evaluators of `model`: an event touches only the
+handful of particles near one position, where numpy's per-call cost exceeds
+the arithmetic.
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
-in any order, with identical results.
+in any order, with identical results.  `run_replicas` spreads the replicas
+over up to `threads` forked worker processes, at most one per replica and
+per CPU, and merges their results in replica order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -38,7 +47,6 @@ __all__ = [
 ]
 
 AUDIT_PERIOD = 1 << 16
-_INITIAL_CAPACITY = 64
 
 
 class CappedRunError(RuntimeError):
@@ -49,6 +57,10 @@ class CappedRunError(RuntimeError):
                          f"({events} events by t = {t:g})")
         self.replica = replica
         self.events = events
+        self.t = t
+
+    def __reduce__(self):   # rebuilt from its fields when sent between processes
+        return type(self), (self.replica, self.events, self.t)
 
 
 @dataclass
@@ -77,18 +89,26 @@ class ReplicaPlan:
 
 @dataclass
 class RunStats:
-    """Aggregate counters across replicas."""
+    """Aggregate counters across replicas.
+
+    `rate_clamps` and `selection_fallbacks` count the silent float-drift
+    repairs of `SimulationState.remove` and `SimulationState._select_death`.
+    """
 
     births: int = 0
     deaths: int = 0
     events: int = 0
     max_replica_events: int = 0
     max_audit_residual: float = 0.0
+    rate_clamps: int = 0
+    selection_fallbacks: int = 0
 
     def merge(self, other: "RunStats") -> None:
         self.births += other.births
         self.deaths += other.deaths
         self.events += other.events
+        self.rate_clamps += other.rate_clamps
+        self.selection_fallbacks += other.selection_fallbacks
         self.max_replica_events = max(self.max_replica_events, other.events)
         self.max_audit_residual = max(self.max_audit_residual,
                                       other.max_audit_residual)
@@ -146,33 +166,43 @@ def sample_initial(spec: dict, params: ModelParams,
 
 
 class SimulationState:
-    """One replica's mutable state: particles, rates, cell lists, clocks."""
+    """One replica's mutable state: particles, rates, cell lists, clocks.
+
+    Particle rows are plain lists (positions as lists of d floats), because
+    every event touches only the few particles near one position.
+    """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator):
         self.params = params
         self.rng = rng
         window = params.window
         domain = window.domain
-        self.domain_lo = domain.lo
-        self.domain_sides = domain.sides
-        self.periodic = window.boundary == "periodic"
         d = window.dimension
-        r_cut = params.kernel.r_cut
+        self.dimension = d
+        self.domain_lo = domain.lo.tolist()
+        self.domain_sides = domain.sides.tolist()
+        self.periodic = window.boundary == "periodic"
+        self.r_cut = r_cut = params.kernel.r_cut
+        # pre-test on squared distance, widened so that rounding in r_cut**2
+        # never rejects a pair that the exact test r <= r_cut accepts
+        self._reach2 = r_cut * r_cut * (1.0 + 1e-9)
+        self._sq_dist = window.squared_distance()
+        self._kernel = params.kernel.scalar_profile()
+        self._mortality = params.mortality.scalar()
+        self._birth = params.birth.scalar()
         if r_cut > 0.0:
-            counts = np.maximum(np.floor(domain.sides / r_cut), 1).astype(int)
+            counts = [max(math.floor(s / r_cut), 1) for s in self.domain_sides]
         else:
-            counts = np.ones(d, dtype=int)   # no interactions: one cell
+            counts = [1] * d   # no interactions: one cell
         self.n_cells = counts
-        self.cell_sides = domain.sides / counts
-        self.total_cells = int(np.prod(counts))
+        self.cell_sides = [s / n for s, n in zip(self.domain_sides, counts)]
+        self.total_cells = math.prod(counts)
         self.cells: list[list[int]] = [[] for _ in range(self.total_cells)]
-        self.cell_rate = np.zeros(self.total_cells)
-        cap = _INITIAL_CAPACITY
-        self.pos = np.zeros((cap, d))
-        self.rate = np.zeros(cap)
-        self.cell_of = np.zeros(cap, dtype=int)
-        self.slot_of = np.zeros(cap, dtype=int)
-        self.n = 0
+        self.cell_rate = [0.0] * self.total_cells
+        self.pos: list[list[float]] = []
+        self.rate: list[float] = []
+        self.cell_of: list[int] = []
+        self.slot_of: list[int] = []
         self.t = 0.0
         self.d_tot = 0.0
         self.b_tot = params.birth_total
@@ -180,6 +210,8 @@ class SimulationState:
         self.births = 0
         self.deaths = 0
         self.events = 0
+        self.rate_clamps = 0
+        self.selection_fallbacks = 0
         self.max_audit_residual = 0.0
         # neighbor cell offsets: +-1 per axis, deduplicated for tiny grids
         offs = np.stack(np.meshgrid(*([np.array([-1, 0, 1])] * d),
@@ -188,12 +220,19 @@ class SimulationState:
         self._neighbor_cache = [self._neighbor_cells(c)
                                 for c in range(self.total_cells)]
 
+    @property
+    def n(self) -> int:
+        return len(self.rate)
+
     # -- geometry ------------------------------------------------------------
 
-    def _cell_index(self, x: np.ndarray) -> int:
-        idx = np.floor((x - self.domain_lo) / self.cell_sides).astype(int)
-        idx = np.minimum(np.maximum(idx, 0), self.n_cells - 1)
-        return int(np.ravel_multi_index(idx, self.n_cells))
+    def _cell_index(self, x) -> int:
+        cell = 0
+        for xi, lo, side, n in zip(x, self.domain_lo, self.cell_sides,
+                                   self.n_cells):
+            k = math.floor((xi - lo) / side)
+            cell = cell * n + min(max(k, 0), n - 1)
+        return cell
 
     def _neighbor_cells(self, cell: int) -> list[int]:
         base = np.asarray(np.unravel_index(cell, self.n_cells))
@@ -206,133 +245,151 @@ class SimulationState:
         flat = np.ravel_multi_index(tuple(raw.T), self.n_cells)
         return sorted(set(int(c) for c in flat))
 
-    def _neighbors(self, x: np.ndarray, exclude: int = -1):
-        """Indices and kernel values of particles within r_cut of x."""
-        r_cut = self.params.kernel.r_cut
-        if r_cut <= 0.0 or self.n == 0:
-            return np.empty(0, dtype=int), np.empty(0)
-        candidates = []
+    def _neighbors(self, x, exclude: int = -1):
+        """Rows and kernel values of the particles within r_cut of x."""
+        idx, vals = [], []
+        if self.r_cut <= 0.0:
+            return idx, vals
+        pos, cells, sq_dist = self.pos, self.cells, self._sq_dist
+        r_cut, reach2, kernel = self.r_cut, self._reach2, self._kernel
         for c in self._neighbor_cache[self._cell_index(x)]:
-            candidates.extend(self.cells[c])
-        if exclude >= 0:
-            candidates = [j for j in candidates if j != exclude]
-        if not candidates:
-            return np.empty(0, dtype=int), np.empty(0)
-        idx = np.asarray(candidates, dtype=int)
-        disp = self.params.window.displacement(x, self.pos[idx])
-        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
-        mask = dist <= r_cut
-        idx = idx[mask]
-        vals = np.asarray(self.params.kernel.profile(dist[mask]), dtype=float)
+            for j in cells[c]:
+                r2 = sq_dist(x, pos[j])
+                if r2 <= reach2 and j != exclude:
+                    r = math.sqrt(r2)
+                    if r <= r_cut:
+                        idx.append(j)
+                        vals.append(kernel(r))
         return idx, vals
 
     # -- particle bookkeeping --------------------------------------------------
 
-    def _grow(self) -> None:
-        cap = self.pos.shape[0] * 2
-        self.pos = np.resize(self.pos, (cap, self.pos.shape[1]))
-        self.rate = np.resize(self.rate, cap)
-        self.cell_of = np.resize(self.cell_of, cap)
-        self.slot_of = np.resize(self.slot_of, cap)
-
-    def insert(self, x: np.ndarray) -> int:
-        if self.n == self.pos.shape[0]:
-            self._grow()
-        i = self.n
+    def insert(self, x) -> int:
+        """Add a particle at position x; returns its row."""
+        x = [float(v) for v in x]
         idx, vals = self._neighbors(x)
-        rate = float(self.params.mortality(x))
-        if idx.size:
-            rate += float(np.sum(vals))
-            for j, a in zip(idx, vals):
-                a = float(a)
-                self.rate[j] += a
-                self.cell_rate[self.cell_of[j]] += a
-                self.d_tot += a
+        rates, cell_rate, cell_of = self.rate, self.cell_rate, self.cell_of
+        rate = self._mortality(x) + sum(vals)
+        d_tot = self.d_tot
+        for j, a in zip(idx, vals):
+            rates[j] += a
+            cell_rate[cell_of[j]] += a
+            d_tot += a
         cell = self._cell_index(x)
-        self.pos[i] = x
-        self.rate[i] = rate
-        self.cell_of[i] = cell
-        self.slot_of[i] = len(self.cells[cell])
-        self.cells[cell].append(i)
-        self.cell_rate[cell] += rate
-        self.d_tot += rate
-        self.n += 1
+        members = self.cells[cell]
+        i = len(rates)
+        self.pos.append(x)
+        rates.append(rate)
+        cell_of.append(cell)
+        self.slot_of.append(len(members))
+        members.append(i)
+        cell_rate[cell] += rate
+        self.d_tot = d_tot + rate
         return i
 
     def remove(self, i: int) -> None:
-        x = self.pos[i]
-        idx, vals = self._neighbors(x, exclude=i)
+        """Delete the particle in row i; the last row moves into row i.
+
+        Float drift can leave a rate or a cell sum a few ulps below zero;
+        each such value is clamped to zero and counted in `rate_clamps`.
+        """
+        pos, rates, cell_rate = self.pos, self.rate, self.cell_rate
+        cell_of, slot_of = self.cell_of, self.slot_of
+        idx, vals = self._neighbors(pos[i], exclude=i)
+        clamps = 0
+        d_tot = self.d_tot
         for j, a in zip(idx, vals):
-            a = float(a)
-            self.rate[j] -= a
-            if self.rate[j] < 0.0:
-                self.rate[j] = 0.0
-            c = self.cell_of[j]
-            self.cell_rate[c] -= a
-            if self.cell_rate[c] < 0.0:
-                self.cell_rate[c] = 0.0
-            self.d_tot -= a
-        cell = int(self.cell_of[i])
-        self.cell_rate[cell] -= self.rate[i]
-        if self.cell_rate[cell] < 0.0:
-            self.cell_rate[cell] = 0.0
-        self.d_tot -= self.rate[i]
-        if self.d_tot < 0.0:
-            self.d_tot = 0.0
+            r = rates[j] - a
+            if r < 0.0:
+                r = 0.0
+                clamps += 1
+            rates[j] = r
+            c = cell_of[j]
+            s = cell_rate[c] - a
+            if s < 0.0:
+                s = 0.0
+                clamps += 1
+            cell_rate[c] = s
+            d_tot -= a
+        cell = cell_of[i]
+        s = cell_rate[cell] - rates[i]
+        if s < 0.0:
+            s = 0.0
+            clamps += 1
+        cell_rate[cell] = s
+        d_tot -= rates[i]
+        if d_tot < 0.0:
+            d_tot = 0.0
+            clamps += 1
+        self.d_tot = d_tot
+        self.rate_clamps += clamps
         # unlink from the cell member list by swap-remove
         members = self.cells[cell]
-        slot = int(self.slot_of[i])
-        last = members[-1]
-        members[slot] = last
-        self.slot_of[last] = slot
-        members.pop()
+        last = members.pop()
+        if last != i:
+            slot = slot_of[i]
+            members[slot] = last
+            slot_of[last] = slot
         # move the last particle's record into row i
-        last_row = self.n - 1
+        last_row = len(rates) - 1
         if i != last_row:
-            self.pos[i] = self.pos[last_row]
-            self.rate[i] = self.rate[last_row]
-            self.cell_of[i] = self.cell_of[last_row]
-            self.slot_of[i] = self.slot_of[last_row]
-            self.cells[self.cell_of[i]][self.slot_of[i]] = i
-        self.n = last_row
+            pos[i] = pos[last_row]
+            rates[i] = rates[last_row]
+            cell_of[i] = cell_of[last_row]
+            slot_of[i] = slot_of[last_row]
+            self.cells[cell_of[i]][slot_of[i]] = i
+        pos.pop()
+        rates.pop()
+        cell_of.pop()
+        slot_of.pop()
 
     # -- events ----------------------------------------------------------------
 
-    def _draw_birth_position(self) -> np.ndarray:
-        d = self.domain_sides.size
+    def _draw_birth_position(self) -> list:
         while True:
-            x = self.domain_lo + self.rng.random(d) * self.domain_sides
-            if self.rng.random() * self.b_sup <= float(self.params.birth(x)):
+            u = self.rng.random(self.dimension).tolist()
+            x = [lo + ui * side for lo, ui, side
+                 in zip(self.domain_lo, u, self.domain_sides)]
+            if self.rng.random() * self.b_sup <= self._birth(x):
                 return x
 
     def _select_death(self) -> int:
+        """Row of the dying particle: a two-level search over cell sums and
+        member rates.  When float drift carries the target past every sum,
+        the last occupied cell or the cell's last member is taken and
+        counted in `selection_fallbacks`."""
         target = self.rng.random() * self.d_tot
-        chosen_cell = -1
-        for c in range(self.total_cells):
-            s = self.cell_rate[c]
-            if target < s and self.cells[c]:
-                chosen_cell = c
+        cells = self.cells
+        for c, s in enumerate(self.cell_rate):
+            if target < s and cells[c]:
                 break
             target -= s
-        if chosen_cell < 0:   # float drift: fall back to the last occupied cell
-            for c in range(self.total_cells - 1, -1, -1):
-                if self.cells[c]:
-                    chosen_cell = c
-                    break
-        members = self.cells[chosen_cell]
+        else:
+            self.selection_fallbacks += 1
+            c = max(k for k, members in enumerate(cells) if members)
+        members = cells[c]
+        rates = self.rate
         for j in members:
-            if target < self.rate[j]:
+            if target < rates[j]:
                 return j
-            target -= self.rate[j]
+            target -= rates[j]
+        self.selection_fallbacks += 1
         return members[-1]
+
+    def _wait(self) -> float:
+        """Exponential wait to the next event; inf, with no draw, when no
+        rate is left."""
+        total = self.b_tot + self.d_tot
+        if total <= 0.0:
+            return math.inf
+        return -math.log1p(-self.rng.random()) / total
 
     def step(self) -> str:
         """Dispatch one event unconditionally; 'halted' when no rate is left."""
-        total = self.b_tot + self.d_tot
-        if total <= 0.0:
+        wait = self._wait()
+        if wait == math.inf:
             return "halted"
-        u = self.rng.random()
-        self.t += -math.log1p(-u) / total
+        self.t += wait
         return self._dispatch()
 
     def _dispatch(self) -> str:
@@ -356,12 +413,7 @@ class SimulationState:
         exponential clock is memoryless, so redrawing after the boundary is
         exact)."""
         while True:
-            total = self.b_tot + self.d_tot
-            if total <= 0.0:
-                self.t = until
-                return
-            u = self.rng.random()
-            wait = -math.log1p(-u) / total
+            wait = self._wait()
             if self.t + wait > until:
                 self.t = until
                 return
@@ -374,23 +426,17 @@ class SimulationState:
 
     def audit(self) -> float:
         """Recompute all rates from scratch; record and return the residual."""
-        fresh_rates = np.zeros_like(self.rate)
-        for i in range(self.n):
-            idx, vals = self._neighbors(self.pos[i], exclude=i)
-            fresh_rates[i] = float(self.params.mortality(self.pos[i])) \
-                + float(np.sum(vals))
-        residual = 0.0
-        if self.n:
-            residual = float(np.max(np.abs(fresh_rates[:self.n]
-                                           - self.rate[:self.n])))
-        residual = max(residual, abs(float(np.sum(fresh_rates[:self.n]))
-                                     - self.d_tot))
+        fresh = [self._mortality(x) + sum(self._neighbors(x, exclude=i)[1])
+                 for i, x in enumerate(self.pos)]
+        residual = max((abs(f - r) for f, r in zip(fresh, self.rate)),
+                       default=0.0)
+        residual = max(residual, abs(sum(fresh) - self.d_tot))
         self.max_audit_residual = max(self.max_audit_residual, residual)
-        self.rate[:self.n] = fresh_rates[:self.n]
-        self.cell_rate[:] = 0.0
-        for i in range(self.n):
-            self.cell_rate[self.cell_of[i]] += self.rate[i]
-        self.d_tot = float(np.sum(self.rate[:self.n]))
+        self.rate = fresh
+        self.cell_rate = [0.0] * self.total_cells
+        for c, r in zip(self.cell_of, fresh):
+            self.cell_rate[c] += r
+        self.d_tot = sum(fresh)
         return residual
 
     def seed_initial(self, spec: dict) -> None:
@@ -398,12 +444,14 @@ class SimulationState:
             self.insert(x)
 
     def snapshot(self) -> np.ndarray:
-        return self.pos[:self.n].copy()
+        return np.array(self.pos, dtype=float).reshape(-1, self.dimension)
 
     def stats(self) -> RunStats:
         return RunStats(births=self.births, deaths=self.deaths,
                         events=self.events, max_replica_events=self.events,
-                        max_audit_residual=self.max_audit_residual)
+                        max_audit_residual=self.max_audit_residual,
+                        rate_clamps=self.rate_clamps,
+                        selection_fallbacks=self.selection_fallbacks)
 
 
 def _run_one(params: ModelParams, plan: ReplicaPlan,
@@ -421,19 +469,28 @@ def run_replicas(params: ModelParams, plan: ReplicaPlan,
                  threads: int = 1) -> tuple[SnapshotEnsemble, RunStats]:
     """Run all replicas and collect snapshots in replica order.
 
+    `threads` is the number of worker processes, capped by the replica count
+    and `os.cpu_count()`; with one worker the replicas run in this process.
+    Workers are forked, so a caller that runs other threads should pass 1.
     Results are a function of (params, plan) only: replica streams are
-    independent by construction and the merge order is fixed, so the thread
+    independent by construction and the merge order is fixed, so the worker
     count never changes the output.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
-    stats = RunStats()
-    if threads == 1:
+    workers = min(threads, plan.replicas, os.cpu_count() or 1)
+    if workers == 1:
         results = [_run_one(params, plan, r) for r in range(plan.replicas)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_one(params, plan, r),
-                                    range(plan.replicas)))
+        # imported here, so that runs in one process never pay for the pool
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        chunk = -(-plan.replicas // (4 * workers))
+        with ProcessPoolExecutor(workers,
+                                 mp_context=get_context("fork")) as pool:
+            results = list(pool.map(functools.partial(_run_one, params, plan),
+                                    range(plan.replicas), chunksize=chunk))
+    stats = RunStats()
     configurations = []
     for configs, replica_stats in results:
         configurations.append(configs)

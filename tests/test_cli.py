@@ -71,6 +71,43 @@ def test_simulate_manifest_lands_before_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_simulate_capped_in_workers_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, b=5.0, m=0.1)
+    code = main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "capped"), "--seed", "1", "--threads", "2",
+                 "--replicas", "3", "--snapshots", "4.0",
+                 "--max-events", "1"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_threads_below_one_exit_2_without_manifest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "1", "--replicas", "2", "--snapshots", "1.0",
+                 "--threads", "0"])
+    assert code == 2
+    assert not (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "--threads" in err and err.count("\n") == 1
+
+
+def test_repair_counts_in_summary_match_across_workers(tmp_path):
+    cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL), m=0.0,
+                    initial={"kind": "poisson", "density": 0.5})
+    repairs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "31", "--replicas", "4",
+                     "--snapshots", "2,4", "--threads", threads]) == 0
+        repairs.append(json.loads((out / "summary.json").read_text())
+                       ["repairs"])
+    assert repairs[0] == repairs[1]
+    assert set(repairs[0]) == {"rate_clamps", "selection_fallbacks"}
+
+
 def test_simulate_rerun_and_threads_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL), m=0.5,
                     initial={"kind": "poisson", "density": 0.5})

@@ -227,6 +227,53 @@ def test_tabulated_field_integral_exact():
     assert f.sup == pytest.approx(3.0)
 
 
+# ------------------------------------------------- scalar evaluators
+
+def test_scalar_kernel_profiles_match_profile():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        kernels = [CompetitionKernel.gaussian(1.3, 0.4, 1),
+                   CompetitionKernel.exponential(0.7, 0.3, 2),
+                   CompetitionKernel.top_hat(0.5, 1.0, 3),
+                   CompetitionKernel.tabulated([0.0, 0.5, 1.0, 1.5],
+                                               [1.0, 0.8, 0.3, 0.1], 1)]
+    radii = np.concatenate([np.linspace(0.0, 2.0, 401),
+                            [0.5, 1.0, 1.5, 1.5000001]])
+    for k in kernels:
+        scalar = k.scalar_profile()
+        got = np.array([scalar(float(r)) for r in radii])
+        np.testing.assert_allclose(got, k.profile(radii), rtol=1e-15,
+                                   atol=0.0, err_msg=k.kind)
+
+
+def test_scalar_fields_match_vectorised(rng):
+    box = Box([0.0, -1.0], [4.0, 2.0])
+    fields = [RateField.constant(0.7, 2),
+              RateField.gaussian_bump(1.5, [1.0, 0.5], 0.8, box),
+              RateField.tabulated(rng.random((3, 5)), box)]
+    points = rng.uniform([-1.0, -2.0], [5.0, 3.0], size=(300, 2))
+    for field in fields:
+        scalar = field.scalar()
+        got = np.array([scalar(p.tolist()) for p in points])
+        np.testing.assert_allclose(got, field(points), rtol=1e-15,
+                                   atol=0.0, err_msg=field.kind)
+
+
+@pytest.mark.parametrize("window", [
+    Window([10.0]), Window([6.0, 4.0]), Window([3.0, 4.0, 5.0]),
+    Window([10.0, 8.0], boundary="absorbing-buffer", buffer_width=1.0)],
+    ids=["periodic-1d", "periodic-2d", "periodic-3d", "absorbing-2d"])
+def test_scalar_squared_distance_is_exact(window, rng):
+    d = window.dimension
+    dom = window.domain
+    x = rng.uniform(dom.lo, dom.hi, size=(200, d))
+    y = rng.uniform(dom.lo, dom.hi, size=(200, d))
+    sq = window.squared_distance()
+    got = [sq(a.tolist(), b.tolist()) for a, b in zip(x, y)]
+    expected = np.sum(np.square(window.displacement(x, y)), axis=-1)
+    assert got == expected.tolist()
+
+
 # ------------------------------------------------------------ model params
 
 def test_params_caches_norms(torus10):

@@ -1,6 +1,8 @@
 """Event-driven simulator: initial sampling, event mechanics, determinism."""
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from contpop import (
     Box,
     CappedRunError,
     CompetitionKernel,
+    ModelParams,
     RateField,
     ReplicaPlan,
     SimulationState,
     Window,
+    death_rates,
     mean_density,
     run_replicas,
     sample_initial,
@@ -219,6 +223,102 @@ def test_capped_run_error_names_replica():
         run_replicas(params, plan)
     assert info.value.replica in range(3)
     assert info.value.events > 10
+
+
+def test_capped_run_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(CappedRunError(2, 11, 3.5)))
+    assert isinstance(error, CappedRunError)
+    assert (error.replica, error.events, error.t) == (2, 11, 3.5)
+    assert str(error) == str(CappedRunError(2, 11, 3.5))
+
+
+def test_capped_run_error_crosses_worker_processes():
+    params = free_params(b=5.0, m=0.1)
+    plan = ReplicaPlan(replicas=3, base_seed=1, snapshots=(50.0,),
+                       max_events=10)
+    with pytest.raises(CappedRunError, match="replica") as info:
+        run_replicas(params, plan, threads=2)
+    assert info.value.replica in range(3)
+    assert info.value.events > 10
+
+
+def test_remove_clamps_and_counts_negative_drift():
+    params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                         b=1.0, m=0.0)
+    state = SimulationState(params, np.random.default_rng(0))
+    state.insert(np.array([2.0]))
+    state.insert(np.array([2.3]))
+    state.rate[0] -= 1e-12   # drift below the true rate a(0.3)
+    state.remove(1)
+    assert state.rate == [0.0]
+    assert state.rate_clamps == 1
+    assert state.stats().rate_clamps == 1
+
+
+def test_repair_counts_do_not_depend_on_workers():
+    # m = 0: a particle whose competitors all die returns to a rate of zero
+    # through float subtractions, the case the clamps repair
+    params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                         b=1.0, m=0.0)
+    plan = ReplicaPlan(replicas=16, base_seed=31, snapshots=(12.0, 24.0),
+                       initial={"kind": "poisson", "density": 0.5})
+    _, one = run_replicas(params, plan, threads=1)
+    _, two = run_replicas(params, plan, threads=2)
+    assert one == two
+    assert one.rate_clamps > 0
+
+
+# ------------------------------------------------------- scalar hot path
+
+def _rate_cases():
+    """(label, params) covering every kernel kind, d = 1..3, both boundary
+    modes, and non-constant birth and mortality fields."""
+    torus1, torus2, torus3 = Window([L]), Window([8.0, 6.0]), \
+        Window([4.0, 4.0, 4.0])
+    buffered = Window([L], boundary="absorbing-buffer", buffer_width=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # top-hat is flagged
+        top_hat = CompetitionKernel.top_hat(0.5, 1.0, 3)
+    return [
+        ("gaussian-1d-periodic", ModelParams(
+            torus1, CompetitionKernel.gaussian(1.0, 0.4, 1),
+            RateField.constant(2.0, 1), RateField.constant(0.5, 1))),
+        ("exponential-2d-periodic-bump-mortality", ModelParams(
+            torus2, CompetitionKernel.exponential(0.7, 0.3, 2, r_cut=2.5),
+            RateField.constant(0.4, 2),
+            RateField.gaussian_bump(0.8, [4.0, 3.0], 2.0, torus2.domain))),
+        ("top-hat-3d-periodic-tabulated-birth", ModelParams(
+            torus3, top_hat,
+            RateField.tabulated(np.arange(1.0, 9.0).reshape(2, 2, 2) / 4.0,
+                                torus3.domain),
+            RateField.constant(0.3, 3))),
+        ("tabulated-1d-absorbing-fields", ModelParams(
+            buffered,
+            CompetitionKernel.tabulated([0.0, 0.5, 1.0, 1.5],
+                                        [1.0, 0.8, 0.3, 0.0], 1),
+            RateField.gaussian_bump(2.0, [5.0], 3.0, buffered.domain),
+            RateField.tabulated([0.2, 0.6, 1.0, 0.4], buffered.domain))),
+    ]
+
+
+@pytest.mark.parametrize("label,params", _rate_cases(),
+                         ids=[c[0] for c in _rate_cases()])
+def test_scalar_rates_match_referee(label, params):
+    state = SimulationState(params, np.random.default_rng(5))
+    gen = np.random.default_rng(6)
+    domain = params.window.domain
+    for x in gen.uniform(domain.lo, domain.hi, size=(40, params.dimension)):
+        state.insert(x)
+    for _ in range(400):   # engine-drawn births and deaths
+        state.step()
+    for _ in range(5):
+        state.remove(int(gen.integers(state.n)))
+    assert state.births > 0 and state.deaths > 5 and state.n >= 5
+    referee = death_rates(state.snapshot(), params)
+    np.testing.assert_allclose(state.rate[:state.n], referee, rtol=1e-12,
+                               atol=0.0)
+    assert state.d_tot == pytest.approx(float(np.sum(referee)), rel=1e-12)
+    assert state.audit() <= 1e-9
 
 
 # --------------------------------------------------------------- validation
