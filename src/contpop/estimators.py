@@ -1,10 +1,14 @@
 """Empirical estimators over replica ensembles of particle snapshots.
 
-Counts are turned into factorial moments binom(N, l) exactly (integer
-arithmetic per replica); raw moments N^n are recovered through the Stirling
-transform N^n = sum_l l! S(n, l) binom(N, l), so the factorial path is the
-primary one and the raw rows are derived from it.  Densities and pair
-correlations are simple bin estimators with replica-level standard errors.
+Every cell estimator reads one integer tensor counts[r, k, c], the number of
+core particles of replica r at snapshot k in cell c, built in one vectorised
+pass over the whole ensemble (`_cell_counts`).  Factorial moments binom(N, l)
+and raw moments N^n are looked up in tables indexed by count, whose rows come
+from the exact integer functions (`binomial`, and the Stirling transform
+N^n = sum_l l! S(n, l) binom(N, l) in `raw_moment_from_factorials`), so the
+factorial path stays the primary one and every sample equals the float of an
+exact integer.  Densities and pair correlations are simple bin estimators
+with replica-level standard errors.
 """
 
 from __future__ import annotations
@@ -103,19 +107,37 @@ class CellPartition:
 
     def counts(self, positions: np.ndarray) -> np.ndarray:
         """Particle count per cell (C-order); buffer particles are ignored."""
-        out = np.zeros(len(self.cells), dtype=np.int64)
-        pos = np.asarray(positions, dtype=float)
-        if pos.size == 0:
-            return out
-        inside = self.window.core.contains_points(pos)
-        pos = pos.reshape(-1, self.window.dimension)[inside]
-        if pos.shape[0] == 0:
-            return out
-        idx = np.floor(pos / self.cell_side).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.shape) - 1)
-        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
-        np.add.at(out, flat, 1)
-        return out
+        flat, _ = _cell_index(self, positions)
+        return np.bincount(flat, minlength=len(self.cells))
+
+
+def _cell_index(partition: CellPartition,
+                positions) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order cell of each core particle, and the core mask over all
+    rows.  A core point just below an upper face whose quotient rounds up
+    to the cell count is clipped into the last cell."""
+    d = partition.window.dimension
+    pos = np.asarray(positions, dtype=float).reshape(-1, d)
+    inside = partition.window.core.contains_points(pos)
+    idx = np.floor(pos[inside] / partition.cell_side).astype(int)
+    idx = np.clip(idx, 0, np.asarray(partition.shape) - 1)
+    return np.ravel_multi_index(tuple(idx.T), partition.shape), inside
+
+
+def _cell_counts(ensemble: SnapshotEnsemble,
+                 partition: CellPartition) -> np.ndarray:
+    """(replicas, times, cells) integer tensor of core particle counts."""
+    d = ensemble.window.dimension
+    configs = [np.asarray(pos, dtype=float).reshape(-1, d)
+               for reps in ensemble.configurations for pos in reps]
+    shape = (ensemble.n_replicas, ensemble.n_times, len(partition))
+    if not configs:
+        return np.zeros(shape, dtype=np.int64)
+    # slot r * n_times + k tags every particle with its replica-snapshot
+    slot = np.repeat(np.arange(len(configs)), [p.shape[0] for p in configs])
+    flat, inside = _cell_index(partition, np.concatenate(configs))
+    key = slot[inside] * len(partition) + flat
+    return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass
@@ -199,10 +221,7 @@ def density_estimate(ensemble: SnapshotEnsemble,
     """Per-cell density estimate, one grid per snapshot time."""
     volume = partition.cell_side ** ensemble.window.dimension
     centers = np.asarray([0.5 * (c.lo + c.hi) for c in partition])
-    counts = np.zeros((ensemble.n_replicas, ensemble.n_times, len(partition)))
-    for r in range(ensemble.n_replicas):
-        for k in range(ensemble.n_times):
-            counts[r, k] = partition.counts(ensemble.positions(r, k))
+    counts = _cell_counts(ensemble, partition).astype(float)
     out = []
     for k in range(ensemble.n_times):
         value, err = _replica_stats(counts[:, k, :] / volume)
@@ -272,20 +291,18 @@ def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
         raise ValueError(f"moment orders limited to 1..{MAX_MOMENT_ORDER}")
     if n_max > l_max:
         raise ValueError("raw order n_max needs factorials up to the same order")
-    shape = (ensemble.n_replicas, ensemble.n_times, len(partition))
-    fact = np.zeros(shape + (l_max,))
-    raw = np.zeros(shape + (n_max,))
-    for r in range(ensemble.n_replicas):
-        for k in range(ensemble.n_times):
-            counts = partition.counts(ensemble.positions(r, k))
-            for c, count in enumerate(counts):
-                n = int(count)
-                facts = [binomial(n, l) for l in range(1, l_max + 1)]
-                fact[r, k, c] = facts
-                raw[r, k, c] = [raw_moment_from_factorials(facts, m)
-                                for m in range(1, n_max + 1)]
-    f_mean, f_err = _replica_stats(fact)
-    r_mean, r_err = _replica_stats(raw)
+    counts = _cell_counts(ensemble, partition)
+    # tables indexed by count, filled only on the rows of counts that occur
+    present = np.bincount(counts.ravel(), minlength=1)
+    fact_table = np.zeros((present.size, l_max))
+    raw_table = np.zeros((present.size, n_max))
+    for n in np.flatnonzero(present).tolist():
+        facts = [binomial(n, l) for l in range(1, l_max + 1)]
+        fact_table[n] = [float(f) for f in facts]
+        raw_table[n] = [float(raw_moment_from_factorials(facts, m))
+                        for m in range(1, n_max + 1)]
+    f_mean, f_err = _replica_stats(fact_table[counts])
+    r_mean, r_err = _replica_stats(raw_table[counts])
     return MomentSeries(times=ensemble.times.copy(), orders=l_max,
                         raw_orders=n_max, factorial=f_mean,
                         factorial_stderr=f_err, raw=r_mean, raw_stderr=r_err,

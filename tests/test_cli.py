@@ -1,6 +1,7 @@
 """End-to-end command-line runs: manifests, outputs, exit codes, verify."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -123,6 +124,56 @@ def test_simulate_rerun_and_threads_are_byte_identical(tmp_path):
         reference = (outs[0] / name).read_bytes()
         assert (outs[1] / name).read_bytes() == reference, name
         assert (outs[2] / name).read_bytes() == reference, name
+
+
+# sha256 of every CSV of a small free 1-D run, recorded before the estimators
+# moved to whole-ensemble arrays; any refactor that keeps the draw order must
+# keep these bytes
+GOLDEN_SHA256 = {
+    "k1.csv": "45937a189306c5bef6625de1d2a8b12593fb477345bdd2a69f13652c546d17c2",
+    "k2.csv": "1f7217ba93aacf422b073419aff673b5ed986cfa3fdbd7993c9aa6af6c20d9a7",
+    "moments.csv":
+        "020bdad4e3f5b499a1041f5c78768a79dbe20ec54cbac9bd926b388e9338474e",
+    "particles_0000.csv":
+        "fc007c2996423c1ed14eb089a5340cb4ce3b0a3205c9a19a611f530a4c7663c2",
+    "particles_0001.csv":
+        "091e877f92a67ee90f6f31dd879734ecfba0155f4d2d9d2e22e018282a026e77",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """The golden manifest run at threads 1 and 2."""
+    tmp = tmp_path_factory.mktemp("golden")
+    cfg = write_cfg(tmp, initial={"kind": "poisson", "density": 0.5})
+    outs = {}
+    for threads in (1, 2):
+        outs[threads] = tmp / f"run{threads}"
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(outs[threads]), "--seed", "20261018",
+                     "--replicas", "6", "--snapshots", "0.5,1.0",
+                     "--cell-side", "0.1", "--threads", str(threads)])
+        assert code == 0
+    return outs
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_golden_manifest_csvs_are_byte_identical(golden_runs, threads):
+    out = golden_runs[threads]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(GOLDEN_SHA256)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+
+
+def test_summary_records_phase_times(golden_runs):
+    for out in golden_runs.values():
+        phases = json.loads((out / "summary.json").read_text())["phase_s"]
+        assert set(phases) == {"replicas", "particle_csv", "estimators",
+                               "estimator_csv"}
+        assert all(v >= 0.0 for v in phases.values())
+    for path in golden_runs[1].glob("*.csv"):
+        assert (golden_runs[2] / path.name).read_bytes() == path.read_bytes()
 
 
 def test_seed_comes_from_environment_when_flag_is_absent(tmp_path,
@@ -382,3 +433,37 @@ def test_verify_interacting_run_all_checks(tmp_path, capsys):
     assert "SKIP oracle-equivalence" in output
     assert "PASS moment-envelope" in output
     assert "PASS density-cap" in output
+
+
+def run_late_free_simulation(tmp_path, seed):
+    """Free run (b = m = 1) whose first snapshot is at t = 1, not 0."""
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.5})
+    out = tmp_path / f"late{seed}"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", str(seed), "--replicas", "200",
+                 "--snapshots", "1.0,2.0"])
+    assert code == 0
+    return cfg, out
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_verify_envelope_starts_at_first_snapshot(tmp_path, capsys, seed):
+    # the exact law is propagated from the first snapshot's densities over
+    # t - t_0; propagating over t from there false-alarmed on these runs
+    cfg, out = run_late_free_simulation(tmp_path, seed)
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    output = capsys.readouterr().out
+    assert code == 0, output
+    assert "PASS domination" in output
+    assert "PASS oracle-equivalence" in output
+
+
+def test_verify_oracle_catches_lost_particles(tmp_path, capsys):
+    cfg, out = run_late_free_simulation(tmp_path, 1)
+    path = out / "particles_0001.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(row for i, row in enumerate(rows)
+                                     if i % 10 >= 3))   # drop 30% of rows
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    assert code == 1
+    assert "FAIL oracle-equivalence" in capsys.readouterr().out

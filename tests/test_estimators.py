@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contpop import (
     Box,
@@ -278,6 +280,89 @@ def test_two_cell_positivity(rng):
     ny = ens.counts_in(by).astype(float)
     cross = float(np.mean(nx * ny))
     assert cross <= 0.5 * float(np.mean(nx**2) + np.mean(ny**2)) + 1e-12
+
+
+# ------------------------------------------- array path vs per-cell reference
+
+def per_cell_reference(ens, part, l_max, n_max):
+    """The estimators cell by cell: core filter, then the exact factorial
+    moments of each cell box and the raw moments derived from them."""
+    shape = (ens.n_replicas, ens.n_times, len(part))
+    fact = np.zeros(shape + (l_max,))
+    raw = np.zeros(shape + (n_max,))
+    for r in range(ens.n_replicas):
+        for k in range(ens.n_times):
+            pos = ens.positions(r, k).reshape(-1, ens.window.dimension)
+            pos = pos[ens.window.core.contains_points(pos)]
+            for c, box in enumerate(part):
+                facts = [factorial_moment(pos, box, l)
+                         for l in range(1, l_max + 1)]
+                fact[r, k, c] = [float(f) for f in facts]
+                raw[r, k, c] = [float(raw_moment_from_factorials(facts, n))
+                                for n in range(1, n_max + 1)]
+    return fact, raw
+
+
+# (side, cell side): with side 1 and cells of 1/3, a point just below the
+# upper face divides to exactly 3 and takes the clip into the last cell
+GEOMETRIES = ((2.0, 0.5), (1.0, 1.0 / 3.0), (2.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.integers(1, 3), absorbing=st.booleans(),
+       geometry=st.sampled_from(GEOMETRIES), replicas=st.integers(1, 4),
+       n_times=st.integers(1, 3), crowd=st.sampled_from((0, 150)),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_estimators_match_per_cell_reference(
+        dimension, absorbing, geometry, replicas, n_times, crowd, seed):
+    gen = np.random.default_rng(seed)
+    side, h = geometry
+    if absorbing:
+        win = Window([side] * dimension, boundary="absorbing-buffer",
+                     buffer_width=0.5)
+    else:
+        win = Window([side] * dimension)
+    part = CellPartition(win, h)
+    lo, hi = win.domain.lo, win.domain.hi
+    # special coordinates: cell edges, the upper face (outside the core)
+    # and the float just below it (the clip path)
+    special = np.array([j * h for j in range(round(side / h))]
+                       + [side, np.nextafter(side, 0.0)])
+    configs = []
+    for _ in range(replicas):
+        reps = []
+        for _ in range(n_times):
+            n = int(gen.choice([0, 1, 5, 12]))   # empty snapshots included
+            pos = gen.uniform(lo, hi, size=(n, dimension))
+            edge = gen.random((n, dimension)) < 0.4
+            pos[edge] = gen.choice(special, size=int(edge.sum()))
+            reps.append(pos)
+        configs.append(reps)
+    if gen.random() < 0.3:                         # an empty replica
+        configs[-1] = [np.empty((0, dimension)) for _ in range(n_times)]
+    if crowd:                                      # counts with n^8 > 2^53
+        configs[0][0] = np.concatenate(
+            [configs[0][0], gen.uniform(0.0, h, size=(crowd, dimension))])
+    ens = SnapshotEnsemble(win, np.arange(n_times, dtype=float), configs)
+
+    series = moment_series(ens, part, l_max=8, n_max=8)
+    fact, raw = per_cell_reference(ens, part, 8, 8)
+    for got, ref in ((series.factorial, fact), (series.raw, raw)):
+        mean, err = _replica_stats(ref)
+        assert got.tobytes() == mean.tobytes()
+    assert series.factorial_stderr.tobytes() == _replica_stats(fact)[1].tobytes()
+    assert series.raw_stderr.tobytes() == _replica_stats(raw)[1].tobytes()
+
+    volume = h ** dimension
+    for k, grid in enumerate(density_estimate(ens, part)):
+        mean, err = _replica_stats(fact[:, k, :, 0] / volume)
+        assert grid.values.tobytes() == mean.tobytes()
+        assert grid.stderr.tobytes() == err.tobytes()
+    # the per-configuration counts share the cell indexing
+    for r in range(replicas):
+        for k in range(n_times):
+            assert part.counts(ens.positions(r, k)).tolist() == \
+                fact[r, k, :, 0].astype(int).tolist()
 
 
 # -------------------------------------------------------------------- CSV
