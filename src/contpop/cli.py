@@ -5,8 +5,8 @@ hash, seed) into the output directory before any computation starts, so a
 finished or failed run can always be reproduced.  Data outputs are CSV/JSON
 with repr-formatted floats: rerunning the same manifest yields byte-identical
 CSV files regardless of the worker count (`--threads`).  summary.json
-additionally records wall-clock time and repair counters and is therefore
-diagnostic, not reproducible.
+additionally records wall-clock times, per-replica spreads and repair
+counters and is therefore diagnostic, not reproducible.
 
 Exit codes: 0 success, 1 failed verification checks, 2 configuration errors,
 3 numerical failures (event-budget cap, step-size guard, clipping budget,
@@ -119,6 +119,12 @@ def _jsonable(obj):
 # -- simulate -----------------------------------------------------------------
 
 
+def _spread(values) -> dict:
+    """Min, median and max of per-replica numbers."""
+    return {"min": min(values), "median": float(np.median(values)),
+            "max": max(values)}
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
@@ -183,6 +189,11 @@ def cmd_simulate(args) -> int:
         "events": {"births": stats.births, "deaths": stats.deaths,
                    "total": stats.events,
                    "max_per_replica": stats.max_replica_events},
+        "per_replica": {
+            "events": _spread(stats.replica_events),
+            "final_particles": _spread(
+                [ensemble.positions(r, -1).shape[0]
+                 for r in range(ensemble.n_replicas)])},
         "max_audit_residual": stats.max_audit_residual,
         "repairs": {"rate_clamps": stats.rate_clamps,
                     "selection_fallbacks": stats.selection_fallbacks},

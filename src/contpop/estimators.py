@@ -7,8 +7,11 @@ and raw moments N^n are looked up in tables indexed by count, whose rows come
 from the exact integer functions (`binomial`, and the Stirling transform
 N^n = sum_l l! S(n, l) binom(N, l) in `raw_moment_from_factorials`), so the
 factorial path stays the primary one and every sample equals the float of an
-exact integer.  Densities and pair correlations are simple bin estimators
-with replica-level standard errors.
+exact integer.  `counts_in` counts a box the same way, with one `bincount`
+over the replica-snapshot slots.  Densities and pair correlations are simple
+bin estimators with replica-level standard errors; the pair histogram takes
+its rows in blocks of about _PAIR_BLOCK pairs, so it never holds an n x n
+array.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 8
+_PAIR_BLOCK = 1 << 16   # pairs per row block of the pair-separation histogram
 
 
 class SnapshotEnsemble:
@@ -66,12 +70,11 @@ class SnapshotEnsemble:
 
     def counts_in(self, box: Box) -> np.ndarray:
         """(replicas, times) matrix of particle counts inside `box`."""
-        out = np.zeros((self.n_replicas, self.n_times), dtype=np.int64)
-        for r, reps in enumerate(self.configurations):
-            for k, pos in enumerate(reps):
-                if pos.size:
-                    out[r, k] = int(np.count_nonzero(box.contains_points(pos)))
-        return out
+        points, slot = _stacked(self)
+        shape = (self.n_replicas, self.n_times)
+        inside = box.contains_points(points)
+        return np.bincount(slot[inside],
+                           minlength=math.prod(shape)).reshape(shape)
 
 
 class CellPartition:
@@ -124,18 +127,24 @@ def _cell_index(partition: CellPartition,
     return np.ravel_multi_index(tuple(idx.T), partition.shape), inside
 
 
-def _cell_counts(ensemble: SnapshotEnsemble,
-                 partition: CellPartition) -> np.ndarray:
-    """(replicas, times, cells) integer tensor of core particle counts."""
+def _stacked(ensemble: SnapshotEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Every particle of the ensemble as one (N, d) array, and the
+    replica-snapshot slot r * n_times + k of each."""
     d = ensemble.window.dimension
     configs = [np.asarray(pos, dtype=float).reshape(-1, d)
                for reps in ensemble.configurations for pos in reps]
-    shape = (ensemble.n_replicas, ensemble.n_times, len(partition))
     if not configs:
-        return np.zeros(shape, dtype=np.int64)
-    # slot r * n_times + k tags every particle with its replica-snapshot
+        return np.empty((0, d)), np.empty(0, dtype=np.intp)
     slot = np.repeat(np.arange(len(configs)), [p.shape[0] for p in configs])
-    flat, inside = _cell_index(partition, np.concatenate(configs))
+    return np.concatenate(configs), slot
+
+
+def _cell_counts(ensemble: SnapshotEnsemble,
+                 partition: CellPartition) -> np.ndarray:
+    """(replicas, times, cells) integer tensor of core particle counts."""
+    shape = (ensemble.n_replicas, ensemble.n_times, len(partition))
+    points, slot = _stacked(ensemble)
+    flat, inside = _cell_index(partition, points)
     key = slot[inside] * len(partition) + flat
     return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
@@ -237,6 +246,32 @@ def _shell_volumes(edges: np.ndarray, dimension: int) -> np.ndarray:
     return 4.0 / 3.0 * math.pi * np.diff(edges**3)
 
 
+def _pair_histogram(window: Window, pos: np.ndarray,
+                    r_edges: np.ndarray) -> np.ndarray:
+    """Histogram of the separations |displacement(pos[i], pos[j])|, i < j.
+
+    Rows are taken in blocks of about _PAIR_BLOCK pairs, each against the
+    columns after its first row, with the pairs j <= i masked out, so no
+    n x n array is built; the integer block histograms add up exactly.  The
+    coordinates are stored axis by axis, so that numpy's inner loops run
+    along the columns instead of the d coordinates of one pair; that changes
+    the order of the element-wise operations, not their results.
+    """
+    n = pos.shape[0]
+    pos = np.asfortranarray(pos)
+    hist = np.zeros(r_edges.size - 1, dtype=np.int64)
+    start = 0
+    while start < n - 1:
+        stop = min(start + max(_PAIR_BLOCK // (n - 1 - start), 1), n - 1)
+        disp = window.displacement(pos[start:stop, None, :],
+                                   pos[None, start + 1:, :])
+        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
+        upper = np.arange(start + 1, n) > np.arange(start, stop)[:, None]
+        hist += np.histogram(dist[upper], bins=r_edges)[0]
+        start = stop
+    return hist
+
+
 def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
                               time_index: int = -1) -> CorrelationGrid:
     """Radial second correlation at one snapshot time.
@@ -261,13 +296,7 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
         pos = ensemble.positions(r, time_index)
         if window.boundary != "periodic":
             pos = pos[window.core.contains_points(pos)]
-        n = pos.shape[0]
-        if n < 2:
-            continue
-        disp = window.displacement(pos[:, None, :], pos[None, :, :])
-        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
-        iu = np.triu_indices(n, k=1)
-        hist, _ = np.histogram(dist[iu], bins=r_edges)
+        hist = _pair_histogram(window, pos, r_edges)
         per_replica[r] = 2.0 * hist / (volume * shells)  # ordered pairs
     centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     value, err = _replica_stats(per_replica)

@@ -136,52 +136,6 @@ class Window:
         d = self.displacement(x, y)
         return np.sqrt(np.sum(np.square(d), axis=-1))
 
-    def squared_distance(self):
-        """Plain-float |displacement(x, y)|^2 for two positions given as
-        sequences of d floats.
-
-        Minimum-image rounding is skipped on an axis where |y - x| <= L/2,
-        where it would subtract zero, so the result equals the squared norm
-        of `displacement` computed on floats.
-        """
-        d = self.dimension
-        sides = self.sides.tolist()
-        halves = [s / 2.0 if self.boundary == "periodic" else math.inf
-                  for s in sides]
-        # unrolled for d = 1, 2: the simulator calls this once per candidate
-        # pair, and a zip over the axes costs about twice the arithmetic
-        if d == 1:
-            (l0,), (h0,) = sides, halves
-
-            def sq1(x, y):
-                dx = y[0] - x[0]
-                if dx > h0 or dx < -h0:
-                    dx -= l0 * round(dx / l0)
-                return dx * dx
-            return sq1
-        if d == 2:
-            (l0, l1), (h0, h1) = sides, halves
-
-            def sq2(x, y):
-                dx = y[0] - x[0]
-                if dx > h0 or dx < -h0:
-                    dx -= l0 * round(dx / l0)
-                dy = y[1] - x[1]
-                if dy > h1 or dy < -h1:
-                    dy -= l1 * round(dy / l1)
-                return dx * dx + dy * dy
-            return sq2
-
-        def sq(x, y):
-            total = 0.0
-            for xi, yi, side, half in zip(x, y, sides, halves):
-                u = yi - xi
-                if u > half or u < -half:
-                    u -= side * round(u / side)
-                total += u * u
-            return total
-        return sq
-
     def wrap(self, x):
         """Map a position into [0, L) per axis (periodic windows only)."""
         x = np.asarray(x, dtype=float)

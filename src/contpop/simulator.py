@@ -13,9 +13,12 @@ check, and the worst residual seen is reported, with counts of the negative
 rates clamped and of the death-selection fallbacks that drift causes.
 
 The per-event path runs on plain Python floats and lists, with the scalar
-kernel, field and distance evaluators of `model`: an event touches only the
-handful of particles near one position, where numpy's per-call cost exceeds
-the arithmetic.
+kernel and field evaluators of `model`: an event touches only the handful of
+particles near one position, where numpy's per-call cost exceeds the
+arithmetic.  The neighbour query computes minimum-image distances inline,
+with no call per candidate pair, and the event loop takes its uniforms from
+blocks of `rng.random(n)`, which holds the same doubles as n single draws,
+so the draws and the results are those of one call per uniform.
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 AUDIT_PERIOD = 1 << 16
+_UNIFORM_BLOCK = 512   # doubles drawn per rng.random call of the event loop
 
 
 class CappedRunError(RuntimeError):
@@ -91,6 +95,7 @@ class ReplicaPlan:
 class RunStats:
     """Aggregate counters across replicas.
 
+    `replica_events` lists each replica's event count, in replica order.
     `rate_clamps` and `selection_fallbacks` count the silent float-drift
     repairs of `SimulationState.remove` and `SimulationState._select_death`.
     """
@@ -98,10 +103,14 @@ class RunStats:
     births: int = 0
     deaths: int = 0
     events: int = 0
-    max_replica_events: int = 0
     max_audit_residual: float = 0.0
     rate_clamps: int = 0
     selection_fallbacks: int = 0
+    replica_events: list = dataclass_field(default_factory=list)
+
+    @property
+    def max_replica_events(self) -> int:
+        return max(self.replica_events, default=0)
 
     def merge(self, other: "RunStats") -> None:
         self.births += other.births
@@ -109,9 +118,17 @@ class RunStats:
         self.events += other.events
         self.rate_clamps += other.rate_clamps
         self.selection_fallbacks += other.selection_fallbacks
-        self.max_replica_events = max(self.max_replica_events, other.events)
+        self.replica_events.extend(other.replica_events)
         self.max_audit_residual = max(self.max_audit_residual,
                                       other.max_audit_residual)
+
+
+def _block_uniforms(rng: np.random.Generator):
+    """The doubles of successive rng.random() calls, drawn a block at a
+    time: rng.random(n) returns the same doubles as n single calls.  The
+    first block is drawn at the first next(), not at creation."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
@@ -186,7 +203,11 @@ class SimulationState:
         # pre-test on squared distance, widened so that rounding in r_cut**2
         # never rejects a pair that the exact test r <= r_cut accepts
         self._reach2 = r_cut * r_cut * (1.0 + 1e-9)
-        self._sq_dist = window.squared_distance()
+        # minimum image is applied only past half a side, where it changes
+        # the displacement; never on absorbing windows
+        self._sides = window.sides.tolist()
+        self._halves = [s / 2.0 if self.periodic else math.inf
+                        for s in self._sides]
         self._kernel = params.kernel.scalar_profile()
         self._mortality = params.mortality.scalar()
         self._birth = params.birth.scalar()
@@ -219,6 +240,9 @@ class SimulationState:
         self._offsets = offs
         self._neighbor_cache = [self._neighbor_cells(c)
                                 for c in range(self.total_cells)]
+        # the event loop's uniforms; `seed_initial` draws from `rng` itself,
+        # before the first block is taken
+        self._uniforms = _block_uniforms(rng)
 
     @property
     def n(self) -> int:
@@ -245,21 +269,66 @@ class SimulationState:
         flat = np.ravel_multi_index(tuple(raw.T), self.n_cells)
         return sorted(set(int(c) for c in flat))
 
-    def _neighbors(self, x, exclude: int = -1):
-        """Rows and kernel values of the particles within r_cut of x."""
+    def _neighbors(self, x, cell: int, exclude: int = -1):
+        """Rows and kernel values of the particles within r_cut of x, which
+        lies in `cell`.  Stencil cells are visited in `_neighbor_cache`
+        order, then their members in list order.  The displacement is
+        y - x per axis, as `Window.displacement` computes it, and the scan
+        is unrolled for d = 1, 2: it runs once per candidate pair."""
         idx, vals = [], []
         if self.r_cut <= 0.0:
             return idx, vals
-        pos, cells, sq_dist = self.pos, self.cells, self._sq_dist
+        pos, cells, stencil = self.pos, self.cells, self._neighbor_cache[cell]
         r_cut, reach2, kernel = self.r_cut, self._reach2, self._kernel
-        for c in self._neighbor_cache[self._cell_index(x)]:
-            for j in cells[c]:
-                r2 = sq_dist(x, pos[j])
-                if r2 <= reach2 and j != exclude:
-                    r = math.sqrt(r2)
-                    if r <= r_cut:
-                        idx.append(j)
-                        vals.append(kernel(r))
+        sqrt = math.sqrt
+        d = self.dimension
+        if d == 1:
+            (x0,), (l0,), (h0,) = x, self._sides, self._halves
+            g0 = -h0
+            for c in stencil:
+                for j in cells[c]:
+                    dx = pos[j][0] - x0
+                    if dx > h0 or dx < g0:
+                        dx -= l0 * round(dx / l0)
+                    r2 = dx * dx
+                    if r2 <= reach2 and j != exclude:
+                        r = sqrt(r2)
+                        if r <= r_cut:
+                            idx.append(j)
+                            vals.append(kernel(r))
+        elif d == 2:
+            (x0, x1), (l0, l1), (h0, h1) = x, self._sides, self._halves
+            g0, g1 = -h0, -h1
+            for c in stencil:
+                for j in cells[c]:
+                    y0, y1 = pos[j]
+                    dx = y0 - x0
+                    if dx > h0 or dx < g0:
+                        dx -= l0 * round(dx / l0)
+                    dy = y1 - x1
+                    if dy > h1 or dy < g1:
+                        dy -= l1 * round(dy / l1)
+                    r2 = dx * dx + dy * dy
+                    if r2 <= reach2 and j != exclude:
+                        r = sqrt(r2)
+                        if r <= r_cut:
+                            idx.append(j)
+                            vals.append(kernel(r))
+        else:
+            axes = list(zip(x, self._sides, self._halves))
+            for c in stencil:
+                for j in cells[c]:
+                    r2 = 0.0
+                    for yi, (xi, side, half) in zip(pos[j], axes):
+                        u = yi - xi
+                        if u > half or u < -half:
+                            u -= side * round(u / side)
+                        r2 += u * u
+                    if r2 <= reach2 and j != exclude:
+                        r = sqrt(r2)
+                        if r <= r_cut:
+                            idx.append(j)
+                            vals.append(kernel(r))
         return idx, vals
 
     # -- particle bookkeeping --------------------------------------------------
@@ -267,7 +336,8 @@ class SimulationState:
     def insert(self, x) -> int:
         """Add a particle at position x; returns its row."""
         x = [float(v) for v in x]
-        idx, vals = self._neighbors(x)
+        cell = self._cell_index(x)
+        idx, vals = self._neighbors(x, cell)
         rates, cell_rate, cell_of = self.rate, self.cell_rate, self.cell_of
         rate = self._mortality(x) + sum(vals)
         d_tot = self.d_tot
@@ -275,7 +345,6 @@ class SimulationState:
             rates[j] += a
             cell_rate[cell_of[j]] += a
             d_tot += a
-        cell = self._cell_index(x)
         members = self.cells[cell]
         i = len(rates)
         self.pos.append(x)
@@ -295,7 +364,7 @@ class SimulationState:
         """
         pos, rates, cell_rate = self.pos, self.rate, self.cell_rate
         cell_of, slot_of = self.cell_of, self.slot_of
-        idx, vals = self._neighbors(pos[i], exclude=i)
+        idx, vals = self._neighbors(pos[i], cell_of[i], exclude=i)
         clamps = 0
         d_tot = self.d_tot
         for j, a in zip(idx, vals):
@@ -346,11 +415,11 @@ class SimulationState:
     # -- events ----------------------------------------------------------------
 
     def _draw_birth_position(self) -> list:
+        uniforms = self._uniforms
         while True:
-            u = self.rng.random(self.dimension).tolist()
-            x = [lo + ui * side for lo, ui, side
-                 in zip(self.domain_lo, u, self.domain_sides)]
-            if self.rng.random() * self.b_sup <= self._birth(x):
+            x = [lo + next(uniforms) * side
+                 for lo, side in zip(self.domain_lo, self.domain_sides)]
+            if next(uniforms) * self.b_sup <= self._birth(x):
                 return x
 
     def _select_death(self) -> int:
@@ -358,7 +427,7 @@ class SimulationState:
         member rates.  When float drift carries the target past every sum,
         the last occupied cell or the cell's last member is taken and
         counted in `selection_fallbacks`."""
-        target = self.rng.random() * self.d_tot
+        target = next(self._uniforms) * self.d_tot
         cells = self.cells
         for c, s in enumerate(self.cell_rate):
             if target < s and cells[c]:
@@ -382,7 +451,7 @@ class SimulationState:
         total = self.b_tot + self.d_tot
         if total <= 0.0:
             return math.inf
-        return -math.log1p(-self.rng.random()) / total
+        return -math.log1p(-next(self._uniforms)) / total
 
     def step(self) -> str:
         """Dispatch one event unconditionally; 'halted' when no rate is left."""
@@ -395,7 +464,7 @@ class SimulationState:
     def _dispatch(self) -> str:
         total = self.b_tot + self.d_tot
         kind = "birth" if self.b_tot > 0.0 and \
-            self.rng.random() * total <= self.b_tot else "death"
+            next(self._uniforms) * total <= self.b_tot else "death"
         if kind == "birth":
             self.insert(self._draw_birth_position())
             self.births += 1
@@ -426,8 +495,8 @@ class SimulationState:
 
     def audit(self) -> float:
         """Recompute all rates from scratch; record and return the residual."""
-        fresh = [self._mortality(x) + sum(self._neighbors(x, exclude=i)[1])
-                 for i, x in enumerate(self.pos)]
+        fresh = [self._mortality(x) + sum(self._neighbors(x, c, exclude=i)[1])
+                 for i, (x, c) in enumerate(zip(self.pos, self.cell_of))]
         residual = max((abs(f - r) for f, r in zip(fresh, self.rate)),
                        default=0.0)
         residual = max(residual, abs(sum(fresh) - self.d_tot))
@@ -448,10 +517,11 @@ class SimulationState:
 
     def stats(self) -> RunStats:
         return RunStats(births=self.births, deaths=self.deaths,
-                        events=self.events, max_replica_events=self.events,
+                        events=self.events,
                         max_audit_residual=self.max_audit_residual,
                         rate_clamps=self.rate_clamps,
-                        selection_fallbacks=self.selection_fallbacks)
+                        selection_fallbacks=self.selection_fallbacks,
+                        replica_events=[self.events])
 
 
 def _run_one(params: ModelParams, plan: ReplicaPlan,

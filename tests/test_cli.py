@@ -166,6 +166,52 @@ def test_golden_manifest_csvs_are_byte_identical(golden_runs, threads):
             digest, name
 
 
+# sha256 of every CSV of a small 2-D periodic interacting run, recorded before
+# the neighbour scan was inlined and the uniforms drawn in blocks; the grid
+# has 3 x 2 cells, so the y stencil is deduplicated
+GOLDEN_INTERACTING_SHA256 = {
+    "k1.csv": "5a26edefb92c55668a178bd18084dd2799fc4493c715e8ada1d145d51b0b5ecb",
+    "k2.csv": "7c51c70922c416337a7a192bb24b2ec11ef241432e5ac32692c0b7960f9dc1ef",
+    "moments.csv":
+        "2a84a61cb7cb5a22e2eb97f0bc4f0628894bf0ea2433d174ef7902315897ba7d",
+    "particles_0000.csv":
+        "2d763db752fe70b62313b9087b8661bbc4344e53c9d09e96dc7be28d1f54e657",
+    "particles_0001.csv":
+        "fcf62ac5349a26d1ba18391e00bbfb9a6c601e718c18b0d40a94f960a5bf9dc8",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_interacting_runs(tmp_path_factory):
+    """The golden 2-D interacting run at threads 1 and 2."""
+    tmp = tmp_path_factory.mktemp("golden2d")
+    cfg = write_cfg(tmp, b=2.0, m=0.5,
+                    kernel={"kind": "gaussian", "amplitude": 1.0,
+                            "range": 0.4, "r_cut": 1.5},
+                    initial={"kind": "poisson", "density": 1.0},
+                    extra={"dimension": 2, "sides": [5.0, 4.0]})
+    outs = {}
+    for threads in (1, 2):
+        outs[threads] = tmp / f"run{threads}"
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(outs[threads]), "--seed", "20261018",
+                     "--replicas", "6", "--snapshots", "1.0,4.0",
+                     "--cell-side", "1.0", "--threads", str(threads)])
+        assert code == 0
+    return outs
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_golden_interacting_csvs_are_byte_identical(golden_interacting_runs,
+                                                    threads):
+    out = golden_interacting_runs[threads]
+    assert sorted(p.name for p in out.glob("*.csv")) == \
+        sorted(GOLDEN_INTERACTING_SHA256)
+    for name, digest in GOLDEN_INTERACTING_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+
+
 def test_summary_records_phase_times(golden_runs):
     for out in golden_runs.values():
         phases = json.loads((out / "summary.json").read_text())["phase_s"]
@@ -174,6 +220,25 @@ def test_summary_records_phase_times(golden_runs):
         assert all(v >= 0.0 for v in phases.values())
     for path in golden_runs[1].glob("*.csv"):
         assert (golden_runs[2] / path.name).read_bytes() == path.read_bytes()
+
+
+def test_summary_records_per_replica_spreads(golden_interacting_runs):
+    out = golden_interacting_runs[1]
+    summary = json.loads((out / "summary.json").read_text())
+    spread = summary["per_replica"]
+    final = [0] * summary["replicas"]
+    for row in read_rows(out / "particles_0001.csv"):
+        final[int(row["replica"])] += 1
+    final.sort()
+    assert spread["final_particles"] == {
+        "min": final[0], "median": (final[2] + final[3]) / 2.0,
+        "max": final[-1]}
+    events = spread["events"]
+    assert events["max"] == summary["events"]["max_per_replica"]
+    assert 0 < events["min"] <= events["median"] <= events["max"]
+    assert events["max"] < summary["events"]["total"]
+    assert json.loads((golden_interacting_runs[2] / "summary.json")
+                      .read_text())["per_replica"] == spread
 
 
 def test_seed_comes_from_environment_when_flag_is_absent(tmp_path,

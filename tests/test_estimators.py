@@ -1,6 +1,7 @@
 """Ensemble estimators: densities, pair correlations, cell moments, CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from contpop import (
     write_k2_csv,
     write_moments_csv,
 )
+from contpop import estimators
 from contpop.estimators import MAX_MOMENT_ORDER, _replica_stats
 
 
@@ -81,6 +83,24 @@ def test_ensemble_counts_and_validation():
     with pytest.raises(ValueError):
         SnapshotEnsemble(Window([4.0]), [0.0, 1.0],
                          [[np.zeros((0, 1))]])  # one config for two times
+
+
+def test_counts_in_matches_per_configuration_counts():
+    gen = np.random.default_rng(4)
+    window = Window([4.0, 3.0])
+    configs = [[gen.uniform(-0.5, 4.5, size=(int(n), 2)) for n in row]
+               for row in gen.integers(0, 30, size=(5, 3))]
+    configs[1][2] = np.zeros((0, 2))
+    configs[3][0] = np.array([[1.0, 1.0], [3.0, 2.0], [1.0, 2.0]])  # faces
+    ensemble = SnapshotEnsemble(window, [0.0, 1.0, 2.0], configs)
+    for box in (Box([1.0, 1.0], [3.0, 2.0]), window.core):
+        expected = [[int(np.count_nonzero(box.contains_points(pos)))
+                     for pos in reps] for reps in configs]
+        counts = ensemble.counts_in(box)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
+    empty = SnapshotEnsemble(window, [0.0], [[np.zeros((0, 2))]])
+    assert empty.counts_in(window.core).tolist() == [[0]]
 
 
 # ---------------------------------------------------------------- partition
@@ -196,6 +216,79 @@ def test_pair_correlation_uses_minimum_image():
     ens = fixed_ensemble([[[0.1, 9.9]]], L=10.0)
     grid = pair_correlation_estimate(ens, [0.0, 0.5])
     assert grid.values[0] == pytest.approx(2.0 / (10.0 * 1.0))
+
+
+def all_pairs_pair_correlation(ensemble, r_edges, time_index=-1):
+    """The all-pairs form of `pair_correlation_estimate`: one n x n
+    displacement array and `triu_indices` per replica."""
+    window = ensemble.window
+    r_edges = np.asarray(r_edges, dtype=float)
+    shells = estimators._shell_volumes(r_edges, window.dimension)
+    per_replica = np.zeros((ensemble.n_replicas, r_edges.size - 1))
+    for r in range(ensemble.n_replicas):
+        pos = ensemble.positions(r, time_index)
+        if window.boundary != "periodic":
+            pos = pos[window.core.contains_points(pos)]
+        n = pos.shape[0]
+        if n < 2:
+            continue
+        disp = window.displacement(pos[:, None, :], pos[None, :, :])
+        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
+        hist, _ = np.histogram(dist[np.triu_indices(n, k=1)], bins=r_edges)
+        per_replica[r] = 2.0 * hist / (window.volume * shells)
+    return _replica_stats(per_replica)
+
+
+def _assert_pair_correlation_matches(ensemble, edges, time_index=-1):
+    grid = pair_correlation_estimate(ensemble, edges, time_index=time_index)
+    value, err = all_pairs_pair_correlation(ensemble, edges, time_index)
+    assert grid.values.tobytes() == value.tobytes()
+    assert grid.stderr.tobytes() == err.tobytes()
+
+
+@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 16, 1])
+@pytest.mark.parametrize("window", [
+    Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
+    Window([6.0, 5.0], boundary="absorbing-buffer", buffer_width=1.5)],
+    ids=["periodic-1d", "periodic-2d", "periodic-3d", "absorbing-2d"])
+def test_blocked_pair_correlation_matches_all_pairs(window, block,
+                                                    monkeypatch):
+    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    gen = np.random.default_rng(5)
+    d = window.dimension
+    dom = window.domain
+    # n = 0, 1, 2; first rows of 14 to 17 pairs, around a 16-pair block;
+    # then larger n, whose blocks span many rows at the default size
+    sizes = [0, 1, 2, 15, 16, 17, 18, 40, 333]
+    reps = [[gen.uniform(dom.lo, dom.hi, size=(n, d))] for n in sizes]
+    # a lattice with separations on the bin edges and at exactly L/2
+    side = float(np.min(window.sides))
+    grid_1d = np.arange(0.0, side, side / 8.0)
+    reps.append([np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"),
+                          axis=-1).reshape(-1, d)])
+    ensemble = SnapshotEnsemble(window, [1.0], reps)
+    if window.boundary != "periodic":   # particles in the buffer are dropped
+        assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
+    _assert_pair_correlation_matches(ensemble, np.linspace(0.0, side / 2, 9))
+    _assert_pair_correlation_matches(ensemble, [0.0, 0.3, 0.5, 1.25, side / 2])
+
+
+def test_pair_correlation_memory_stays_bounded():
+    # all pairs at n = 3000 in 2-D take n^2 * 2 * 8 bytes for the
+    # displacements alone (144 MB), and more than 300 MB in all
+    gen = np.random.default_rng(9)
+    window = Window([48.0, 48.0])
+    ensemble = SnapshotEnsemble(window, [0.0],
+                                [[gen.uniform(0.0, 48.0, size=(3000, 2))]])
+    edges = np.linspace(0.0, 24.0, 17)
+    tracemalloc.start()
+    try:
+        grid = pair_correlation_estimate(ensemble, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.all(grid.values > 0.0)
 
 
 # ------------------------------------------------------------- cell moments

@@ -259,21 +259,6 @@ def test_scalar_fields_match_vectorised(rng):
                                    atol=0.0, err_msg=field.kind)
 
 
-@pytest.mark.parametrize("window", [
-    Window([10.0]), Window([6.0, 4.0]), Window([3.0, 4.0, 5.0]),
-    Window([10.0, 8.0], boundary="absorbing-buffer", buffer_width=1.0)],
-    ids=["periodic-1d", "periodic-2d", "periodic-3d", "absorbing-2d"])
-def test_scalar_squared_distance_is_exact(window, rng):
-    d = window.dimension
-    dom = window.domain
-    x = rng.uniform(dom.lo, dom.hi, size=(200, d))
-    y = rng.uniform(dom.lo, dom.hi, size=(200, d))
-    sq = window.squared_distance()
-    got = [sq(a.tolist(), b.tolist()) for a, b in zip(x, y)]
-    expected = np.sum(np.square(window.displacement(x, y)), axis=-1)
-    assert got == expected.tolist()
-
-
 # ------------------------------------------------------------ model params
 
 def test_params_caches_norms(torus10):

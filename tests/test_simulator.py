@@ -321,6 +321,89 @@ def test_scalar_rates_match_referee(label, params):
     assert state.audit() <= 1e-9
 
 
+def _neighbor_reference(state, params, x, exclude=-1):
+    """All-pairs reference for `SimulationState._neighbors`: numpy
+    minimum-image distances to every row, kept within r_cut and put in the
+    scan's order (stencil cells in cache order, then cell members).  A row
+    within r_cut outside the stencil makes `index` raise."""
+    d = params.dimension
+    pos = np.asarray(state.pos, dtype=float).reshape(-1, d)
+    r = np.sqrt(np.sum(np.square(
+        params.window.displacement(np.asarray(x, dtype=float), pos)), axis=-1))
+    rows = [j for j in range(state.n) if r[j] <= state.r_cut and j != exclude]
+    stencil = state._neighbor_cache[state._cell_index(x)]
+    rows.sort(key=lambda j: (stencil.index(state.cell_of[j]),
+                             state.slot_of[j]))
+    kernel = params.kernel.scalar_profile()
+    return rows, [kernel(float(r[j])) for j in rows]
+
+
+def _absorbing(sides, width):
+    return Window(sides, boundary="absorbing-buffer", buffer_width=width)
+
+
+# (label, window, r_cut): every interacting window has at least two cells per
+# axis (r_cut <= L/2 on a torus, buffer >= r_cut otherwise); two and three
+# cells make stencils whose -1 and +1 neighbours coincide or wrap
+NEIGHBOR_CASES = [
+    ("1d-periodic-2", Window([10.0]), 5.0),
+    ("1d-periodic-5", Window([10.0]), 2.0),
+    ("1d-absorbing-3", _absorbing([2.0], 1.5), 1.5),
+    ("2d-periodic-3x2", Window([6.0, 4.0]), 2.0),
+    ("2d-periodic-4x5", Window([8.0, 10.0]), 2.0),
+    ("2d-absorbing-2x5", _absorbing([0.5, 3.0], 1.0), 1.0),
+    ("3d-periodic-2x3x4", Window([4.0, 6.0, 8.0]), 2.0),
+    ("3d-absorbing-3x3x3", _absorbing([1.0, 1.0, 1.0], 1.0), 1.0),
+]
+
+
+@pytest.mark.parametrize("label,window,r_cut", NEIGHBOR_CASES,
+                         ids=[c[0] for c in NEIGHBOR_CASES])
+def test_neighbors_match_all_pairs_reference(label, window, r_cut):
+    d = window.dimension
+    params = make_params(window=window, b=1.0, m=0.5,
+                         kernel=CompetitionKernel.gaussian(1.0, 0.7, d,
+                                                           r_cut=r_cut))
+    state = SimulationState(params, np.random.default_rng(3))
+    lo, hi = window.domain.lo, window.domain.hi
+    # cell edges: every corner of the simulator grid inside the domain
+    edges = np.stack(np.meshgrid(*[
+        np.asarray(state.domain_lo[a]) + state.cell_sides[a] *
+        np.arange(state.n_cells[a]) for a in range(d)], indexing="ij"),
+        axis=-1).reshape(-1, d)
+    gen = np.random.default_rng(11)
+    points = [*gen.uniform(lo, hi, size=(60, d)), *edges]
+    if window.boundary == "periodic":
+        # partners at exactly half a side along the first axis
+        shift = np.zeros(d)
+        shift[0] = window.sides[0] / 2.0
+        points += [np.mod(p + shift, window.sides) for p in edges]
+    for p in points:
+        state.insert(p)
+    for _ in range(10):   # swap-removes reorder rows and cell members
+        state.remove(int(gen.integers(state.n)))
+    queries = [(x, i) for i, x in enumerate(state.pos)]
+    queries += [(p.tolist(), -1) for p in edges]
+    queries += [(p.tolist(), -1) for p in gen.uniform(lo, hi, size=(20, d))]
+    found = 0
+    for x, exclude in queries:
+        got = state._neighbors(x, state._cell_index(x), exclude=exclude)
+        expected = _neighbor_reference(state, params, x, exclude)
+        assert got == expected, (x, exclude)
+        found += len(got[0])
+    assert found > len(queries)
+
+
+def test_neighbors_without_interaction_are_empty():
+    params = make_params(window=Window([4.0, 4.0]), b=1.0, m=0.5)
+    state = SimulationState(params, np.random.default_rng(3))
+    assert state.n_cells == [1, 1]
+    for p in ([0.0, 0.0], [0.0, 0.0], [2.0, 2.0]):
+        state.insert(p)
+    assert state._neighbors([0.0, 0.0], 0) == ([], [])
+    assert state.rate == [0.5, 0.5, 0.5]
+
+
 # --------------------------------------------------------------- validation
 
 def test_plan_validation():
