@@ -4,9 +4,10 @@ Every run writes a manifest.json (command, normalized arguments, config
 hash, seed) into the output directory before any computation starts, so a
 finished or failed run can always be reproduced.  Data outputs are CSV/JSON
 with repr-formatted floats: rerunning the same manifest yields byte-identical
-CSV files regardless of the worker count (`--threads`).  summary.json
-additionally records wall-clock times, per-replica spreads and repair
-counters and is therefore diagnostic, not reproducible.
+CSV files regardless of the worker count (`--threads`).  Every CSV is
+written by `estimators.write_csv`, one replica, snapshot or grid row per
+block.  summary.json additionally records wall-clock times, per-replica
+spreads and repair counters and is therefore diagnostic, not reproducible.
 
 Exit codes: 0 success, 1 failed verification checks, 2 configuration errors,
 3 numerical failures (event-budget cap, step-size guard, clipping budget,
@@ -37,23 +38,19 @@ from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, SnapshotEnsemble, density_estimate,
                          moment_series, pair_correlation_estimate,
-                         read_csv_columns, write_k1_csv, write_k2_csv,
-                         write_moments_csv)
+                         read_csv_columns, write_csv, write_k1_csv,
+                         write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, integrate)
 from .model import Box, cell_infimum
 from .simulator import CappedRunError, ReplicaPlan, run_replicas
-from .surgailis import (SurgailisFlow, expected_count, poisson_density_flow,
-                        propagate_correlation)
+from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
+                        poisson_density_flow, propagate_correlation)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _parse_times(text: str, flag: str) -> tuple:
@@ -147,18 +144,13 @@ def cmd_simulate(args) -> int:
     ensemble, stats = run_replicas(params, plan, threads=args.threads)
     phase_s["replicas"] = time.perf_counter() - t0
     d = params.dimension
-    header = "replica," + ",".join(f"x{i+1}" for i in range(d)) + "\n"
-    particle_files = []
+    header = ["replica"] + [f"x{i+1}" for i in range(d)]
+    particle_files = [f"particles_{k:04d}.csv" for k in range(len(snapshots))]
     t0 = time.perf_counter()
-    for k, t in enumerate(snapshots):
-        name = f"particles_{k:04d}.csv"
-        particle_files.append(name)
-        lines = [header]
-        for r in range(ensemble.n_replicas):
-            lines.extend(f"{r}," + ",".join(map(repr, row)) + "\n"
-                         for row in ensemble.positions(r, k).tolist())
-        with open(out / name, "w", newline="") as fh:
-            fh.writelines(lines)
+    for k, name in enumerate(particle_files):
+        write_csv(out / name, header,    # one block per replica
+                  ([np.full(len(reps[k]), r), *reps[k].T]
+                   for r, reps in enumerate(ensemble.configurations)))
     phase_s["particle_csv"] = time.perf_counter() - t0
     try:
         partition = CellPartition(params.window, cell_side)
@@ -222,6 +214,19 @@ def _initial_density(cfg: dict, params):
                       "state (a density), not an explicit point list")
 
 
+def _grid_blocks(times, values, coords, *constants):
+    """CSV blocks of fields on a grid, one per time and grid row.
+
+    coords[i] holds the coordinates (n, c) of the n points of grid row i,
+    each time's values reshape to one row of n values per grid row, and each
+    constant adds a column that repeats it; no block outgrows a grid row.
+    """
+    for t, snap in zip(times, values):
+        for c, v in zip(coords, np.reshape(snap, (len(coords), -1))):
+            yield [np.full(v.size, t), *c.T, v,
+                   *(np.full(v.size, k) for k in constants)]
+
+
 def cmd_hierarchy(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
@@ -249,42 +254,28 @@ def cmd_hierarchy(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     d = params.dimension
+    ti = mode == "translation-invariant"
     # deterministic trajectories reuse the estimator CSV schema: stderr is 0
     # and a trailing source column tags the producer
-    tail = f",{_fmt(0.0)},hierarchy\n"
-    with open(out / "k1.csv", "w", newline="") as fh:
-        if mode == "translation-invariant":
-            fh.write("t,value,stderr,source\n")
-            for t, rho in zip(traj.times, traj.density):
-                fh.write(f"{_fmt(t)},{_fmt(rho)}" + tail)
-        else:
-            fh.write("t,x1,value,stderr,source\n")
-            for t, row in zip(traj.times, traj.density):
-                for x, v in zip(state.x, row):
-                    fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}" + tail)
+    columns = ["value", "stderr", "source"]
+    # k1: a TI snapshot is one point without coordinates, a full-grid one
+    # is one grid row of M points
+    write_csv(out / "k1.csv", ["t"] + ([] if ti else ["x1"]) + columns,
+              _grid_blocks(traj.times, traj.density,
+                           np.empty((1, 1, 0)) if ti
+                           else state.x.reshape(1, grid, 1),
+                           0.0, "hierarchy"))
     if traj.k2 is not None:
-        with open(out / "k2.csv", "w", newline="") as fh:
-            if mode == "translation-invariant":
-                coords = [f"u{i+1}" for i in range(d)] if d > 1 else ["r"]
-                fh.write("t," + ",".join(coords) + ",value,stderr,source\n")
-                for t, k2 in zip(traj.times, traj.k2):
-                    flat = k2.reshape(-1)
-                    if d == 1:
-                        for r, v in zip(traj.separations, flat):
-                            fh.write(f"{_fmt(t)},{_fmt(r)},{_fmt(v)}" + tail)
-                    else:
-                        seps = traj.separations.reshape(-1, d)
-                        for u, v in zip(seps, flat):
-                            fh.write(f"{_fmt(t)},"
-                                     + ",".join(_fmt(c) for c in u)
-                                     + f",{_fmt(v)}" + tail)
-            else:
-                fh.write("t,x1,x2,value,stderr,source\n")
-                for t, k2 in zip(traj.times, traj.k2):
-                    for i, xi in enumerate(state.x):
-                        for j, xj in enumerate(state.x):
-                            fh.write(f"{_fmt(t)},{_fmt(xi)},{_fmt(xj)},"
-                                     f"{_fmt(k2[i, j])}" + tail)
+        if ti:
+            names = ["r"] if d == 1 else [f"u{i+1}" for i in range(d)]
+            coords = traj.separations.reshape(-1, grid, d)
+        else:
+            names = ["x1", "x2"]
+            coords = np.stack(np.meshgrid(state.x, state.x, indexing="ij"),
+                              axis=-1)
+        write_csv(out / "k2.csv", ["t", *names, *columns],
+                  _grid_blocks(traj.times, traj.k2, coords, 0.0,
+                               "hierarchy"))
     summary = {"mode": mode, "grid": grid, "closure": args.closure,
                "nmax": args.nmax, "dt": args.dt, "t_end": args.t_end,
                "clipped_mass": traj.clipped_mass,
@@ -309,17 +300,12 @@ def cmd_surgailis(args) -> int:
     _write_manifest(out, "surgailis", arguments, args.config)
     window = params.window
     d = params.dimension
-    axes = [np.linspace(0.0, window.sides[i], args.grid, endpoint=False)
-            for i in range(d)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    with open(out / "density.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(f"x{i+1}" for i in range(d)) + ",value\n")
-        for t in times:
-            flow = SurgailisFlow.from_params(params, t)
-            vals = np.asarray(poisson_density_flow(rho0, flow, pts))
-            for x, v in zip(pts, vals):
-                fh.write(f"{_fmt(t)}," + ",".join(_fmt(c) for c in x)
-                         + f",{_fmt(v)}\n")
+    flows = [SurgailisFlow.from_params(params, t) for t in times]
+    pts, _ = box_quadrature(window.core, args.grid, periodic=True)
+    density = (poisson_density_flow(rho0, flow, pts) for flow in flows)
+    write_csv(out / "density.csv",
+              ["t"] + [f"x{i+1}" for i in range(d)] + ["value"],
+              _grid_blocks(times, density, pts.reshape(-1, args.grid, d)))
     if args.pair_grid > 0 and d == 1:
         # second correlation on point pairs, via the subset-sum propagator
         if isinstance(rho0, (int, float)):
@@ -327,22 +313,15 @@ def cmd_surgailis(args) -> int:
             k0 = lambda eta: r0 ** len(eta)
         else:
             k0 = lambda eta: float(np.prod(np.asarray(rho0(eta), dtype=float)))
-        grid1 = np.linspace(0.0, window.sides[0], args.pair_grid,
-                            endpoint=False)
-        with open(out / "k2.csv", "w", newline="") as fh:
-            fh.write("t,x1,x2,value\n")
-            for t in times:
-                flow = SurgailisFlow.from_params(params, t)
-                for x1 in grid1:
-                    for x2 in grid1:
-                        eta = np.array([[x1], [x2]])
-                        v = propagate_correlation(eta, k0, flow)
-                        fh.write(f"{_fmt(t)},{_fmt(x1)},{_fmt(x2)},"
-                                 f"{_fmt(v)}\n")
-    counts = {}
-    for t in times:
-        flow = SurgailisFlow.from_params(params, t)
-        counts[_fmt(t)] = expected_count(window.core, flow, rho0=rho0)
+        grid1 = box_quadrature(window.core, args.pair_grid,
+                               periodic=True)[0][:, 0]
+        pairs = np.stack(np.meshgrid(grid1, grid1, indexing="ij"), axis=-1)
+        k2 = ([propagate_correlation(eta[:, None], k0, flow)
+               for eta in pairs.reshape(-1, 2)] for flow in flows)
+        write_csv(out / "k2.csv", ["t", "x1", "x2", "value"],
+                  _grid_blocks(times, k2, pairs))
+    counts = {repr(float(t)): expected_count(window.core, flow, rho0=rho0)
+              for t, flow in zip(times, flows)}
     _write_json(out / "summary.json", _jsonable({"expected_core_counts": counts}))
     print(f"surgailis: {len(times)} times, outputs in {out}")
     return EXIT_OK
@@ -553,11 +532,12 @@ def cmd_verify(args) -> int:
         and params.mortality.kind == "constant"
     if constant_rates:
         b0 = float(params.birth(np.zeros(params.dimension)))
+    if constant_rates and times.size > 1:
         rho0_cells = series.factorial[0, :, 0] / cell_volume
-        worst = -math.inf
-        worst_abs = 0.0
-        for k, t in enumerate(times):
-            # the envelope starts from the first snapshot's densities
+        worst = worst_abs = -math.inf
+        # the envelope starts from the first snapshot's densities, which it
+        # equals there by construction, so that snapshot is left out
+        for k, t in enumerate(times[1:], start=1):
             flow = SurgailisFlow.from_params(params, float(t - times[0]))
             origin = np.zeros(params.dimension)
             envelope = float(flow.psi(origin)) * rho0_cells \
@@ -576,8 +556,10 @@ def cmd_verify(args) -> int:
         else:
             record("oracle-equivalence", "SKIP", "competition kernel present")
     else:
-        record("domination", "SKIP", "needs constant b and m")
-        record("oracle-equivalence", "SKIP", "needs constant b and m")
+        reason = "needs two snapshots" if constant_rates \
+            else "needs constant b and m"
+        record("domination", "SKIP", reason)
+        record("oracle-equivalence", "SKIP", reason)
     a_cell = cell_infimum(params.kernel, partition.separation_box())
     if a_cell > 0.0 and constant_rates:
         b_cell = b0 * cell_volume

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "StirlingTable",
     "stirling",
     "touchard",
     "subsets",
-    "product_functional",
 ]
 
 # Enumerating all 2^n subsets is exponential; cap the configuration order.
@@ -94,22 +93,6 @@ def subsets(eta: Sequence) -> Iterator[tuple[tuple, tuple]]:
             rest = tuple(i for i in indices if i not in chosen)
             yield (tuple(items[i] for i in chosen),
                    tuple(items[i] for i in rest))
-
-
-def product_functional(points: Iterable, phi) -> float:
-    """prod_{x in points} phi(x); empty product is 1."""
-    out = 1.0
-    for x in points:
-        out *= float(phi(x))
-    return out
-
-
-def falling_factorial(n: int, l: int) -> int:
-    """n (n-1) ... (n-l+1), exact."""
-    out = 1
-    for i in range(l):
-        out *= n - i
-    return out
 
 
 def binomial(n: int, l: int) -> int:

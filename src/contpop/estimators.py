@@ -12,6 +12,9 @@ over the replica-snapshot slots.  Densities and pair correlations are simple
 bin estimators with replica-level standard errors; the pair histogram takes
 its rows in blocks of about _PAIR_BLOCK pairs, so it never holds an n x n
 array.
+
+`write_csv` is the package's one CSV writer: every CSV of every command
+goes through it, as blocks of columns with floats written by repr.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "pair_correlation_estimate",
     "cross_moment",
     "moment_series",
+    "write_csv",
     "write_k1_csv",
     "write_k2_csv",
     "write_moments_csv",
@@ -339,53 +343,60 @@ def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
 
 
 # -- CSV serialization -------------------------------------------------------
-#
-# Values are written with repr (shortest round-trip form), so identical
-# estimates serialize to identical bytes.
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def write_csv(path, header, blocks) -> None:
+    """Write a CSV with one header row from blocks of equal-length columns.
+
+    A float column is written as repr of each value (the shortest round-trip
+    form, so identical estimates serialize to identical bytes), any other
+    column as str.  Each block is formatted and written before the next is
+    drawn, so a caller that yields small blocks keeps the text of one block
+    in memory, never the whole file.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            text = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+                    for col in map(np.asarray, block)]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*text)))
 
 
 def write_k1_csv(path, grids: list[CorrelationGrid], times,
                  dimension: int) -> None:
-    """k1.csv: t, cell center coordinates, value, stderr."""
+    """k1.csv: t, cell center coordinates, value, stderr; a block per time."""
     coords = [f"x{i + 1}" for i in range(dimension)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *coords, "value", "stderr"])
-        for t, grid in zip(times, grids):
-            centers = np.atleast_2d(grid.centers.reshape(len(grid.values), -1))
-            for c, v, e in zip(centers, grid.values, grid.stderr):
-                writer.writerow([_fmt(t), *map(_fmt, c), _fmt(v), _fmt(e)])
+    write_csv(path, ["t", *coords, "value", "stderr"],
+              ([np.full(g.values.size, t, dtype=float),
+                *g.centers.reshape(g.values.size, -1).T, g.values, g.stderr]
+               for t, g in zip(times, grids)))
 
 
 def write_k2_csv(path, grids: list[CorrelationGrid], times) -> None:
-    """k2.csv: t, r, value, stderr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "r", "value", "stderr"])
-        for t, grid in zip(times, grids):
-            for r, v, e in zip(grid.centers, grid.values, grid.stderr):
-                writer.writerow([_fmt(t), _fmt(r), _fmt(v), _fmt(e)])
+    """k2.csv: t, r, value, stderr; a block per time."""
+    write_csv(path, ["t", "r", "value", "stderr"],
+              ([np.full(g.values.size, t, dtype=float), g.centers, g.values,
+                g.stderr] for t, g in zip(times, grids)))
 
 
 def write_moments_csv(path, series: MomentSeries) -> None:
-    """moments.csv: t, cell_id, l_or_n, kind (factorial|raw), value, stderr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "cell_id", "l_or_n", "kind", "value", "stderr"])
-        for k, t in enumerate(series.times):
-            for c in range(series.factorial.shape[1]):
-                for l in range(1, series.orders + 1):
-                    writer.writerow([_fmt(t), c, l, "factorial",
-                                     _fmt(series.factorial[k, c, l - 1]),
-                                     _fmt(series.factorial_stderr[k, c, l - 1])])
-                for n in range(1, series.raw_orders + 1):
-                    writer.writerow([_fmt(t), c, n, "raw",
-                                     _fmt(series.raw[k, c, n - 1]),
-                                     _fmt(series.raw_stderr[k, c, n - 1])])
+    """moments.csv: t, cell_id, l_or_n, kind (factorial|raw), value, stderr.
+
+    One block per time; per cell, the factorial orders come before the raw
+    ones.
+    """
+    cells = series.factorial.shape[1]
+    orders = np.r_[1:series.orders + 1, 1:series.raw_orders + 1]
+    kinds = ["factorial"] * series.orders + ["raw"] * series.raw_orders
+    rows = cells * orders.size
+    write_csv(path, ["t", "cell_id", "l_or_n", "kind", "value", "stderr"],
+              ([np.full(rows, t, dtype=float),
+                np.repeat(np.arange(cells), orders.size),
+                np.tile(orders, cells), np.tile(kinds, cells),
+                np.hstack([series.factorial[k], series.raw[k]]).ravel(),
+                np.hstack([series.factorial_stderr[k],
+                           series.raw_stderr[k]]).ravel()]
+               for k, t in enumerate(series.times)))
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:

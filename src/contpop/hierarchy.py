@@ -72,7 +72,8 @@ class HierarchyState:
 
     Translation-invariant mode: `rho` is the constant density and `k2` the
     second correlation on the periodic separation grid of shape (M,)*d.
-    Full-grid mode (d = 1): `k1` on the position grid (M,), `k2` on (M, M).
+    Full-grid mode (d = 1): `k1` on the position grid (M,), `k2` on (M, M),
+    and the kernel matrix a(x_i - x_j) as `a_matrix`, built once.
     """
 
     def __init__(self, params: ModelParams, grid_points: int, mode: str):
@@ -109,6 +110,8 @@ class HierarchyState:
         else:
             x = np.arange(self.grid_points) * self.spacing[0]
             self.x = x
+            self.a_matrix = params.kernel(window.displacement(
+                x[:, None, None], x[None, :, None]))
             pts = x[:, None]
             self.b = np.asarray(params.birth(pts), dtype=float)
             self.m = np.asarray(params.mortality(pts), dtype=float)
@@ -148,10 +151,6 @@ class HierarchyState:
             state.k2 = np.broadcast_to(np.asarray(k20, dtype=float),
                                        state.k2.shape).copy()
         return state
-
-    def k1_sup(self) -> float:
-        return abs(self.rho) if self.mode == "translation-invariant" \
-            else float(np.max(np.abs(self.k1)))
 
     # -- flat packing for the integrator --------------------------------------
 
@@ -255,12 +254,8 @@ def _third_order_integral(state: HierarchyState, closure: str) -> np.ndarray:
         return term
     # per-factor floor keeps the three-factor denominator at KIRKWOOD_FLOOR
     k1f = np.maximum(k1, KIRKWOOD_FLOOR ** (1.0 / 3.0))
-    coords = state.x
-    circ = state.params.kernel(
-        state.params.window.displacement(coords[:, None, None],
-                                         coords[None, :, None]))
     ratio = k2 / k1f[None, :]
-    cross = (circ * k2) @ (ratio.T * state.cell_volume)
+    cross = (state.a_matrix * k2) @ (ratio.T * state.cell_volume)
     pref = k2 / np.outer(k1f, k1f)
     return pref * (cross + cross.T)
 
@@ -277,9 +272,7 @@ def rhs_order2(state: HierarchyState,
     m = state.m
     b = state.b
     k1 = state.k1
-    diag_a = state.params.kernel(state.params.window.displacement(
-        state.x[:, None, None], state.x[None, :, None]))
-    decay = m[:, None] + m[None, :] + 2.0 * diag_a
+    decay = m[:, None] + m[None, :] + 2.0 * state.a_matrix
     gain = b[:, None] * k1[None, :] + b[None, :] * k1[:, None]
     return -decay * state.k2 - drain + gain
 

@@ -26,7 +26,6 @@ __all__ = [
     "CompetitionKernel",
     "RateField",
     "ModelParams",
-    "PointConfiguration",
     "death_rate",
     "death_rates",
     "interaction_energy",
@@ -473,40 +472,6 @@ def _box_grid(box: Box, points_per_axis: int) -> NDArray[np.float64]:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-class PointConfiguration:
-    """Finite particle configuration: an (n, d) array of absolute positions."""
-
-    def __init__(self, positions, dimension: int | None = None):
-        pos = np.asarray(positions, dtype=float)
-        if pos.size == 0:
-            if dimension is None:
-                raise ValueError("empty configuration needs an explicit dimension")
-            pos = pos.reshape(0, dimension)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        if pos.ndim != 2:
-            raise ValueError("positions must form an (n, d) array")
-        if dimension is not None and pos.shape[1] != dimension:
-            raise ValueError("position dimension mismatch")
-        self.positions = pos
-
-    @classmethod
-    def empty(cls, dimension: int) -> "PointConfiguration":
-        return cls(np.empty((0, dimension)), dimension)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.positions.shape[1]
-
-    def count_in(self, box: Box) -> int:
-        if len(self) == 0:
-            return 0
-        return int(np.count_nonzero(box.contains_points(self.positions)))
-
-
 class ModelParams:
     """Model bundle: window, kernel, birth field b, mortality field m, theta0.
 
@@ -549,13 +514,12 @@ class ModelParams:
 def death_rate(x, config, params: ModelParams) -> float:
     """Death rate of the particle at x within `config`: m(x) + sum over others.
 
-    `config` must contain x (an exact coordinate match); exactly one matching
-    entry is excluded from the kernel sum, so coincident particles still count
-    each other as competitors.
+    `config` is an (n, d) array of positions and must contain x (an exact
+    coordinate match); exactly one matching entry is excluded from the kernel
+    sum, so coincident particles still count each other as competitors.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    pos = getattr(config, "positions", config)
-    pos = np.asarray(pos, dtype=float).reshape(-1, x.size)
+    pos = np.asarray(config, dtype=float).reshape(-1, x.size)
     matches = np.flatnonzero(np.all(pos == x, axis=1))
     if matches.size == 0:
         raise ValueError("x is not a member of the configuration")
@@ -590,8 +554,5 @@ def cell_infimum(kernel: CompetitionKernel, box: Box, divisions: int = 64) -> fl
     Scans a dense inclusive grid with pitch at most side/divisions per axis.
     Returns 0.0 when the scanned infimum is nonpositive.
     """
-    axes = [np.linspace(box.lo[i], box.hi[i], divisions + 1)
-            for i in range(box.dimension)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    inf = float(np.min(kernel(mesh)))
+    inf = float(np.min(kernel(_box_grid(box, divisions + 1))))
     return inf if inf > 0.0 else 0.0

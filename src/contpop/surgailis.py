@@ -17,18 +17,16 @@ interacting model, since competition only removes particles.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .combinatorics import MAX_SUBSET_ORDER
+from .combinatorics import subsets
 from .model import Box, ModelParams, RateField, Window
 
 __all__ = [
     "SurgailisFlow",
     "propagate_correlation",
-    "domination_bound",
     "poisson_density_flow",
     "expected_count",
     "bogoliubov_functional",
@@ -136,40 +134,26 @@ def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow) -> float:
 
     `k0` maps an (n, d) position array to the initial correlation value;
     k0 of the empty configuration is taken to be 1 without calling it.
-    Coincident points are distinct particles.  Orders above
-    MAX_SUBSET_ORDER are refused (the sum has 2^|eta| terms).
+    Coincident points are distinct particles.  `subsets` refuses orders
+    above MAX_SUBSET_ORDER (the sum has 2^|eta| terms).
     """
     pts = _as_points(eta, flow.window.dimension)
     n = pts.shape[0]
-    if n > MAX_SUBSET_ORDER:
-        raise ValueError(f"configuration order {n} exceeds {MAX_SUBSET_ORDER}")
     if n == 0:
         return 1.0
     phi = np.atleast_1d(np.asarray(flow.phi(pts), dtype=float))
     psi = np.atleast_1d(np.asarray(flow.psi(pts), dtype=float))
     total = 0.0
-    indices = range(n)
-    for size in range(n + 1):
-        for chosen in combinations(indices, size):
-            rest = [i for i in indices if i not in chosen]
-            term = 1.0
-            for i in chosen:
-                term *= phi[i]
-            for i in rest:
-                term *= psi[i]
-            if rest:
-                term *= float(k0(pts[rest]))
-            total += term
+    for chosen, rest in subsets(range(n)):
+        term = 1.0
+        for i in chosen:
+            term *= phi[i]
+        for i in rest:
+            term *= psi[i]
+        if rest:
+            term *= float(k0(pts[list(rest)]))
+        total += term
     return total
-
-
-def domination_bound(eta, k0: Callable, flow: SurgailisFlow) -> float:
-    """Envelope v_t(eta): non-interacting propagation of a dominating k0.
-
-    Competition only removes particles, so for any kernel the interacting
-    correlation functions satisfy 0 <= k_t <= v_t when k_0 <= k0 pointwise.
-    """
-    return propagate_correlation(eta, k0, flow)
 
 
 def poisson_density_flow(rho0, flow: SurgailisFlow, x):
@@ -226,10 +210,7 @@ def bogoliubov_functional(theta, flow: SurgailisFlow, b0: Callable | None = None
 
 
 def _as_points(eta, dimension: int) -> np.ndarray:
-    if hasattr(eta, "positions"):
-        pts = np.asarray(eta.positions, dtype=float)
-    else:
-        pts = np.asarray(eta, dtype=float)
+    pts = np.asarray(eta, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, dimension)
     if pts.ndim == 1:

@@ -4,9 +4,12 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
+import contpop.cli as cli
+from contpop import HierarchyState, build_params, integrate, load_config
 from contpop.cli import main
 
 FREE_KERNEL = {"kind": "gaussian", "amplitude": 0.0, "range": 1.0}
@@ -432,6 +435,128 @@ def test_bounds_without_effective_mortality(tmp_path):
     assert "schedule" not in report
 
 
+# ------------------------------------------------- deterministic goldens
+
+# sha256 of the outputs of the deterministic commands, recorded before their
+# CSVs moved to the shared writer; any refactor of hierarchy, surgailis or
+# bounds that keeps the arithmetic must keep these bytes
+GOLDEN_DETERMINISTIC_SHA256 = {
+    "fg-zero-third-cumulant/k1.csv":
+        "f1f4286cf4b42d10fc1bc87756c77602d01bceb056b0a6e4ee2aa3ed41f8d8fd",
+    "fg-zero-third-cumulant/k2.csv":
+        "732e10181e2d80e9be2a392d91dab7325fd0b75e497bda5b0fea9c22f7b07913",
+    "fg-kirkwood/k1.csv":
+        "44b56d0a20fd45edc4fc3bceac8157cd79857d69a51109f24e5b1822bc2973f4",
+    "fg-kirkwood/k2.csv":
+        "497b7d4167ab4dafa378cc5a79bc03013043ebc3a559567d6b03061d18543d03",
+    "fg-mean-field/k1.csv":
+        "c942aff5500cddd1f3bed364eab25cc17385d02547824c50cd8043438ab5b285",
+    "fg-mean-field/k2.csv":
+        "ce95004a0c850884efaf35fb1842097db6a2deb4c4d90911b2b0c1bcb770f4cd",
+    "ti-1d/k1.csv":
+        "9896c5edf6c0df446b1d2b7e4619c24ea2cb18e74f1e2cce84ff22fa3d359082",
+    "ti-1d/k2.csv":
+        "a83072d49e9cd83f7d6d32b2fc741cf90812ad1115dab3e79492b6b7fa9f6ac5",
+    "ti-2d/k1.csv":
+        "f9ed30e7d287e5385014c384380e6d6cd9b720faa3cb5c7279cb8c1ece3dd5cd",
+    "ti-2d/k2.csv":
+        "cb2ff2b5b5f78921a82ae56575d4cb1fbac1ce51c6c0ae8b81be4336f05f930b",
+    "surgailis/density.csv":
+        "7579d472fe1a35abd80242075987d8157de1baedf170dec1e1a1e12fb0743b1c",
+    "surgailis/k2.csv":
+        "4e9cb35332c772bc156b7705b95c57d95970ebf3f2f5d050d9d2b9743ba51870",
+    "bounds/bounds.json":
+        "b7c1e555beed8e056cf20e385ccbd3667c5bb0cf686ab38808188578fad16da1",
+}
+
+
+@pytest.fixture(scope="module")
+def deterministic_runs(tmp_path_factory):
+    """Small hierarchy, surgailis and bounds runs; returns their root."""
+    tmp = tmp_path_factory.mktemp("golden_det")
+    bump = {"kind": "gaussian-bump", "amplitude": 0.8, "center": [4.0],
+            "width": 1.5}
+    full = write_cfg(tmp, name="full.json", kernel=dict(UNIT_KERNEL), m=0.7,
+                     initial={"kind": "poisson", "density": dict(bump)},
+                     extra={"b": dict(bump, center=[6.0]),
+                            "hierarchy": {"grid": 16, "mode": "full-grid"}})
+    ti1 = write_cfg(tmp, name="ti1.json", kernel=dict(UNIT_KERNEL),
+                    initial={"kind": "poisson", "density": 0.4},
+                    extra={"hierarchy": {"grid": 16}})
+    ti2 = write_cfg(tmp, name="ti2.json", b=1.5, m=0.5,
+                    kernel={"kind": "gaussian", "amplitude": 1.0,
+                            "range": 0.5, "r_cut": 2.0},
+                    initial={"kind": "poisson", "density": 0.4},
+                    extra={"dimension": 2, "sides": [5.0, 4.0],
+                           "hierarchy": {"grid": 8}})
+    steps = ["--dt", "0.01", "--t-end", "0.2", "--snapshots", "0.0,0.1,0.2"]
+    runs = [("ti-1d", ["hierarchy", "--config", str(ti1)] + steps),
+            ("ti-2d", ["hierarchy", "--config", str(ti2)] + steps),
+            ("surgailis", ["surgailis", "--config", str(full),
+                           "--times", "0.5,1.0", "--grid", "8",
+                           "--pair-grid", "6"]),
+            ("bounds", ["bounds", "--config", str(ti1), "--schedule", "2.0",
+                        "--moment-system", "3", "1.0",
+                        "--theta-norm", "0.5"])]
+    runs += [(f"fg-{closure}", ["hierarchy", "--config", str(full),
+                                "--closure", closure] + steps)
+             for closure in ("zero-third-cumulant", "kirkwood", "mean-field")]
+    for name, argv in runs:
+        assert main(argv + ["--out", str(tmp / name)]) == 0, name
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DETERMINISTIC_SHA256))
+def test_golden_deterministic_outputs_are_byte_identical(deterministic_runs,
+                                                         name):
+    digest = hashlib.sha256((deterministic_runs / name).read_bytes())
+    assert digest.hexdigest() == GOLDEN_DETERMINISTIC_SHA256[name]
+
+
+def test_golden_deterministic_headers(deterministic_runs):
+    heads = {name: (deterministic_runs / name).read_text().split("\n", 1)[0]
+             for name in GOLDEN_DETERMINISTIC_SHA256 if name.endswith(".csv")}
+    assert heads["ti-1d/k2.csv"] == "t,r,value,stderr,source"
+    assert heads["ti-2d/k2.csv"] == "t,u1,u2,value,stderr,source"
+    assert heads["fg-kirkwood/k2.csv"] == "t,x1,x2,value,stderr,source"
+    assert heads["surgailis/density.csv"] == "t,x1,value"
+    assert heads["surgailis/k2.csv"] == "t,x1,x2,value"
+
+
+def test_hierarchy_csv_is_written_one_grid_row_at_a_time(tmp_path,
+                                                         monkeypatch):
+    # a 2-D translation-invariant snapshot at M = 128 has 16384 rows; the
+    # writer may hold the text of one grid row of 128, not of a snapshot
+    cfg = write_cfg(tmp_path, b=1.5, m=0.5,
+                    kernel={"kind": "gaussian", "amplitude": 1.0,
+                            "range": 0.5, "r_cut": 2.0},
+                    initial={"kind": "poisson", "density": 0.4},
+                    extra={"dimension": 2, "sides": [5.0, 4.0],
+                           "hierarchy": {"grid": 128}})
+    state = HierarchyState.translation_invariant(
+        build_params(load_config(cfg)), 128, 0.4)
+    traj = integrate(state, 0.01, 0.01, snapshots=(0.0, 0.01))
+    start = []
+
+    def precomputed(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", precomputed)
+    out = tmp_path / "ti128"
+    tracemalloc.start()
+    try:
+        assert main(["hierarchy", "--config", str(cfg), "--out", str(out),
+                     "--dt", "0.01", "--t-end", "0.01",
+                     "--snapshots", "0.0,0.01"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_rows(out / "k2.csv")) == 2 * 128 * 128
+    assert peak - start[0] < 2**20
+
+
 # ------------------------------------------------------------------- verify
 
 def run_free_simulation(tmp_path):
@@ -521,6 +646,32 @@ def test_verify_envelope_starts_at_first_snapshot(tmp_path, capsys, seed):
     assert code == 0, output
     assert "PASS domination" in output
     assert "PASS oracle-equivalence" in output
+
+
+def test_verify_envelope_leaves_out_the_first_snapshot(tmp_path, capsys):
+    # the envelope equals the first snapshot's densities by construction, and
+    # one replica has no stderr, so that snapshot pinned the worst excess at
+    # 0 and hid the later one's margin; here competition keeps the density
+    # far below the free envelope
+    cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL),
+                    initial={"kind": "poisson", "density": 5.0})
+    out = tmp_path / "one"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "3", "--replicas", "1",
+                 "--snapshots", "0.0,1.0"]) == 0
+    capsys.readouterr()
+    main(["verify", "--config", str(cfg), "--run", str(out)])
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if "domination" in l)
+    assert line.startswith("verify PASS domination")
+    assert float(line.rsplit(" ", 1)[1]) < 0.0
+    out = tmp_path / "single"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "3", "--replicas", "2", "--snapshots", "1.0"]) == 0
+    main(["verify", "--config", str(cfg), "--run", str(out)])
+    output = capsys.readouterr().out
+    assert "SKIP domination: needs two snapshots" in output
+    assert "SKIP oracle-equivalence: needs two snapshots" in output
 
 
 def test_verify_oracle_catches_lost_particles(tmp_path, capsys):

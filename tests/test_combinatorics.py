@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from contpop import (
     StirlingTable,
     binomial,
-    falling_factorial,
-    product_functional,
     stirling,
     subsets,
     touchard,
@@ -115,9 +113,6 @@ def test_touchard_monotone_in_kappa():
 
 
 def test_falling_factorial_and_binomial():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(3, 5) == 0
-    assert falling_factorial(4, 0) == 1
     for n in range(0, 10):
         for l in range(0, 12):
             assert binomial(n, l) == (math.comb(n, l) if l <= n else 0)
@@ -141,8 +136,3 @@ def test_subsets_treats_duplicates_as_distinct():
 def test_subsets_order_cap():
     with pytest.raises(ValueError, match="order"):
         next(subsets(tuple(range(21))))
-
-
-def test_product_functional():
-    assert product_functional([], lambda x: 0.0) == 1.0
-    assert product_functional([1.0, 2.0, 3.0], lambda x: x) == pytest.approx(6.0)

@@ -21,6 +21,7 @@ from contpop import (
     pair_correlation_estimate,
     raw_moment_from_factorials,
     read_csv_columns,
+    write_csv,
     write_k1_csv,
     write_k2_csv,
     write_moments_csv,
@@ -464,6 +465,19 @@ def test_replica_stats_single_sample():
     mean, err = _replica_stats(np.array([[3.0, 1.0]]))
     assert mean.tolist() == [3.0, 1.0]
     assert err.tolist() == [0.0, 0.0]
+
+
+def test_write_csv_formats_columns_block_by_block(tmp_path):
+    path = tmp_path / "blocks.csv"
+    write_csv(path, ["t", "id", "tag", "value"],
+              [[np.full(2, 0.5), np.arange(2), ["a", "b"], [0.1, 1 / 3]],
+               [[], [], [], []],
+               [np.array([1.0]), [7], np.array(["c"]), np.array([2.0])]])
+    # floats by repr, anything else by str, blocks in the order given
+    assert path.read_text() == ("t,id,tag,value\n"
+                                "0.5,0,a,0.1\n"
+                                "0.5,1,b,0.3333333333333333\n"
+                                "1.0,7,c,2.0\n")
 
 
 def test_csv_round_trip_and_determinism(tmp_path):

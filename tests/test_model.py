@@ -12,7 +12,6 @@ from contpop import (
     Box,
     CompetitionKernel,
     ModelParams,
-    PointConfiguration,
     RateField,
     Window,
     cell_infimum,
@@ -327,12 +326,6 @@ def test_death_rate_requires_membership(torus10):
         death_rate([3.0], pos, params)
 
 
-def test_death_rate_accepts_point_configuration(torus10):
-    params = make_params(window=torus10, m=0.7)
-    config = PointConfiguration([[1.0], [2.0]])
-    assert death_rate([1.0], config, params) == pytest.approx(0.7)
-
-
 def test_coincident_particles_compete(torus10):
     k = gaussian_unit_kernel(1)
     params = make_params(window=torus10, kernel=k, m=0.0)
@@ -387,13 +380,3 @@ def test_in_cell_pair_energy_lower_bound(rng):
         pos = rng.uniform(10.0, 11.0, size=(n, 1))
         rates = death_rates(pos, params)
         assert np.all(rates >= a_cell * (n - 1) - 1e-12)
-
-
-def test_point_configuration_shapes():
-    with pytest.raises(ValueError):
-        PointConfiguration([])
-    empty = PointConfiguration.empty(3)
-    assert len(empty) == 0 and empty.dimension == 3
-    flat = PointConfiguration([1.0, 2.0, 3.0])
-    assert flat.positions.shape == (3, 1)
-    assert flat.count_in(Box([0.5], [2.5])) == 2

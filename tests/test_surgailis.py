@@ -12,7 +12,6 @@ from contpop import (
     Window,
     bogoliubov_functional,
     box_quadrature,
-    domination_bound,
     expected_count,
     poisson_density_flow,
     propagate_correlation,
@@ -154,13 +153,6 @@ def test_propagator_order_cap():
     eta = np.zeros((21, 1))
     with pytest.raises(ValueError, match="order"):
         propagate_correlation(eta, k_poisson(1.0), f)
-
-
-def test_domination_equals_free_propagation(rng):
-    f = flow(b=1.0, m=0.5, t=1.0)
-    eta = rng.uniform(0.0, 10.0, size=(2, 1))
-    k0 = k_poisson(0.3)
-    assert domination_bound(eta, k0, f) == propagate_correlation(eta, k0, f)
 
 
 # -------------------------------------------------- densities and counts
