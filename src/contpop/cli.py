@@ -28,11 +28,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
-                     comparison_ode_bound, continuation_schedule,
-                     existence_time, kappa_from_factorial_moments,
-                     moment_bound_system, operator_norm_bound,
-                     stationary_density_bound, surgailis_theta_growth,
-                     theta_norm, unit_existence_time)
+                     continuation_schedule, existence_time,
+                     kappa_from_factorial_moments, moment_bound_system,
+                     operator_norm_bound, stationary_density_bound,
+                     surgailis_theta_growth, theta_norm, unit_existence_time)
 from .combinatorics import stirling
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
@@ -280,6 +279,7 @@ def cmd_hierarchy(args) -> int:
                "nmax": args.nmax, "dt": args.dt, "t_end": args.t_end,
                "clipped_mass": traj.clipped_mass,
                "clip_ratio": traj.clip_ratio,
+               "max_stability_margin": traj.max_stability_margin,
                "final_density": traj.final_density()}
     _write_json(out / "summary.json", _jsonable(summary))
     print(f"hierarchy: {mode}, closure {args.closure}, outputs in {out}")

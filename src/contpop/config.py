@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Box, CompetitionKernel, ModelParams, RateField, Window
+from .model import CompetitionKernel, ModelParams, RateField, Window
 
 __all__ = ["ConfigError", "load_config", "build_params", "build_initial",
            "config_sha256", "hierarchy_options"]

@@ -17,16 +17,21 @@ and a full product-grid mode in dimension 1.  Convolutions are circular FFTs;
 time stepping is fixed-step RK4 with a stability guard, Kahan-compensated
 state accumulation, and clipping of stray negative values with an error once
 the clipped mass exceeds a fixed fraction of the state.
+
+The kernel grid, the full-grid kernel matrix and the pair-equation decay are
+built once per state.  The integrator carries one flat vector [rho | k1] +
+k2.ravel(), whose layout `HierarchyState.split` alone knows; each RK4 stage
+evaluates the right-hand sides on views of its stage vector.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RateField
+from .model import ModelParams
 
 __all__ = [
     "CLOSURES",
@@ -60,11 +65,11 @@ class DivergenceError(RuntimeError):
     """The integration produced non-finite values."""
 
 
-def _circular_conv(x: np.ndarray, kernel_fft: np.ndarray, shape) -> np.ndarray:
+def _circular_conv(x: np.ndarray, kernel_fft: np.ndarray) -> np.ndarray:
     """Circular convolution with a precomputed rfftn of the kernel grid."""
-    axes = tuple(range(len(shape)))
+    axes = tuple(range(x.ndim))
     return np.fft.irfftn(np.fft.rfftn(x, axes=axes) * kernel_fft,
-                         s=shape, axes=axes)
+                         s=x.shape, axes=axes)
 
 
 class HierarchyState:
@@ -73,7 +78,8 @@ class HierarchyState:
     Translation-invariant mode: `rho` is the constant density and `k2` the
     second correlation on the periodic separation grid of shape (M,)*d.
     Full-grid mode (d = 1): `k1` on the position grid (M,), `k2` on (M, M),
-    and the kernel matrix a(x_i - x_j) as `a_matrix`, built once.
+    and the kernel matrix a(x_i - x_j) as `a_matrix`, built once.  In both
+    modes `decay2` is the pair equation's decay rate, also built once.
     """
 
     def __init__(self, params: ModelParams, grid_points: int, mode: str):
@@ -104,8 +110,9 @@ class HierarchyState:
         if mode == "translation-invariant":
             self.b = float(params.birth(np.zeros(d)))
             self.m = float(params.mortality(np.zeros(d)))
+            self.decay2 = 2.0 * self.m + 2.0 * self.a_grid
+            self.head_size = 1
             self.rho = 0.0
-            self.k2 = np.zeros((self.grid_points,) * d)
             self.k1 = None
         else:
             x = np.arange(self.grid_points) * self.spacing[0]
@@ -115,9 +122,12 @@ class HierarchyState:
             pts = x[:, None]
             self.b = np.asarray(params.birth(pts), dtype=float)
             self.m = np.asarray(params.mortality(pts), dtype=float)
+            self.decay2 = self.m[:, None] + self.m[None, :] \
+                + 2.0 * self.a_matrix
+            self.head_size = self.grid_points
             self.k1 = np.zeros(self.grid_points)
-            self.k2 = np.zeros((self.grid_points, self.grid_points))
             self.rho = None
+        self.k2 = np.zeros(self.decay2.shape)
 
     # -- constructors --------------------------------------------------------
 
@@ -137,63 +147,56 @@ class HierarchyState:
     def full_grid(cls, params: ModelParams, grid_points: int, k10,
                   k20=None) -> "HierarchyState":
         state = cls(params, grid_points, "full-grid")
-        pts = state.x[:, None]
-        if isinstance(k10, RateField) or callable(k10):
-            state.k1 = np.asarray(k10(pts), dtype=float).reshape(-1).copy()
+        if callable(k10):
+            state.k1 = np.asarray(k10(state.x[:, None]),
+                                  dtype=float).reshape(-1).copy()
         else:
             state.k1 = np.full(state.grid_points, float(k10))
         if k20 is None:
             state.k2 = np.outer(state.k1, state.k1)
-        elif callable(k20):
-            state.k2 = np.asarray(
-                [[float(k20(xi, xj)) for xj in state.x] for xi in state.x])
         else:
             state.k2 = np.broadcast_to(np.asarray(k20, dtype=float),
                                        state.k2.shape).copy()
         return state
 
-    # -- flat packing for the integrator --------------------------------------
+    # -- the flat layout [rho | k1] + k2.ravel() of the integrator ----------
+
+    def split(self, y: np.ndarray, n_max: int):
+        """Views (head, k2) of a flat vector, or of a stack of them along the
+        last axis: head is rho as a length-1 array or k1, and k2 is None for
+        n_max = 1."""
+        n = self.head_size
+        k2 = y[..., n:].reshape(y.shape[:-1] + self.decay2.shape) \
+            if n_max == 2 else None
+        return y[..., :n], k2
 
     def pack(self, n_max: int) -> np.ndarray:
-        head = np.atleast_1d(np.asarray(
-            self.rho if self.mode == "translation-invariant" else self.k1,
-            dtype=float)).ravel()
-        if n_max == 1:
-            return head.copy()
-        return np.concatenate([head, self.k2.ravel()])
+        y = np.empty(self.head_size + (self.decay2.size if n_max == 2 else 0))
+        head, k2 = self.split(y, n_max)
+        head[:] = self.rho if self.mode == "translation-invariant" else self.k1
+        if k2 is not None:
+            k2[...] = self.k2
+        return y
+
+    def _view(self, y: np.ndarray, n_max: int) -> "HierarchyState":
+        """Point this state's rho/k1 and k2 at the flat vector y, without
+        copying it; returns the state."""
+        head, self.k2 = self.split(y, n_max)
+        if self.mode == "translation-invariant":
+            self.rho = float(head[0])
+        else:
+            self.k1 = head
+        return self
 
     def unpack(self, y: np.ndarray, n_max: int) -> "HierarchyState":
-        out = self.copy()
-        if self.mode == "translation-invariant":
-            out.rho = float(y[0])
-            if n_max == 2:
-                out.k2 = y[1:].reshape(self.k2.shape).copy()
-            else:
-                out.k2 = None
-        else:
-            n = self.grid_points
-            out.k1 = y[:n].copy()
-            if n_max == 2:
-                out.k2 = y[n:].reshape(n, n).copy()
-            else:
-                out.k2 = None
-        return out
-
-    def copy(self) -> "HierarchyState":
-        out = object.__new__(HierarchyState)
-        out.__dict__.update(self.__dict__)
-        if self.k2 is not None:
-            out.k2 = self.k2.copy()
-        if self.k1 is not None:
-            out.k1 = np.array(self.k1, dtype=float, copy=True)
-        return out
+        """A state with this one's operators and a copy of y's fields."""
+        return copy.copy(self)._view(np.array(y, dtype=float), n_max)
 
 
 def _closed_k2(state: HierarchyState):
     """k^(2) for order-1 truncation: zero second cumulant."""
     if state.mode == "translation-invariant":
-        return np.full((state.grid_points,) * state.params.dimension,
-                       state.rho**2)
+        return np.full(state.decay2.shape, state.rho**2)
     return np.outer(state.k1, state.k1)
 
 
@@ -223,34 +226,34 @@ def _third_order_integral(state: HierarchyState, closure: str) -> np.ndarray:
     if closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
     k2 = state.k2
-    shape = k2.shape if state.mode == "translation-invariant" else (k2.shape[0],)
     if state.mode == "translation-invariant":
         rho = state.rho
         if closure == "mean-field":
             return 2.0 * state.a_mass * rho * k2
         if closure == "zero-third-cumulant":
             cross = float(np.sum(state.a_grid * k2)) * state.cell_volume
-            conv = _circular_conv(k2, state.a_fft, shape)
+            conv = _circular_conv(k2, state.a_fft)
             return 2.0 * (rho * (state.a_mass * k2 + cross + conv)
                           - 2.0 * rho**3 * state.a_mass)
         denom = max(rho**3, KIRKWOOD_FLOOR)
         conv = _circular_conv(state.a_grid * k2,
-                              np.fft.rfftn(k2 * state.cell_volume), shape)
+                              np.fft.rfftn(k2 * state.cell_volume))
         return 2.0 * k2 * conv / denom
     # full grid, dimension 1
     n = state.grid_points
     k1 = state.k1
-    a_conv_k1 = np.fft.irfft(np.fft.rfft(k1) * state.a_fft, n=n)
-    if closure == "mean-field":
-        return k2 * (a_conv_k1[:, None] + a_conv_k1[None, :])
-    if closure == "zero-third-cumulant":
+    if closure != "kirkwood":
+        a_conv_k1 = np.fft.irfft(np.fft.rfft(k1) * state.a_fft, n=n)
+        pair = a_conv_k1[:, None] + a_conv_k1[None, :]
+        if closure == "mean-field":
+            return k2 * pair
         w = np.fft.irfft(np.fft.rfft(k2, axis=1) * state.a_fft[None, :],
                          n=n, axis=1)
         diag_w = np.einsum("ii->i", w)
-        term = k2 * (a_conv_k1[:, None] + a_conv_k1[None, :])
+        term = k2 * pair
         term += k1[None, :] * diag_w[:, None] + k1[:, None] * w.T
         term += k1[:, None] * diag_w[None, :] + k1[None, :] * w
-        term -= 2.0 * np.outer(k1, k1) * (a_conv_k1[:, None] + a_conv_k1[None, :])
+        term -= 2.0 * np.outer(k1, k1) * pair
         return term
     # per-factor floor keeps the three-factor denominator at KIRKWOOD_FLOOR
     k1f = np.maximum(k1, KIRKWOOD_FLOOR ** (1.0 / 3.0))
@@ -267,29 +270,11 @@ def rhs_order2(state: HierarchyState,
         raise ValueError("state carries no second correlation")
     drain = _third_order_integral(state, closure)
     if state.mode == "translation-invariant":
-        decay = 2.0 * state.m + 2.0 * state.a_grid
-        return -decay * state.k2 - drain + 2.0 * state.b * state.rho
-    m = state.m
-    b = state.b
-    k1 = state.k1
-    decay = m[:, None] + m[None, :] + 2.0 * state.a_matrix
-    gain = b[:, None] * k1[None, :] + b[None, :] * k1[:, None]
-    return -decay * state.k2 - drain + gain
-
-
-def _rhs_flat(state: HierarchyState, closure: str, n_max: int):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        s = state.unpack(y, n_max)
-        if n_max == 1:
-            d1 = rhs_order1(s, closure)
-            return np.atleast_1d(np.asarray(d1, dtype=float)).ravel()
-        if s.k2 is None:
-            raise ValueError("order-2 run needs a second correlation")
-        d1 = rhs_order1(s, closure)
-        d2 = rhs_order2(s, closure)
-        return np.concatenate([np.atleast_1d(np.asarray(d1)).ravel(),
-                               d2.ravel()])
-    return rhs
+        gain = 2.0 * state.b * state.rho
+    else:
+        gain = np.outer(state.b, state.k1)
+        gain = gain + gain.T
+    return -state.decay2 * state.k2 - drain + gain
 
 
 @dataclass
@@ -303,6 +288,7 @@ class HierarchyTrajectory:
     separations: np.ndarray | None
     clipped_mass: float
     clip_ratio: float
+    max_stability_margin: float  # max over steps of dt * stiffness / 0.5
 
     def final_density(self):
         return self.density[-1]
@@ -321,9 +307,11 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
     """Fixed-step RK4 integration of the truncated hierarchy.
 
     Every step enforces dt (|m| + 2 sup a + <a> sup k1) <= 1/2; violations
-    raise StepSizeError rather than proceeding unstably.  Negative values are
-    clipped to zero after each step; if the cumulative clipped mass exceeds
-    CLIP_BUDGET of the current state mass the run fails (ClipBudgetError).
+    raise StepSizeError rather than proceeding unstably, and the largest
+    ratio of the left side to 1/2 is the trajectory's max_stability_margin.
+    Negative values are clipped to zero after each step; if the cumulative
+    clipped mass exceeds CLIP_BUDGET of the current state mass the run fails
+    (ClipBudgetError).  The input state is left unchanged.
     """
     if n_max not in (1, 2):
         raise ValueError("n_max must be 1 or 2")
@@ -340,22 +328,36 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
         if not 0 <= idx <= n_steps:
             raise ValueError(f"snapshot time {t:g} outside [0, {t_end:g}]")
         snap_steps[idx] = t
-    rhs = _rhs_flat(state, closure, n_max)
+    work = copy.copy(state)     # its fields view each RK4 stage vector
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        work._view(y, n_max)
+        d1 = rhs_order1(work, closure)
+        d2 = rhs_order2(work, closure) if n_max == 2 else None
+        work.k1 = work.k2 = None    # hold no stage vector at the step's peak
+        f = np.empty_like(y)        # made after the terms, for the same peak
+        f_head, f_k2 = state.split(f, n_max)
+        f_head[:] = d1
+        if f_k2 is not None:
+            f_k2[...] = d2
+        return f
+
     y = state.pack(n_max)
     comp = np.zeros_like(y)     # Kahan compensation carried across steps
     clipped = 0.0
+    margin = 0.0
     recorded: list[tuple[float, np.ndarray]] = []
     if 0 in snap_steps:
         recorded.append((0.0, y.copy()))
-    head = 1 if state.mode == "translation-invariant" else state.grid_points
     for step in range(1, n_steps + 1):
-        sup_k1 = float(np.max(np.abs(y[:head])))
+        sup_k1 = float(np.max(np.abs(state.split(y, n_max)[0])))
         stiffness = params.m_norm + 2.0 * params.a_sup \
             + params.a_integral * sup_k1
         if dt * stiffness > 0.5:
             raise StepSizeError(
                 f"dt {dt:g} violates the stability guard at step {step}: "
                 f"dt * {stiffness:g} > 0.5")
+        margin = max(margin, dt * stiffness / 0.5)
         try:
             f1 = rhs(y)
             f2 = rhs(y + 0.5 * dt * f1)
@@ -387,23 +389,18 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
     times = np.asarray([t for t, _ in recorded])
     total = float(np.sum(np.abs(y)))
     ratio = clipped / total if total > 0 else 0.0
+    density, k2 = state.split(
+        np.asarray([v for _, v in recorded]).reshape(-1, y.size), n_max)
     if state.mode == "translation-invariant":
-        density = np.asarray([v[0] for _, v in recorded])
-        k2 = None
+        density = density[:, 0]
         seps = None
         if n_max == 2:
-            k2 = np.asarray([v[1:].reshape(state.k2.shape)
-                             for _, v in recorded])
             axes = [np.arange(state.grid_points) * state.spacing[i]
                     for i in range(params.dimension)]
             seps = axes[0] if params.dimension == 1 else \
                 np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     else:
-        n = state.grid_points
-        density = np.asarray([v[:n] for _, v in recorded])
-        k2 = np.asarray([v[n:].reshape(n, n) for _, v in recorded]) \
-            if n_max == 2 else None
         seps = state.x
     return HierarchyTrajectory(mode=state.mode, times=times, density=density,
                                k2=k2, separations=seps, clipped_mass=clipped,
-                               clip_ratio=ratio)
+                               clip_ratio=ratio, max_stability_margin=margin)

@@ -1,7 +1,9 @@
 """The public API: every exported name resolves, removed names stay gone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,23 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(contpop, name)
     assert name not in contpop.__all__
     assert not hasattr(importlib.import_module(f"contpop.{module}"), name)
+
+
+SOURCES = sorted(p for p in Path(contpop.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(importlib.import_module(f"contpop.{path.stem}"),
+                        "__all__", ()))
+    assert sorted(imported - used) == []

@@ -343,6 +343,18 @@ def test_hierarchy_full_grid_schema(tmp_path):
     assert len(k2_rows) == 16 * 16
 
 
+def test_hierarchy_summary_records_stability_margin(tmp_path):
+    cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL),
+                    initial={"kind": "poisson", "density": 0.2},
+                    extra={"hierarchy": {"grid": 16, "mode": "full-grid"}})
+    out = tmp_path / "hier_margin"
+    assert main(["hierarchy", "--config", str(cfg), "--out", str(out),
+                 "--dt", "0.01", "--t-end", "0.2"]) == 0
+    margin = json.loads((out / "summary.json").read_text())[
+        "max_stability_margin"]
+    assert 0.0 < margin <= 1.0
+
+
 def test_hierarchy_numerical_and_config_failures(tmp_path, capsys):
     cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL), m=4.0,
                     initial={"kind": "poisson", "density": 0.5})

@@ -322,16 +322,73 @@ def test_trajectory_bookkeeping():
     assert traj.final_density() == traj.density[-1]
 
 
+def fg_state(M=16):
+    """Full-grid state with a non-uniform k1 and a k2 that is not symmetric,
+    so a transposed or shifted layout shows."""
+    params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                         b=1.0, m=0.5)
+    x = np.arange(M) * (L / M)
+    k1 = 0.6 + 0.2 * np.sin(2.0 * math.pi * x / L)
+    k2 = np.outer(k1, k1) + 0.01 * np.arange(M * M).reshape(M, M) / M**2
+    return HierarchyState.full_grid(params, M, lambda p: np.interp(
+        p.ravel(), x, k1, period=L), k20=k2)
+
+
 def test_pack_unpack_round_trip():
     M = 16
-    state = ti_state(rho=0.45, M=M, k2=smooth_even_k2(M))
-    y = state.pack(2)
-    assert y.size == 1 + M
-    back = state.unpack(y, 2)
-    assert back.rho == state.rho
-    assert np.array_equal(back.k2, state.k2)
-    y1 = state.pack(1)
-    assert y1.size == 1
+    cases = [(ti_state(rho=0.45, M=M, k2=smooth_even_k2(M)), 2),
+             (ti_state(rho=0.45, M=M, k2=smooth_even_k2(M)), 1),
+             (fg_state(M), 2), (fg_state(M), 1)]
+    for state, n_max in cases:
+        ti = state.mode == "translation-invariant"
+        first = np.atleast_1d(state.rho if ti else state.k1)
+        y = state.pack(n_max)
+        assert y.size == first.size + (M * (1 if ti else M) if n_max == 2
+                                       else 0)
+        head, k2 = state.split(y, n_max)
+        assert np.array_equal(head, first)
+        assert np.shares_memory(head, y)
+        back = state.unpack(y, n_max)
+        assert np.array_equal(np.atleast_1d(back.rho if ti else back.k1),
+                              first)
+        if n_max == 1:
+            assert k2 is None and back.k2 is None
+            assert y.size == first.size
+        else:
+            assert np.array_equal(k2, state.k2) and np.shares_memory(k2, y)
+            assert np.array_equal(back.k2, state.k2)
+            assert not np.shares_memory(back.k2, y)
+
+
+@pytest.mark.parametrize("mode", ["translation-invariant", "full-grid"])
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_integrate_leaves_input_state_unchanged(mode, closure):
+    M = 16
+    state = ti_state(rho=0.45, M=M, k2=smooth_even_k2(M)) \
+        if mode == "translation-invariant" else fg_state(M)
+    before = [np.array(v, copy=True) for v in (state.rho, state.k1, state.k2)]
+    traj = integrate(state, 0.2, 1e-2, closure=closure, n_max=2,
+                     snapshots=[0.0, 0.1, 0.2])
+    assert not np.array_equal(traj.k2[-1], traj.k2[0])
+    after = [np.array(v, copy=True) for v in (state.rho, state.k1, state.k2)]
+    assert [v.tobytes() for v in after] == [v.tobytes() for v in before]
+
+
+def test_stability_margin_reaches_one_under_the_guard():
+    # b = 0: the density only falls, so the first step has the largest
+    # stiffness, and dt just under the guard puts the margin just under 1
+    params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                         b=0.0, m=1.0)
+    state = HierarchyState.translation_invariant(params, 32, 0.5)
+    stiffness = params.m_norm + 2.0 * params.a_sup + params.a_integral * 0.5
+    dt = 0.5 / stiffness * (1.0 - 1e-6)
+    traj = integrate(state, 5 * dt, dt, n_max=2)
+    assert 1.0 - 1e-5 <= traj.max_stability_margin <= 1.0
+    with pytest.raises(StepSizeError):
+        integrate(state, 5.0 * 0.5 / stiffness * (1.0 + 1e-6),
+                  0.5 / stiffness * (1.0 + 1e-6), n_max=2)
+    calm = integrate(state, 0.5, 1e-2, n_max=2)
+    assert 0.0 < calm.max_stability_margin <= 1.0
 
 
 def test_state_mode_validation():
