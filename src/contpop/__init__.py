@@ -12,19 +12,18 @@ __version__ = "0.1.0"
 
 from .bounds import (EffectiveMortalityUnavailable, MomentBoundResult,
                      OperatorNormBound, Schedule, ScheduleHorizonError,
-                     StationaryDensityBound, comparison_ode_bound,
-                     comparison_uniform_bound, continuation_schedule,
+                     StationaryDensityBound, continuation_schedule,
                      existence_time, kappa_from_factorial_moments,
                      moment_bound_system, operator_norm_bound,
-                     relaxation_time, stationary_density_bound,
-                     surgailis_theta_growth, theta_norm, unit_existence_time)
+                     stationary_density_bound, surgailis_theta_growth,
+                     theta_norm, unit_existence_time)
 from .combinatorics import (StirlingTable, binomial, stirling, subsets,
                             touchard)
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, CorrelationGrid, MomentSeries,
-                         SnapshotEnsemble, cross_moment, density_estimate,
-                         factorial_moment, mean_density, moment_series,
+                         SnapshotEnsemble, density_estimate, factorial_moment,
+                         mean_density, moment_series,
                          pair_correlation_estimate, raw_moment_from_factorials,
                          read_csv_columns, write_csv, write_k1_csv,
                          write_k2_csv, write_moments_csv)
@@ -32,7 +31,7 @@ from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, HierarchyTrajectory, StepSizeError,
                         integrate, rhs_order1, rhs_order2)
 from .model import (Box, CompetitionKernel, ModelParams, RateField, Window,
-                    cell_infimum, death_rate, death_rates, interaction_energy)
+                    cell_infimum, death_rate, death_rates)
 from .simulator import (CappedRunError, ReplicaPlan, RunStats,
                         SimulationState, run_replicas, sample_initial)
 from .surgailis import (SurgailisFlow, bogoliubov_functional,
@@ -42,22 +41,21 @@ from .surgailis import (SurgailisFlow, bogoliubov_functional,
 __all__ = [
     "__version__",
     "Box", "Window", "CompetitionKernel", "RateField", "ModelParams",
-    "death_rate", "death_rates", "interaction_energy", "cell_infimum",
+    "death_rate", "death_rates", "cell_infimum",
     "StirlingTable", "stirling", "touchard", "binomial", "subsets",
     "SurgailisFlow", "propagate_correlation", "poisson_density_flow",
     "expected_count", "bogoliubov_functional", "box_quadrature",
     "theta_norm", "OperatorNormBound", "operator_norm_bound",
     "existence_time", "unit_existence_time", "surgailis_theta_growth",
     "Schedule", "ScheduleHorizonError", "continuation_schedule",
-    "comparison_ode_bound", "comparison_uniform_bound", "relaxation_time",
     "MomentBoundResult", "moment_bound_system",
     "kappa_from_factorial_moments", "EffectiveMortalityUnavailable",
     "StationaryDensityBound", "stationary_density_bound",
     "SnapshotEnsemble", "CellPartition", "CorrelationGrid", "MomentSeries",
     "factorial_moment", "raw_moment_from_factorials", "density_estimate",
-    "mean_density", "pair_correlation_estimate", "cross_moment",
-    "moment_series", "write_csv", "write_k1_csv", "write_k2_csv",
-    "write_moments_csv", "read_csv_columns",
+    "mean_density", "pair_correlation_estimate", "moment_series",
+    "write_csv", "write_k1_csv", "write_k2_csv", "write_moments_csv",
+    "read_csv_columns",
     "CLOSURES", "HierarchyState", "HierarchyTrajectory", "StepSizeError",
     "ClipBudgetError", "DivergenceError", "rhs_order1", "rhs_order2",
     "integrate",

@@ -7,9 +7,9 @@ optimizing the blow-up gives a guaranteed existence time per step and a
 continuation schedule whose step lengths shrink but whose total diverges, so
 the evolution is global in time.
 
-The second half of the module bounds cell counts: a comparison ODE for means,
-and a closed triangular system for factorial moments of the count in a cell
-where the kernel has a positive infimum.
+The second half of the module bounds cell counts: a closed triangular system
+for factorial moments of the count in a cell where the kernel has a positive
+infimum, and the stationary density cap.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "Schedule",
     "ScheduleHorizonError",
     "continuation_schedule",
-    "comparison_ode_bound",
-    "comparison_uniform_bound",
-    "relaxation_time",
     "MomentBoundResult",
     "moment_bound_system",
     "kappa_from_factorial_moments",
@@ -213,36 +210,6 @@ def continuation_schedule(b_norm: float, a_integral: float, theta0: float,
                     horizon=horizon if horizon is not None else total)
 
 
-def comparison_ode_bound(u0: float, drive: float, decay: float, t: float) -> float:
-    """Value at t of u' = drive - decay u, the scalar comparison solution.
-
-    Any function with u' <= drive - decay u and u(0) <= u0 stays below this.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if decay == 0.0:
-        return u0 + drive * t
-    decay_factor = math.exp(-decay * t)
-    return u0 * decay_factor + (drive / decay) * (1.0 - decay_factor)
-
-
-def comparison_uniform_bound(u0: float, drive: float, decay: float) -> float:
-    """max(u0, drive/decay): a bound uniform in time (decay > 0)."""
-    if decay <= 0:
-        raise ValueError("uniform bound needs positive decay")
-    return max(u0, drive / decay)
-
-
-def relaxation_time(u0: float, drive: float, decay: float, eps: float) -> float:
-    """Exact time after which the comparison solution stays below drive/decay + eps."""
-    if decay <= 0 or eps <= 0:
-        raise ValueError("needs positive decay and eps")
-    level = drive / decay
-    if u0 <= level + eps:
-        return 0.0
-    return math.log((u0 - level) / eps) / decay
-
-
 @dataclass
 class MomentBoundResult:
     """Factorial-moment bounds for the count in one cell.
@@ -336,10 +303,6 @@ class StationaryDensityBound:
     global_bound: float
     rho0_sup: float
     level_sup: float
-
-    def level(self, eps: float = 0.0) -> float:
-        """Asymptotic density level |b|/a(0) + eps."""
-        return self.level_sup + eps
 
 
 def stationary_density_bound(params: ModelParams, rho0) -> StationaryDensityBound:

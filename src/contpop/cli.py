@@ -8,9 +8,13 @@ CSV files regardless of the worker count (`--threads`).  Every CSV is
 written by `estimators.write_csv`, one replica, snapshot or grid row per
 block.  summary.json additionally records wall-clock times, per-replica
 spreads and repair counters and is therefore diagnostic, not reproducible.
+`verify` compares k1.csv and moments.csv with the tables their writers
+build (`estimators.k1_table`, `moments_table`), rebuilt from the particle
+files, and tests the analytic envelopes; the layouts are spelled out
+only there.
 
-Exit codes: 0 success, 1 failed verification checks, 2 configuration errors,
-3 numerical failures (event-budget cap, step-size guard, clipping budget,
+Exit codes: 0 success, 1 failed verification checks, 2 configuration errors
+(any ValueError, including a library check's), 3 numerical failures (event-budget cap, step-size guard, clipping budget,
 divergence, schedule horizon).
 """
 
@@ -32,11 +36,11 @@ from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
                      kappa_from_factorial_moments, moment_bound_system,
                      operator_norm_bound, stationary_density_bound,
                      surgailis_theta_growth, theta_norm, unit_existence_time)
-from .combinatorics import stirling
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, SnapshotEnsemble, density_estimate,
-                         moment_series, pair_correlation_estimate,
+                         k1_table, moment_series, moments_table,
+                         pair_correlation_estimate, raw_moment_from_factorials,
                          read_csv_columns, write_csv, write_k1_csv,
                          write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
@@ -151,10 +155,7 @@ def cmd_simulate(args) -> int:
                   ([np.full(len(reps[k]), r), *reps[k].T]
                    for r, reps in enumerate(ensemble.configurations)))
     phase_s["particle_csv"] = time.perf_counter() - t0
-    try:
-        partition = CellPartition(params.window, cell_side)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    partition = CellPartition(params.window, cell_side)
     t0 = time.perf_counter()
     grids = density_estimate(ensemble, partition)
     series = moment_series(ensemble, partition, l_max=args.lmax,
@@ -247,11 +248,8 @@ def cmd_hierarchy(args) -> int:
         state = HierarchyState.translation_invariant(params, grid, rho0)
     else:
         state = HierarchyState.full_grid(params, grid, rho0)
-    try:
-        traj = integrate(state, args.t_end, args.dt, closure=args.closure,
-                         n_max=args.nmax, snapshots=snapshots)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    traj = integrate(state, args.t_end, args.dt, closure=args.closure,
+                     n_max=args.nmax, snapshots=snapshots)
     d = params.dimension
     ti = mode == "translation-invariant"
     # deterministic trajectories reuse the estimator CSV schema: stderr is 0
@@ -376,9 +374,9 @@ def cmd_bounds(args) -> int:
             "theta_growth_fallback": surgailis_theta_growth(
                 theta0, params.b_norm, horizon_ref),
         }
-    if args.schedule and args.schedule_steps:
+    if args.schedule is not None and args.schedule_steps is not None:
         raise ConfigError("pass --schedule or --schedule-steps, not both")
-    if args.schedule or args.schedule_steps:
+    if args.schedule is not None or args.schedule_steps is not None:
         sched = continuation_schedule(
             params.b_norm, params.a_integral, theta0,
             horizon=args.schedule, kappa=args.kappa,
@@ -438,6 +436,9 @@ def _load_ensemble(run: Path, params, summary) -> SnapshotEnsemble:
     for k, fname in enumerate(summary["particle_files"]):
         cols = read_csv_columns(run / fname)
         reps = np.asarray(cols["replica"], dtype=int)
+        if np.any((reps < 0) | (reps >= replicas)):
+            raise ConfigError(f"{run / fname} has replica ids outside "
+                              f"0..{replicas - 1}")
         coords = np.column_stack([np.asarray(cols[f"x{i+1}"], dtype=float)
                                   for i in range(d)])
         # one stable sort groups the rows by replica in file order
@@ -447,6 +448,103 @@ def _load_ensemble(run: Path, params, summary) -> SnapshotEnsemble:
         for r in range(replicas):
             configs[r][k] = coords[bounds[r]:bounds[r + 1]]
     return SnapshotEnsemble(params.window, times, configs)
+
+
+def _recompute(name: str, path: Path, table) -> tuple:
+    """Check a stored estimator CSV against its writer's (header, blocks)
+    rebuilt from the reloaded particles: the same header, row count and
+    text in str-written columns, and float columns within 1e-9.  Returns
+    the check and the stored columns, or None for them if the rows differ."""
+    header, blocks = table
+    fresh = dict(zip(header, map(np.concatenate, zip(*blocks))))
+    text = {column: list(map(str, col.tolist()))
+            for column, col in fresh.items() if col.dtype.kind != "f"}
+    stored = read_csv_columns(path)
+    rows = sorted({len(col) for col in stored.values()})
+    if list(stored) != header or rows != [fresh[header[0]].size] \
+            or any(stored[column] != t for column, t in text.items()):
+        return (name, "FAIL", f"header, row counts {rows} or text differ "
+                f"from the {fresh[header[0]].size} recomputed rows"), None
+    floats = [(np.asarray(stored[column], dtype=float), col)
+              for column, col in fresh.items() if column not in text]
+    worst = float(np.max([np.max(np.abs(got - want), initial=0.0)
+                          for got, want in floats]))
+    return (name, "PASS" if worst <= 1e-9 else "FAIL",
+            f"max deviation {worst:.3g}"), stored
+
+
+def _moment_identity(stored, series) -> tuple:
+    """Stored raw moments against the Stirling transform of the stored
+    factorial ones, a row of both per time and cell."""
+    if stored is None:
+        return "moment-identity", "SKIP", "moments.csv rows do not match"
+    table = np.asarray(stored["value"], dtype=float).reshape(
+        -1, series.orders + series.raw_orders)
+    facts = table[:, :series.orders].T
+    expect = np.stack([raw_moment_from_factorials(facts, n)
+                       for n in range(1, series.raw_orders + 1)], axis=1)
+    worst = float(np.max(np.abs(table[:, series.orders:] - expect)
+                         / np.maximum(1.0, np.abs(expect)), initial=0.0))
+    return ("moment-identity", "PASS" if worst <= 1e-9 else "FAIL",
+            f"max relative residual {worst:.3g}")
+
+
+def _envelope(name: str, detail: str, value, bound, stderr) -> tuple:
+    """PASS when max(value - bound - 3 stderr), put into `detail`, is <= 0."""
+    worst = float(np.max(value - bound - 3.0 * stderr))
+    return name, "PASS" if worst <= 0 else "FAIL", detail.format(worst)
+
+
+def _envelope_checks(params, partition, series):
+    """domination, oracle-equivalence, moment-envelope and density-cap."""
+    volume = partition.cell_side ** params.dimension
+    dens = series.factorial[:, :, 0] / volume
+    err = series.factorial_stderr[:, :, 0] / volume
+    constant_rates = {params.birth.kind, params.mortality.kind} == {"constant"}
+    if not constant_rates or series.times.size < 2:
+        reason = "needs two snapshots" if constant_rates \
+            else "needs constant b and m"
+        yield "domination", "SKIP", reason
+        yield "oracle-equivalence", "SKIP", reason
+    else:
+        # the envelope starts from the first snapshot's densities, which it
+        # equals there by construction, so that snapshot is left out
+        origin = np.zeros(params.dimension)
+        flows = (SurgailisFlow.from_params(params, float(t - series.times[0]))
+                 for t in series.times[1:])
+        psi, phi = np.array([[float(f.psi(origin)), float(f.phi(origin))]
+                             for f in flows]).T
+        envelope = psi[:, None] * dens[0] + phi[:, None]
+        yield _envelope("domination", "worst envelope excess {:.3g}",
+                        dens[1:], envelope, err[1:])
+        if params.a_integral == 0.0:   # the envelope is the exact law
+            yield _envelope("oracle-equivalence",
+                            "worst |deviation| - 3 sigma = {:.3g}",
+                            np.abs(dens[1:] - envelope), 0.0, err[1:])
+        else:
+            yield "oracle-equivalence", "SKIP", "competition kernel present"
+    a_cell = cell_infimum(params.kernel, partition.separation_box())
+    if a_cell > 0.0 and constant_rates:
+        b_cell = float(params.birth(np.zeros(params.dimension))) * volume
+        kappa = max(volume * math.exp(params.theta0),
+                    kappa_from_factorial_moments(
+                        np.max(series.factorial[0], axis=0)), b_cell / a_cell)
+        bounds = np.array([kappa**l / math.factorial(l)
+                           for l in range(1, series.orders + 1)])
+        yield _envelope("moment-envelope",
+                        f"kappa {kappa:.4g}, worst excess {{:.3g}}",
+                        series.factorial, bounds, series.factorial_stderr)
+    else:
+        yield "moment-envelope", "SKIP", "needs constant rates" if a_cell > 0 \
+            else "kernel infimum over the cell separations is zero"
+    a_zero = float(params.kernel.radial(0.0))
+    if a_zero > 0.0:
+        level = max(float(np.max(dens[0])), params.b_norm / a_zero)
+        yield _envelope("density-cap",
+                        f"level {level:.4g}, worst excess {{:.3g}}",
+                        dens, level, err)
+    else:
+        yield "density-cap", "SKIP", "kernel vanishes at the origin"
 
 
 def cmd_verify(args) -> int:
@@ -460,141 +558,26 @@ def cmd_verify(args) -> int:
         print(f"verify: config hash mismatch: {actual} vs manifest "
               f"{manifest.get('config_sha256')}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = load_config(args.config)
-    params = build_params(cfg)
+    params = build_params(load_config(args.config))
     summary = json.loads((run / "summary.json").read_text())
     ensemble = _load_ensemble(run, params, summary)
     est = summary["estimators"]
     partition = CellPartition(params.window, est["cell_side"])
-    results: list[tuple[str, str, str]] = []
-
-    def record(name: str, status: str, detail: str) -> None:
-        results.append((name, status, detail))
-
-    # recomputation: estimator files must match the particle data
     grids = density_estimate(ensemble, partition)
-    k1 = read_csv_columns(run / "k1.csv")
-    stored = np.asarray(k1["value"], dtype=float)
-    fresh = np.concatenate([g.values for g in grids])
-    if stored.size == fresh.size:
-        diff = float(np.max(np.abs(stored - fresh))) if stored.size else 0.0
-        record("k1-recompute", "PASS" if diff <= 1e-9 else "FAIL",
-               f"max deviation {diff:.3g}")
-    else:
-        record("k1-recompute", "FAIL",
-               f"row count {stored.size} differs from recomputed {fresh.size}")
+    k1_check, _ = _recompute("k1-recompute", run / "k1.csv",
+                             k1_table(grids, ensemble.times, params.dimension))
     series = moment_series(ensemble, partition, l_max=est["l_max"],
                            n_max=est["n_max"])
-    mom = read_csv_columns(run / "moments.csv")
-    orders = np.asarray(mom["l_or_n"], dtype=int)
-    kinds = np.asarray(mom["kind"])
-    values = np.asarray(mom["value"], dtype=float)
-    cells = np.asarray(mom["cell_id"], dtype=int)
-    t_col = np.asarray(mom["t"], dtype=float)
-    times = np.asarray(summary["snapshot_times"], dtype=float)
-    nearest = np.argmin(np.abs(t_col[:, None] - times[None, :]), axis=1)
-    is_fact = kinds == "factorial"
-    fresh_v = np.empty(values.size)
-    fresh_v[is_fact] = series.factorial[nearest[is_fact], cells[is_fact],
-                                        orders[is_fact] - 1]
-    fresh_v[~is_fact] = series.raw[nearest[~is_fact], cells[~is_fact],
-                                   orders[~is_fact] - 1]
-    worst = float(np.max(np.abs(fresh_v - values), initial=0.0))
-    record("moments-recompute", "PASS" if worst <= 1e-9 else "FAIL",
-           f"max deviation {worst:.3g}")
-    # factorial -> raw identity on the stored rows themselves: rows off the
-    # snapshot times are left out, and a missing factorial order counts as 0
-    on_time = np.abs(t_col - times[nearest]) < 1e-12
-    fact_rows = np.flatnonzero(on_time & is_fact)
-    raw_rows = np.flatnonzero(on_time & (kinds == "raw"))
-    top = int(np.max(orders, initial=0))
-    stored_fact = np.zeros((times.size, len(partition), top + 1))
-    stored_fact[nearest[fact_rows], cells[fact_rows], orders[fact_rows]] = \
-        values[fact_rows]
-    stored_fact = stored_fact[nearest[raw_rows], cells[raw_rows]]
-    # weights[n, l] = l! S(n, l): N^n = sum_l weights[n, l] binom(N, l)
-    weights = np.array([[math.factorial(l) * stirling(n, l)
-                         for l in range(top + 1)] for n in range(top + 1)],
-                       dtype=float)[orders[raw_rows]]
-    expect = np.zeros(raw_rows.size)
-    for l in range(1, top + 1):      # summed in increasing l
-        expect += weights[:, l] * stored_fact[:, l]
-    residual = np.abs(values[raw_rows] - expect) \
-        / np.maximum(1.0, np.abs(expect))
-    worst = float(np.max(residual, initial=0.0))
-    record("moment-identity", "PASS" if worst <= 1e-9 else "FAIL",
-           f"max relative residual {worst:.3g}")
-    # envelope checks need replica-level uncertainty
-    three_sigma = 3.0 * np.where(series.factorial_stderr > 0,
-                                 series.factorial_stderr, 0.0)
-    cell_volume = partition.cell_side ** params.dimension
-    constant_rates = params.birth.kind == "constant" \
-        and params.mortality.kind == "constant"
-    if constant_rates:
-        b0 = float(params.birth(np.zeros(params.dimension)))
-    if constant_rates and times.size > 1:
-        rho0_cells = series.factorial[0, :, 0] / cell_volume
-        worst = worst_abs = -math.inf
-        # the envelope starts from the first snapshot's densities, which it
-        # equals there by construction, so that snapshot is left out
-        for k, t in enumerate(times[1:], start=1):
-            flow = SurgailisFlow.from_params(params, float(t - times[0]))
-            origin = np.zeros(params.dimension)
-            envelope = float(flow.psi(origin)) * rho0_cells \
-                + float(flow.phi(origin))
-            dens = series.factorial[k, :, 0] / cell_volume
-            err3 = 3.0 * series.factorial_stderr[k, :, 0] / cell_volume
-            worst = max(worst, float(np.max(dens - envelope - err3)))
-            worst_abs = max(worst_abs,
-                            float(np.max(np.abs(dens - envelope) - err3)))
-        record("domination", "PASS" if worst <= 0 else "FAIL",
-               f"worst envelope excess {worst:.3g}")
-        if params.a_integral == 0.0:
-            # without competition the envelope is the exact law
-            record("oracle-equivalence", "PASS" if worst_abs <= 0 else "FAIL",
-                   f"worst |deviation| - 3 sigma = {worst_abs:.3g}")
-        else:
-            record("oracle-equivalence", "SKIP", "competition kernel present")
-    else:
-        reason = "needs two snapshots" if constant_rates \
-            else "needs constant b and m"
-        record("domination", "SKIP", reason)
-        record("oracle-equivalence", "SKIP", reason)
-    a_cell = cell_infimum(params.kernel, partition.separation_box())
-    if a_cell > 0.0 and constant_rates:
-        b_cell = b0 * cell_volume
-        kappa0_meas = kappa_from_factorial_moments(
-            np.max(series.factorial[0], axis=0))
-        kappa = max(cell_volume * math.exp(params.theta0), kappa0_meas,
-                    b_cell / a_cell)
-        worst = -math.inf
-        for l in range(1, series.orders + 1):
-            bound = kappa**l / math.factorial(l)
-            gap = series.factorial[:, :, l - 1] - bound \
-                - three_sigma[:, :, l - 1]
-            worst = max(worst, float(np.max(gap)))
-        record("moment-envelope", "PASS" if worst <= 0 else "FAIL",
-               f"kappa {kappa:.4g}, worst excess {worst:.3g}")
-    else:
-        record("moment-envelope", "SKIP",
-               "kernel infimum over the cell separations is zero"
-               if a_cell <= 0 else "needs constant rates")
-    a_zero = float(params.kernel.radial(0.0))
-    if a_zero > 0.0:
-        level = max(float(np.max(series.factorial[0, :, 0])) / cell_volume,
-                    params.b_norm / a_zero)
-        dens = series.factorial[:, :, 0] / cell_volume
-        err = series.factorial_stderr[:, :, 0] / cell_volume
-        worst = float(np.max(dens - level - 3.0 * err))
-        record("density-cap", "PASS" if worst <= 0 else "FAIL",
-               f"level {level:.4g}, worst excess {worst:.3g}")
-    else:
-        record("density-cap", "SKIP", "kernel vanishes at the origin")
-    failed = [r for r in results if r[1] == "FAIL"]
+    moments_check, moments = _recompute(
+        "moments-recompute", run / "moments.csv", moments_table(series))
+    results = [k1_check, moments_check, _moment_identity(moments, series),
+               *_envelope_checks(params, partition, series)]
     for name, status, detail in results:
         print(f"verify {status} {name}: {detail}")
-    print(f"verify: {len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_OK if not failed else EXIT_CHECK
+    passed, skipped, failed = (sum(r[1] == s for r in results)
+                               for s in ("PASS", "SKIP", "FAIL"))
+    print(f"verify: {passed} passed, {skipped} skipped, {failed} failed")
+    return EXIT_CHECK if failed else EXIT_OK
 
 
 # -- entry point ---------------------------------------------------------------
@@ -678,14 +661,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (CappedRunError, StepSizeError, ClipBudgetError, DivergenceError,
             ScheduleHorizonError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except (ValueError, OSError) as exc:   # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,6 +15,8 @@ array.
 
 `write_csv` is the package's one CSV writer: every CSV of every command
 goes through it, as blocks of columns with floats written by repr.
+`k1_table` and `moments_table` are the one place the k1.csv and moments.csv
+layouts are spelled out; `verify` compares the stored files with them.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ __all__ = [
     "density_estimate",
     "mean_density",
     "pair_correlation_estimate",
-    "cross_moment",
     "moment_series",
     "write_csv",
+    "k1_table",
     "write_k1_csv",
     "write_k2_csv",
+    "moments_table",
     "write_moments_csv",
     "read_csv_columns",
 ]
@@ -182,11 +185,6 @@ class MomentSeries:
     raw_stderr: np.ndarray
     cell_side: float = field(default=0.0)
 
-    def q(self, time_index: int, cell: int, l: int) -> float:
-        if l == 0:
-            return 1.0
-        return float(self.factorial[time_index, cell, l - 1])
-
 
 def factorial_moment(positions, box: Box, l: int) -> int:
     """binom(N_box, l), exact."""
@@ -307,16 +305,6 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     return CorrelationGrid(centers=centers, values=value, stderr=err, order=2)
 
 
-def cross_moment(ensemble: SnapshotEnsemble, box_x: Box,
-                 box_y: Box) -> CorrelationGrid:
-    """Mean of N_x N_y across replicas, per snapshot time."""
-    nx = ensemble.counts_in(box_x).astype(float)
-    ny = ensemble.counts_in(box_y).astype(float)
-    value, err = _replica_stats(nx * ny)
-    return CorrelationGrid(centers=ensemble.times.copy(), values=value,
-                           stderr=err, order=2)
-
-
 def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
                   l_max: int = 4, n_max: int = 4) -> MomentSeries:
     """Factorial moments per cell and the raw moments derived from them."""
@@ -362,14 +350,16 @@ def write_csv(path, header, blocks) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*text)))
 
 
-def write_k1_csv(path, grids: list[CorrelationGrid], times,
-                 dimension: int) -> None:
-    """k1.csv: t, cell center coordinates, value, stderr; a block per time."""
-    coords = [f"x{i + 1}" for i in range(dimension)]
-    write_csv(path, ["t", *coords, "value", "stderr"],
-              ([np.full(g.values.size, t, dtype=float),
-                *g.centers.reshape(g.values.size, -1).T, g.values, g.stderr]
-               for t, g in zip(times, grids)))
+def k1_table(grids: list[CorrelationGrid], times, dimension: int) -> tuple:
+    """k1.csv as (header, blocks): t, cell center, value, stderr by time."""
+    return (["t", *(f"x{i + 1}" for i in range(dimension)), "value", "stderr"],
+            ([np.full(g.values.size, t, dtype=float),
+              *g.centers.reshape(g.values.size, -1).T, g.values, g.stderr]
+             for t, g in zip(times, grids)))
+
+
+def write_k1_csv(path, grids, times, dimension: int) -> None:
+    write_csv(path, *k1_table(grids, times, dimension))
 
 
 def write_k2_csv(path, grids: list[CorrelationGrid], times) -> None:
@@ -379,24 +369,25 @@ def write_k2_csv(path, grids: list[CorrelationGrid], times) -> None:
                 g.stderr] for t, g in zip(times, grids)))
 
 
-def write_moments_csv(path, series: MomentSeries) -> None:
-    """moments.csv: t, cell_id, l_or_n, kind (factorial|raw), value, stderr.
-
-    One block per time; per cell, the factorial orders come before the raw
-    ones.
-    """
+def moments_table(series: MomentSeries) -> tuple:
+    """moments.csv as (header, blocks): t, cell_id, l_or_n, kind, value,
+    stderr by time; each cell's factorial orders come before its raw ones."""
     cells = series.factorial.shape[1]
     orders = np.r_[1:series.orders + 1, 1:series.raw_orders + 1]
     kinds = ["factorial"] * series.orders + ["raw"] * series.raw_orders
     rows = cells * orders.size
-    write_csv(path, ["t", "cell_id", "l_or_n", "kind", "value", "stderr"],
-              ([np.full(rows, t, dtype=float),
-                np.repeat(np.arange(cells), orders.size),
-                np.tile(orders, cells), np.tile(kinds, cells),
-                np.hstack([series.factorial[k], series.raw[k]]).ravel(),
-                np.hstack([series.factorial_stderr[k],
-                           series.raw_stderr[k]]).ravel()]
-               for k, t in enumerate(series.times)))
+    return (["t", "cell_id", "l_or_n", "kind", "value", "stderr"],
+            ([np.full(rows, t, dtype=float),
+              np.repeat(np.arange(cells), orders.size),
+              np.tile(orders, cells), np.tile(kinds, cells),
+              np.hstack([series.factorial[k], series.raw[k]]).ravel(),
+              np.hstack([series.factorial_stderr[k],
+                         series.raw_stderr[k]]).ravel()]
+             for k, t in enumerate(series.times)))
+
+
+def write_moments_csv(path, series: MomentSeries) -> None:
+    write_csv(path, *moments_table(series))
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:

@@ -28,7 +28,6 @@ __all__ = [
     "ModelParams",
     "death_rate",
     "death_rates",
-    "interaction_energy",
     "cell_infimum",
 ]
 
@@ -541,11 +540,6 @@ def death_rates(positions, params: ModelParams) -> NDArray[np.float64]:
         np.fill_diagonal(a, 0.0)
         rates = rates + np.sum(a, axis=1)
     return rates
-
-
-def interaction_energy(positions, params: ModelParams) -> float:
-    """Total event rate of the configuration's death part: sum of death rates."""
-    return float(np.sum(death_rates(positions, params)))
 
 
 def cell_infimum(kernel: CompetitionKernel, box: Box, divisions: int = 64) -> float:

@@ -11,14 +11,11 @@ from contpop import (
     RateField,
     ScheduleHorizonError,
     Window,
-    comparison_ode_bound,
-    comparison_uniform_bound,
     continuation_schedule,
     existence_time,
     kappa_from_factorial_moments,
     moment_bound_system,
     operator_norm_bound,
-    relaxation_time,
     stationary_density_bound,
     surgailis_theta_growth,
     theta_norm,
@@ -163,36 +160,6 @@ def test_schedule_horizon_error_carries_progress():
     assert 0.0 < err.value.reached < 10.0
 
 
-# ----------------------------------------------------------- comparison ODE
-
-def test_comparison_ode_bound_values():
-    # u' = 2 - u from u0 = 3: u(t) = 2 + e^-t
-    for t in (0.0, 0.5, 2.0):
-        assert comparison_ode_bound(3.0, 2.0, 1.0, t) == \
-            pytest.approx(2.0 + math.exp(-t))
-    assert comparison_ode_bound(1.0, 0.5, 0.0, 4.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        comparison_ode_bound(1.0, 1.0, 1.0, -1.0)
-
-
-def test_comparison_uniform_bound():
-    assert comparison_uniform_bound(3.0, 2.0, 1.0) == 3.0
-    assert comparison_uniform_bound(0.5, 2.0, 1.0) == 2.0
-    with pytest.raises(ValueError):
-        comparison_uniform_bound(1.0, 1.0, 0.0)
-
-
-def test_relaxation_time_exact_crossing():
-    u0, drive, decay, eps = 3.0, 2.0, 1.0, 0.1
-    t_star = relaxation_time(u0, drive, decay, eps)
-    # at the crossing the solution sits exactly eps above drive/decay
-    val = comparison_ode_bound(u0, drive, decay, t_star)
-    assert val == pytest.approx(drive / decay + eps, rel=1e-12)
-    assert relaxation_time(1.0, 2.0, 1.0, 0.1) == 0.0
-    with pytest.raises(ValueError):
-        relaxation_time(1.0, 1.0, 1.0, 0.0)
-
-
 # ------------------------------------------------------------ moment bounds
 
 def test_moment_system_matches_rk_reference():
@@ -275,7 +242,6 @@ def test_stationary_density_bound_level():
     assert bound.a_zero == pytest.approx(1.0)
     assert bound.level_sup == pytest.approx(0.5)
     assert bound.global_bound == pytest.approx(0.5)
-    assert bound.level(0.1) == pytest.approx(0.6)
     high = stationary_density_bound(params, rho0=2.0)
     assert high.global_bound == pytest.approx(2.0)
 

@@ -215,6 +215,45 @@ def test_golden_interacting_csvs_are_byte_identical(golden_interacting_runs,
             digest, name
 
 
+# exit code and per-check lines of verify on the two golden runs, recorded
+# before the recompute checks were rebuilt on the estimator writers' own
+# tables; six free replicas are too few for oracle-equivalence, which
+# false-alarms here
+GOLDEN_VERIFY = {
+    "free": (1, [
+        "verify PASS k1-recompute: max deviation 0",
+        "verify PASS moments-recompute: max deviation 0",
+        "verify PASS moment-identity: max relative residual 1.57e-16",
+        "verify PASS domination: worst envelope excess -0.393",
+        "verify FAIL oracle-equivalence: worst |deviation| - 3 sigma = 2.42",
+        "verify SKIP moment-envelope: kernel infimum over the cell "
+        "separations is zero",
+        "verify SKIP density-cap: kernel vanishes at the origin",
+    ]),
+    "interacting": (0, [
+        "verify PASS k1-recompute: max deviation 0",
+        "verify PASS moments-recompute: max deviation 0",
+        "verify PASS moment-identity: max relative residual 2.13e-16",
+        "verify PASS domination: worst envelope excess -2.35",
+        "verify SKIP oracle-equivalence: competition kernel present",
+        "verify PASS moment-envelope: kappa 1036, worst excess -1.04e+03",
+        "verify PASS density-cap: level 2, worst excess -1.09",
+    ]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_VERIFY))
+def test_golden_verify_lines(golden_runs, golden_interacting_runs, capsys,
+                             run):
+    out = {"free": golden_runs, "interacting": golden_interacting_runs}[run][1]
+    capsys.readouterr()
+    code = main(["verify", "--config", str(out.parent / "model.json"),
+                 "--run", str(out)])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.split(" ")[0] == "verify"]
+    assert (code, lines) == GOLDEN_VERIFY[run]
+
+
 def test_summary_records_phase_times(golden_runs):
     for out in golden_runs.values():
         phases = json.loads((out / "summary.json").read_text())["phase_s"]
@@ -299,6 +338,29 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
                  "--snapshots", "1.0", "--cell-side", "3.0"])
     assert code == 2
     assert "tile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--schedule", "-1"],
+    ["bounds", "--kappa", "0.7", "--schedule", "3"],
+    ["bounds", "--schedule", "0", "--schedule-steps", "3"],
+    ["bounds", "--schedule", "0"],
+    ["bounds", "--schedule-steps", "0"],
+    ["simulate", "--replicas", "0", "--snapshots", "1"],
+    ["simulate", "--replicas", "1", "--snapshots", "2,1"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--lmax", "9"],
+], ids=" ".join)
+def test_argument_errors_exit_2(tmp_path, capsys, argv):
+    # a ValueError from a library check is a configuration error, not a
+    # failed check (exit 1), and no traceback
+    cfg = write_cfg(tmp_path)
+    code = main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *(["--seed", "1"] if argv[0] == "simulate" else []),
+                 *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -593,19 +655,51 @@ def test_verify_passes_on_clean_free_run(tmp_path, capsys):
     assert "PASS oracle-equivalence" in output
     assert "SKIP moment-envelope" in output
     assert "SKIP density-cap" in output
+    assert "verify: 5 passed, 2 skipped, 0 failed" in output
+
+
+def edit_rows(path, edit):
+    """Rewrite a CSV after `edit` changed its list of row dicts in place."""
+    rows = read_rows(path)
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def test_verify_catches_tampered_moments(tmp_path, capsys):
     cfg, out = run_free_simulation(tmp_path)
-    rows = read_rows(out / "moments.csv")
-    rows[0]["value"] = repr(float(rows[0]["value"]) + 1.0)
-    with open(out / "moments.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    edit_rows(out / "moments.csv", lambda rows: rows[0].update(
+        value=repr(float(rows[0]["value"]) + 1.0)))
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
     assert code == 1
     assert "FAIL moments-recompute" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, check, edit", [
+    ("moments.csv", "moments-recompute", lambda rows: rows.pop(5)),
+    ("k1.csv", "k1-recompute", lambda rows: rows[1].update(
+        x1=repr(float(rows[1]["x1"]) + 0.05))),
+], ids=("moments-row-deleted", "k1-x1-changed"))
+def test_verify_checks_every_column_and_row(tmp_path, capsys, name, check,
+                                            edit):
+    # the stored file is compared with the writer's own table, so a lost row
+    # or a moved cell centre fails as surely as a changed value
+    cfg, out = run_free_simulation(tmp_path)
+    edit_rows(out / name, edit)
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    assert code == 1
+    assert f"FAIL {check}" in capsys.readouterr().out
+
+
+def test_verify_rejects_foreign_replica_ids(tmp_path, capsys):
+    cfg, out = run_free_simulation(tmp_path)
+    with open(out / "particles_0001.csv", "a") as fh:
+        fh.write("99,1.5\n-1,2.5\n")
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    assert code == 2
+    assert "particles_0001.csv" in capsys.readouterr().err
 
 
 def test_verify_rejects_config_hash_mismatch(tmp_path, capsys):

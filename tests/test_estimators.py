@@ -13,7 +13,6 @@ from contpop import (
     CellPartition,
     SnapshotEnsemble,
     Window,
-    cross_moment,
     density_estimate,
     factorial_moment,
     mean_density,
@@ -294,22 +293,12 @@ def test_pair_correlation_memory_stays_bounded():
 
 # ------------------------------------------------------------- cell moments
 
-def test_cross_moment_deterministic():
-    ens = fixed_ensemble([[[0.5, 0.6, 2.5]], [[0.5, 2.4, 2.6]]], L=4.0)
-    got = cross_moment(ens, Box([0.0], [1.0]), Box([2.0], [3.0]))
-    # replica products: 2*1 and 1*2
-    assert got.values[0] == pytest.approx(2.0)
-
-
 def test_moment_series_deterministic_exact():
     ens = fixed_ensemble([[[0.1, 0.2, 1.5]]], L=4.0)
     part = CellPartition(ens.window, 1.0)
     series = moment_series(ens, part, l_max=3, n_max=3)
     # cell 0 holds N=2: q1=2, q2=1, q3=0; raw 2, 4, 8
-    assert series.q(0, 0, 0) == 1.0
-    assert series.q(0, 0, 1) == 2.0
-    assert series.q(0, 0, 2) == 1.0
-    assert series.q(0, 0, 3) == 0.0
+    assert series.factorial[0, 0].tolist() == [2.0, 1.0, 0.0]
     assert series.raw[0, 0].tolist() == [2.0, 4.0, 8.0]
     assert np.all(series.factorial_stderr == 0.0)
     assert series.cell_side == 1.0

@@ -17,7 +17,6 @@ from contpop import (
     cell_infimum,
     death_rate,
     death_rates,
-    interaction_energy,
 )
 from conftest import gaussian_unit_kernel, make_params
 
@@ -356,16 +355,6 @@ def test_far_particles_leave_rate_unchanged(rng, torus10):
     base = death_rates(pos, params)
     after = death_rates(grown, params)[:5]
     assert np.array_equal(base, after)
-
-
-def test_interaction_energy_floor(rng, torus10):
-    k = CompetitionKernel.gaussian(1.0, 0.2, 1)
-    params = make_params(window=torus10, kernel=k, m=0.3)
-    spread = np.array([[0.0], [3.0], [6.0]])  # pairwise gaps > r_cut
-    floor = 3 * 0.3
-    assert interaction_energy(spread, params) == pytest.approx(floor)
-    tight = rng.uniform(0.0, 0.5, size=(4, 1))
-    assert interaction_energy(tight, params) > 4 * 0.3
 
 
 def test_in_cell_pair_energy_lower_bound(rng):
