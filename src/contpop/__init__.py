@@ -34,9 +34,8 @@ from .model import (Box, CompetitionKernel, ModelParams, RateField, Window,
                     cell_infimum, death_rate, death_rates)
 from .simulator import (CappedRunError, ReplicaPlan, RunStats,
                         SimulationState, run_replicas, sample_initial)
-from .surgailis import (SurgailisFlow, bogoliubov_functional,
-                        box_quadrature, expected_count, poisson_density_flow,
-                        propagate_correlation)
+from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
+                        poisson_density_flow, propagate_correlation)
 
 __all__ = [
     "__version__",
@@ -44,7 +43,7 @@ __all__ = [
     "death_rate", "death_rates", "cell_infimum",
     "StirlingTable", "stirling", "touchard", "binomial", "subsets",
     "SurgailisFlow", "propagate_correlation", "poisson_density_flow",
-    "expected_count", "bogoliubov_functional", "box_quadrature",
+    "expected_count", "box_quadrature",
     "theta_norm", "OperatorNormBound", "operator_norm_bound",
     "existence_time", "unit_existence_time", "surgailis_theta_growth",
     "Schedule", "ScheduleHorizonError", "continuation_schedule",

@@ -38,11 +38,12 @@ from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
                      surgailis_theta_growth, theta_norm, unit_existence_time)
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
-from .estimators import (CellPartition, SnapshotEnsemble, density_estimate,
-                         k1_table, moment_series, moments_table,
+from .estimators import (CellPartition, SnapshotEnsemble,
+                         check_moment_orders, density_estimate, k1_table,
+                         moment_series, moments_table,
                          pair_correlation_estimate, raw_moment_from_factorials,
-                         read_csv_columns, write_csv, write_k1_csv,
-                         write_k2_csv, write_moments_csv)
+                         read_csv_columns, separation_edges, write_csv,
+                         write_k1_csv, write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, integrate)
 from .model import Box, cell_infimum
@@ -132,6 +133,16 @@ def cmd_simulate(args) -> int:
     snapshots = _parse_times(args.snapshots, "--snapshots")
     cell_side = args.cell_side if args.cell_side is not None \
         else float(np.min(params.window.sides))
+    # the estimator arguments are checked before any replica runs
+    partition = CellPartition(params.window, cell_side)
+    check_moment_orders(args.lmax, args.nmax)
+    if args.k2_bins < 0:
+        raise ConfigError("--k2-bins must be nonnegative (0 writes no k2.csv)")
+    k2_bins = args.k2_bins if params.window.boundary == "periodic" else 0
+    if k2_bins > 0:
+        half = float(np.min(params.window.sides)) / 2.0
+        edges = separation_edges(params.window,
+                                 np.linspace(0.0, half, k2_bins + 1))
     out = Path(args.out)
     arguments = {"replicas": args.replicas, "snapshots": list(snapshots),
                  "threads": args.threads, "max_events": args.max_events,
@@ -155,18 +166,12 @@ def cmd_simulate(args) -> int:
                   ([np.full(len(reps[k]), r), *reps[k].T]
                    for r, reps in enumerate(ensemble.configurations)))
     phase_s["particle_csv"] = time.perf_counter() - t0
-    partition = CellPartition(params.window, cell_side)
     t0 = time.perf_counter()
     grids = density_estimate(ensemble, partition)
     series = moment_series(ensemble, partition, l_max=args.lmax,
                            n_max=args.nmax)
-    k2_bins = args.k2_bins if params.window.boundary == "periodic" else 0
-    k2_grids = []
-    if k2_bins > 0:
-        half = float(np.min(params.window.sides)) / 2.0
-        edges = np.linspace(0.0, half, k2_bins + 1)
-        k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k)
-                    for k in range(len(snapshots))]
+    k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k)
+                for k in range(len(snapshots))] if k2_bins > 0 else []
     phase_s["estimators"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_k1_csv(out / "k1.csv", grids, snapshots, d)
@@ -306,16 +311,18 @@ def cmd_surgailis(args) -> int:
               _grid_blocks(times, density, pts.reshape(-1, args.grid, d)))
     if args.pair_grid > 0 and d == 1:
         # second correlation on point pairs, via the subset-sum propagator
+        # over the whole pair grid at once
         if isinstance(rho0, (int, float)):
             r0 = float(rho0)
-            k0 = lambda eta: r0 ** len(eta)
+            k0 = lambda eta: r0 ** eta.shape[-2]
         else:
-            k0 = lambda eta: float(np.prod(np.asarray(rho0(eta), dtype=float)))
+            k0 = lambda eta: np.prod(np.asarray(rho0(eta), dtype=float),
+                                     axis=-1)
         grid1 = box_quadrature(window.core, args.pair_grid,
                                periodic=True)[0][:, 0]
         pairs = np.stack(np.meshgrid(grid1, grid1, indexing="ij"), axis=-1)
-        k2 = ([propagate_correlation(eta[:, None], k0, flow)
-               for eta in pairs.reshape(-1, 2)] for flow in flows)
+        k2 = (propagate_correlation(pairs[..., None], k0, flow)
+              for flow in flows)
         write_csv(out / "k2.csv", ["t", "x1", "x2", "value"],
                   _grid_blocks(times, k2, pairs))
     counts = {repr(float(t)): expected_count(window.core, flow, rho0=rho0)
@@ -435,6 +442,9 @@ def _load_ensemble(run: Path, params, summary) -> SnapshotEnsemble:
     configs = [[None] * len(times) for _ in range(replicas)]
     for k, fname in enumerate(summary["particle_files"]):
         cols = read_csv_columns(run / fname)
+        missing = {"replica", *(f"x{i+1}" for i in range(d))} - set(cols)
+        if missing:
+            raise ConfigError(f"{run / fname} lacks columns {sorted(missing)}")
         reps = np.asarray(cols["replica"], dtype=int)
         if np.any((reps < 0) | (reps >= replicas)):
             raise ConfigError(f"{run / fname} has replica ids outside "

@@ -39,7 +39,9 @@ __all__ = [
     "raw_moment_from_factorials",
     "density_estimate",
     "mean_density",
+    "separation_edges",
     "pair_correlation_estimate",
+    "check_moment_orders",
     "moment_series",
     "write_csv",
     "k1_table",
@@ -274,6 +276,20 @@ def _pair_histogram(window: Window, pos: np.ndarray,
     return hist
 
 
+def separation_edges(window: Window, r_edges) -> np.ndarray:
+    """r_edges as a float array, checked to increase over at least two
+    entries and, on a torus, to stay within half the smallest side."""
+    r_edges = np.asarray(r_edges, dtype=float)
+    if r_edges.ndim != 1 or r_edges.size < 2 or np.any(np.diff(r_edges) <= 0):
+        raise ValueError("r_edges must be increasing with at least two entries")
+    if window.boundary == "periodic":
+        half = float(np.min(window.sides)) / 2.0
+        if r_edges[-1] > half + 1e-12:
+            raise ValueError(f"separation bins reach {r_edges[-1]:g}, beyond "
+                             f"half the smallest side {half:g}")
+    return r_edges
+
+
 def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
                               time_index: int = -1) -> CorrelationGrid:
     """Radial second correlation at one snapshot time.
@@ -283,14 +299,7 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     k^(2)(r) on the torus; mean and stderr are taken across replicas.
     """
     window = ensemble.window
-    r_edges = np.asarray(r_edges, dtype=float)
-    if r_edges.ndim != 1 or r_edges.size < 2 or np.any(np.diff(r_edges) <= 0):
-        raise ValueError("r_edges must be increasing with at least two entries")
-    if window.boundary == "periodic":
-        half = float(np.min(window.sides)) / 2.0
-        if r_edges[-1] > half + 1e-12:
-            raise ValueError(f"separation bins reach {r_edges[-1]:g}, beyond "
-                             f"half the smallest side {half:g}")
+    r_edges = separation_edges(window, r_edges)
     shells = _shell_volumes(r_edges, window.dimension)
     volume = window.volume
     per_replica = np.zeros((ensemble.n_replicas, r_edges.size - 1))
@@ -305,13 +314,18 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     return CorrelationGrid(centers=centers, values=value, stderr=err, order=2)
 
 
-def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
-                  l_max: int = 4, n_max: int = 4) -> MomentSeries:
-    """Factorial moments per cell and the raw moments derived from them."""
+def check_moment_orders(l_max: int, n_max: int) -> None:
+    """Raise ValueError unless 1 <= n_max <= l_max <= MAX_MOMENT_ORDER."""
     if not 1 <= l_max <= MAX_MOMENT_ORDER or not 1 <= n_max <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment orders limited to 1..{MAX_MOMENT_ORDER}")
     if n_max > l_max:
         raise ValueError("raw order n_max needs factorials up to the same order")
+
+
+def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
+                  l_max: int = 4, n_max: int = 4) -> MomentSeries:
+    """Factorial moments per cell and the raw moments derived from them."""
+    check_moment_orders(l_max, n_max)
     counts = _cell_counts(ensemble, partition)
     # tables indexed by count, filled only on the rows of counts that occur
     present = np.bincount(counts.ravel(), minlength=1)
@@ -391,10 +405,11 @@ def write_moments_csv(path, series: MomentSeries) -> None:
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a CSV into raw string columns keyed by header."""
+    """Read a CSV into raw string columns keyed by header; an empty file
+    has no columns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         cols: dict[str, list[str]] = {name: [] for name in header}
         for row in reader:
             for name, value in zip(header, row):

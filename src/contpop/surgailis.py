@@ -29,7 +29,6 @@ __all__ = [
     "propagate_correlation",
     "poisson_density_flow",
     "expected_count",
-    "bogoliubov_functional",
     "box_quadrature",
 ]
 
@@ -109,10 +108,6 @@ class SurgailisFlow:
         m = np.asarray(self.mortality(x), dtype=float)
         return _phi_from_rates(b, m, self.t)
 
-    def window_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        return box_quadrature(self.window.domain, self.points_per_axis,
-                              periodic=self.window.boundary == "periodic")
-
 
 def _phi_from_rates(b, m, t):
     b = np.asarray(b, dtype=float)
@@ -129,31 +124,37 @@ def _phi_from_rates(b, m, t):
     return out
 
 
-def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow) -> float:
+def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow):
     """Correlation function k_t(eta) of the non-interacting flow.
 
-    `k0` maps an (n, d) position array to the initial correlation value;
-    k0 of the empty configuration is taken to be 1 without calling it.
-    Coincident points are distinct particles.  `subsets` refuses orders
-    above MAX_SUBSET_ORDER (the sum has 2^|eta| terms).
+    `eta` is one configuration, an (n, d) position array, or a batch of
+    them, (..., n, d); the result is a float or an array of the batch
+    shape.  `k0` maps a batch of (..., k, d) position arrays to the initial
+    correlation values (...); k0 of the empty configuration is taken to be
+    1 without calling it.  Every element of a batch sees the floating-point
+    operations it would see alone.  Coincident points are distinct
+    particles.  `subsets` refuses orders above MAX_SUBSET_ORDER (the sum
+    has 2^n terms).
     """
-    pts = _as_points(eta, flow.window.dimension)
-    n = pts.shape[0]
-    if n == 0:
-        return 1.0
-    phi = np.atleast_1d(np.asarray(flow.phi(pts), dtype=float))
-    psi = np.atleast_1d(np.asarray(flow.psi(pts), dtype=float))
-    total = 0.0
-    for chosen, rest in subsets(range(n)):
-        term = 1.0
+    pts = np.asarray(eta, dtype=float)
+    d = flow.window.dimension
+    if pts.ndim < 2 or pts.shape[-1] != d:
+        raise ValueError(f"eta must be an (..., n, {d}) array of positions")
+    phi = flow.phi(pts)
+    psi = flow.psi(pts)
+    total = np.zeros(pts.shape[:-2])
+    # the terms in subset order, each phi of the chosen points, then psi
+    # and k0 of the rest
+    for chosen, rest in subsets(range(pts.shape[-2])):
+        term = np.ones(pts.shape[:-2])
         for i in chosen:
-            term *= phi[i]
+            term *= phi[..., i]
         for i in rest:
-            term *= psi[i]
+            term *= psi[..., i]
         if rest:
-            term *= float(k0(pts[list(rest)]))
+            term *= k0(pts[..., list(rest), :])
         total += term
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 def poisson_density_flow(rho0, flow: SurgailisFlow, x):
@@ -178,41 +179,3 @@ def expected_count(region: Box, flow: SurgailisFlow, mu0_mean: float = 0.0,
     pts, w = box_quadrature(region, flow.points_per_axis)
     vals = np.asarray(poisson_density_flow(rho0, flow, pts), dtype=float)
     return float(np.sum(w * vals))
-
-
-def bogoliubov_functional(theta, flow: SurgailisFlow, b0: Callable | None = None,
-                          rho0=None) -> float:
-    """Generating functional at time t evaluated on the test field theta.
-
-    theta maps positions to values in (-1, 0] (scalars are broadcast).  The
-    initial functional b0 receives the damped field x -> theta(x) psi(x); for
-    an initially Poisson state pass rho0 instead and b0 is built as
-    exp(integral theta psi rho0).
-    """
-    pts, w = flow.window_quadrature()
-    th = np.asarray(theta(pts) if callable(theta) else theta, dtype=float)
-    th = np.broadcast_to(th, (pts.shape[0],))
-    if np.any(th > 0.0) or np.any(th <= -1.0):
-        raise ValueError("theta values must lie in (-1, 0]")
-    growth = float(np.sum(w * th * flow.phi(pts)))
-    if b0 is not None:
-        damped = lambda x: (theta(x) if callable(theta) else theta) * flow.psi(x)
-        initial = float(b0(damped))
-    elif rho0 is not None:
-        if isinstance(rho0, RateField) or callable(rho0):
-            r0 = np.asarray(rho0(pts), dtype=float)
-        else:
-            r0 = float(rho0)
-        initial = float(np.exp(np.sum(w * th * flow.psi(pts) * r0)))
-    else:
-        raise ValueError("pass b0 or rho0 for the initial state")
-    return float(np.exp(growth)) * initial
-
-
-def _as_points(eta, dimension: int) -> np.ndarray:
-    pts = np.asarray(eta, dtype=float)
-    if pts.size == 0:
-        return pts.reshape(0, dimension)
-    if pts.ndim == 1:
-        pts = pts[:, None] if dimension == 1 else pts[None, :]
-    return pts.reshape(-1, dimension)

@@ -41,6 +41,8 @@ def has_dotted(obj, name):
     ("estimators", "cross_moment"),
     ("estimators", "MomentSeries.q"),
     ("model", "interaction_energy"),
+    ("surgailis", "bogoliubov_functional"),
+    ("surgailis", "SurgailisFlow.window_quadrature"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)

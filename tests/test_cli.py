@@ -349,18 +349,24 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     ["simulate", "--replicas", "0", "--snapshots", "1"],
     ["simulate", "--replicas", "1", "--snapshots", "2,1"],
     ["simulate", "--replicas", "1", "--snapshots", "1", "--lmax", "9"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--nmax", "5"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--cell-side", "3"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--k2-bins", "-1"],
 ], ids=" ".join)
 def test_argument_errors_exit_2(tmp_path, capsys, argv):
     # a ValueError from a library check is a configuration error, not a
-    # failed check (exit 1), and no traceback
+    # failed check (exit 1), and no traceback; simulate checks its arguments
+    # before any replica runs, so no particle file is written
     cfg = write_cfg(tmp_path)
-    code = main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "o"),
+    out = tmp_path / "o"
+    code = main([argv[0], "--config", str(cfg), "--out", str(out),
                  *(["--seed", "1"] if argv[0] == "simulate" else []),
                  *argv[1:]])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert list(out.glob("particles_*.csv")) == []
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -456,6 +462,24 @@ def test_surgailis_linear_growth_without_mortality(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     counts = summary["expected_core_counts"]
     assert counts[repr(1.0)] == pytest.approx(25.0)
+
+
+def test_surgailis_propagates_each_time_in_one_call(tmp_path, monkeypatch):
+    # the whole pair grid is one batch, so the subset sum runs once per time
+    shapes = []
+    propagate = cli.propagate_correlation
+
+    def counted(eta, k0, flow):
+        shapes.append(eta.shape)
+        return propagate(eta, k0, flow)
+
+    monkeypatch.setattr(cli, "propagate_correlation", counted)
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.5})
+    code = main(["surgailis", "--config", str(cfg), "--out",
+                 str(tmp_path / "sur"), "--times", "0.5,1.0,2.0",
+                 "--grid", "8", "--pair-grid", "5"])
+    assert code == 0
+    assert shapes == [(5, 5, 2, 1)] * 3
 
 
 # ------------------------------------------------------------------- bounds
@@ -691,6 +715,24 @@ def test_verify_checks_every_column_and_row(tmp_path, capsys, name, check,
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
     assert code == 1
     assert f"FAIL {check}" in capsys.readouterr().out
+
+
+def test_verify_fails_on_empty_k1_csv(tmp_path, capsys):
+    cfg, out = run_free_simulation(tmp_path)
+    (out / "k1.csv").write_bytes(b"")
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL k1-recompute" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_verify_rejects_empty_particle_file(tmp_path, capsys):
+    cfg, out = run_free_simulation(tmp_path)
+    (out / "particles_0001.csv").write_bytes(b"")
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    assert code == 2
+    assert "lacks columns ['replica', 'x1']" in capsys.readouterr().err
 
 
 def test_verify_rejects_foreign_replica_ids(tmp_path, capsys):

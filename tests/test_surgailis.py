@@ -10,7 +10,6 @@ from contpop import (
     RateField,
     SurgailisFlow,
     Window,
-    bogoliubov_functional,
     box_quadrature,
     expected_count,
     poisson_density_flow,
@@ -155,6 +154,41 @@ def test_propagator_order_cap():
         propagate_correlation(eta, k_poisson(1.0), f)
 
 
+def bump_flow(d, t=0.8):
+    box = Box(np.zeros(d), np.full(d, 10.0))
+    b = RateField.gaussian_bump(1.2, np.full(d, 6.0), 1.5, box)
+    m = RateField.gaussian_bump(0.9, np.full(d, 3.0), 2.0, box)
+    return SurgailisFlow(b, m, Window([10.0] * d), t)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_batch_equals_single_configurations(rng, d, n):
+    # a batch runs the subset sum on whole arrays in the order a single
+    # configuration does, so each element is the same float, not a close one
+    f = bump_flow(d)
+    rho0 = RateField.gaussian_bump(0.7, np.full(d, 4.0), 1.8,
+                                   Box(np.zeros(d), np.full(d, 10.0)))
+    k0 = lambda pts: np.prod(rho0(pts), axis=-1)
+    batch = rng.uniform(0.0, 10.0, size=(3, 4, n, d))
+    got = propagate_correlation(batch, k0, f)
+    assert got.shape == (3, 4)
+    single = [[propagate_correlation(eta, k0, f) for eta in row]
+              for row in batch]
+    assert all(isinstance(v, float) for row in single for v in row)
+    assert np.array_equal(got, np.array(single))
+    if n == 0:
+        assert np.all(got == 1.0)
+
+
+def test_propagator_rejects_misshapen_positions():
+    f = flow()
+    with pytest.raises(ValueError, match="positions"):
+        propagate_correlation([3.0], k_poisson(1.0), f)
+    with pytest.raises(ValueError, match="positions"):
+        propagate_correlation(np.zeros((2, 2)), k_poisson(1.0), f)
+
+
 # -------------------------------------------------- densities and counts
 
 def test_density_flow_no_mortality():
@@ -182,54 +216,6 @@ def test_expected_count_explicit_density():
     f = SurgailisFlow(0.0, 2.0, Window([4.0]), 0.5)
     got = expected_count(region, f, rho0=1.5)
     assert got == pytest.approx(1.5 * math.exp(-1.0) * 4.0, rel=1e-9)
-
-
-# --------------------------------------------------------------- functional
-
-def test_bogoliubov_at_zero_field():
-    f = flow(b=1.0, m=1.0, t=2.0)
-    assert bogoliubov_functional(0.0, f, rho0=0.7) == pytest.approx(1.0)
-
-
-def test_bogoliubov_poisson_closed_form():
-    b, m, t, rho, th, L = 1.0, 2.0, 1.5, 0.4, -0.3, 10.0
-    f = flow(b=b, m=m, t=t, L=L)
-    psi = math.exp(-m * t)
-    phi = b * (1.0 - psi) / m
-    exact = math.exp(th * (psi * rho + phi) * L)
-    assert bogoliubov_functional(th, f, rho0=rho) == pytest.approx(exact, rel=1e-9)
-
-
-def test_bogoliubov_b0_route_matches_rho0_route():
-    f = flow(b=0.8, m=1.2, t=0.7)
-    rho = 0.55
-    pts, w = f.window_quadrature()
-
-    def b0(theta_field):
-        vals = np.asarray(theta_field(pts), dtype=float)
-        return math.exp(float(np.sum(w * vals * rho)))
-
-    theta = lambda x: np.full(np.asarray(x).reshape(-1, 1).shape[0], -0.2)
-    via_b0 = bogoliubov_functional(theta, f, b0=b0)
-    via_rho = bogoliubov_functional(theta, f, rho0=rho)
-    assert via_b0 == pytest.approx(via_rho, rel=1e-12)
-
-
-def test_bogoliubov_domain_errors():
-    f = flow()
-    with pytest.raises(ValueError, match="theta"):
-        bogoliubov_functional(0.5, f, rho0=1.0)
-    with pytest.raises(ValueError, match="theta"):
-        bogoliubov_functional(-1.0, f, rho0=1.0)
-    with pytest.raises(ValueError, match="initial"):
-        bogoliubov_functional(-0.5, f)
-
-
-def test_bogoliubov_t0_reduces_to_initial():
-    f = flow(b=1.0, m=1.0, t=0.0)
-    rho, th, L = 0.3, -0.25, 10.0
-    exact = math.exp(th * rho * L)
-    assert bogoliubov_functional(th, f, rho0=rho) == pytest.approx(exact, rel=1e-9)
 
 
 # --------------------------------------------------------------- quadrature
