@@ -297,6 +297,9 @@ def cmd_surgailis(args) -> int:
     params = build_params(cfg)
     times = _parse_times(args.times, "--times")
     rho0 = _initial_density(cfg, params)
+    if args.pair_grid > 0 and params.dimension != 1:
+        raise ConfigError("--pair-grid needs a 1-D window, not dimension "
+                          f"{params.dimension}")
     out = Path(args.out)
     arguments = {"times": list(times), "grid": args.grid,
                  "pair_grid": args.pair_grid}
@@ -309,7 +312,7 @@ def cmd_surgailis(args) -> int:
     write_csv(out / "density.csv",
               ["t"] + [f"x{i+1}" for i in range(d)] + ["value"],
               _grid_blocks(times, density, pts.reshape(-1, args.grid, d)))
-    if args.pair_grid > 0 and d == 1:
+    if args.pair_grid > 0:
         # second correlation on point pairs, via the subset-sum propagator
         # over the whole pair grid at once
         if isinstance(rho0, (int, float)):

@@ -9,9 +9,17 @@ N^n = sum_l l! S(n, l) binom(N, l) in `raw_moment_from_factorials`), so the
 factorial path stays the primary one and every sample equals the float of an
 exact integer.  `counts_in` counts a box the same way, with one `bincount`
 over the replica-snapshot slots.  Densities and pair correlations are simple
-bin estimators with replica-level standard errors; the pair histogram takes
-its rows in blocks of about _PAIR_BLOCK pairs, so it never holds an n x n
-array.
+bin estimators with replica-level standard errors.
+
+The estimators work in blocks bounded by one budget, _PAIR_BLOCK elements.
+`moment_series` and `density_estimate` reduce over the replicas in column
+blocks of the flattened (snapshot x cell) count matrix, so besides the
+integer counts they hold about _PAIR_BLOCK floats at a time, never a
+replicas x snapshots x cells x orders tensor.  `pair_correlation_estimate`
+counts the pairs of all replicas of a snapshot in one pass over blocks of
+about _PAIR_BLOCK pairs, never an n x n array.  The blocks change no
+result: pair counts are integers, and numpy adds the replicas of each
+element in order whatever the block.
 
 `write_csv` is the package's one CSV writer: every CSV of every command
 goes through it, as blocks of columns with floats written by repr.
@@ -26,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, stirling
 from .model import Box, Window
@@ -53,7 +62,9 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 8
-_PAIR_BLOCK = 1 << 16   # pairs per row block of the pair-separation histogram
+# the one block budget: pairs per block of the pair histogram, and looked-up
+# floats per column block of the cell-moment and density reductions
+_PAIR_BLOCK = 1 << 16
 
 
 class SnapshotEnsemble:
@@ -136,16 +147,22 @@ def _cell_index(partition: CellPartition,
     return np.ravel_multi_index(tuple(idx.T), partition.shape), inside
 
 
+def _stack(configs, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """The position arrays of `configs` as one (N, d) array, and the index
+    in `configs` of each row."""
+    configs = [np.asarray(pos, dtype=float).reshape(-1, dimension)
+               for pos in configs]
+    if not configs:
+        return np.empty((0, dimension)), np.empty(0, dtype=np.intp)
+    slot = np.repeat(np.arange(len(configs)), [p.shape[0] for p in configs])
+    return np.concatenate(configs), slot
+
+
 def _stacked(ensemble: SnapshotEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Every particle of the ensemble as one (N, d) array, and the
     replica-snapshot slot r * n_times + k of each."""
-    d = ensemble.window.dimension
-    configs = [np.asarray(pos, dtype=float).reshape(-1, d)
-               for reps in ensemble.configurations for pos in reps]
-    if not configs:
-        return np.empty((0, d)), np.empty(0, dtype=np.intp)
-    slot = np.repeat(np.arange(len(configs)), [p.shape[0] for p in configs])
-    return np.concatenate(configs), slot
+    return _stack([pos for reps in ensemble.configurations for pos in reps],
+                  ensemble.window.dimension)
 
 
 def _cell_counts(ensemble: SnapshotEnsemble,
@@ -221,6 +238,24 @@ def _replica_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, samples.std(axis=0, ddof=1) / math.sqrt(n)
 
 
+def _column_stats(counts: np.ndarray,
+                  table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_replica_stats` of table[counts], for a (replicas, columns) count
+    matrix, in column blocks of about _PAIR_BLOCK looked-up values.  A block
+    keeps at least two columns: numpy sums a reduction to a single value
+    pairwise, not in replica order, so one column alone could round
+    differently."""
+    replicas, columns = counts.shape
+    width = max(_PAIR_BLOCK // max(replicas * table.shape[1], 1), 2)
+    blocks = max(columns // width, 1)
+    mean = np.empty((columns, table.shape[1]))
+    err = np.empty_like(mean)
+    for b in range(blocks):
+        cols = slice(b * columns // blocks, (b + 1) * columns // blocks)
+        mean[cols], err[cols] = _replica_stats(table[counts[:, cols]])
+    return mean, err
+
+
 def mean_density(ensemble: SnapshotEnsemble) -> CorrelationGrid:
     """Core density per snapshot: centers are times here."""
     counts = ensemble.counts_in(ensemble.window.core).astype(float)
@@ -234,11 +269,15 @@ def density_estimate(ensemble: SnapshotEnsemble,
     """Per-cell density estimate, one grid per snapshot time."""
     volume = partition.cell_side ** ensemble.window.dimension
     centers = np.asarray([0.5 * (c.lo + c.hi) for c in partition])
-    counts = _cell_counts(ensemble, partition).astype(float)
+    counts = _cell_counts(ensemble, partition)
+    table = np.arange(counts.max(initial=0) + 1, dtype=float)[:, None] / volume
     out = []
+    # snapshot by snapshot: over a single cell, numpy sums the replicas
+    # pairwise, so the snapshots are not merged into one reduction
     for k in range(ensemble.n_times):
-        value, err = _replica_stats(counts[:, k, :] / volume)
-        out.append(CorrelationGrid(centers=centers, values=value, stderr=err))
+        value, err = _column_stats(counts[:, k, :], table)
+        out.append(CorrelationGrid(centers=centers, values=value.ravel(),
+                                   stderr=err.ravel()))
     return out
 
 
@@ -250,30 +289,61 @@ def _shell_volumes(edges: np.ndarray, dimension: int) -> np.ndarray:
     return 4.0 / 3.0 * math.pi * np.diff(edges**3)
 
 
-def _pair_histogram(window: Window, pos: np.ndarray,
-                    r_edges: np.ndarray) -> np.ndarray:
-    """Histogram of the separations |displacement(pos[i], pos[j])|, i < j.
+def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
+                     n_replicas: int, r_edges: np.ndarray) -> np.ndarray:
+    """(n_replicas, bins) histograms of |displacement(pos[i], pos[j])| over
+    the pairs i < j of each replica; pos holds the replicas one after
+    another, replica[i] being that of row i.
 
-    Rows are taken in blocks of about _PAIR_BLOCK pairs, each against the
-    columns after its first row, with the pairs j <= i masked out, so no
-    n x n array is built; the integer block histograms add up exactly.  The
-    coordinates are stored axis by axis, so that numpy's inner loops run
-    along the columns instead of the d coordinates of one pair; that changes
-    the order of the element-wise operations, not their results.
+    Row i pairs with the partners[i] rows after it, read from a sliding
+    window over the coordinates, stored axis by axis so numpy's inner loops
+    run along the pairs.  A block of rows holds about _PAIR_BLOCK pairs at
+    its widest row, the columns past each row's replica masked.  A block
+    inside one replica goes to np.histogram, whose sort costs less than a
+    pass per edge.  In a block across replicas a separation's bin is the
+    count of edges at or below it, the last edge one ulp up so the last bin
+    is closed as in np.histogram, and bins 0 and bins + 1 hold the
+    separations outside; one bincount takes the keys replica * (bins + 2)
+    + bin.
     """
-    n = pos.shape[0]
-    pos = np.asfortranarray(pos)
-    hist = np.zeros(r_edges.size - 1, dtype=np.int64)
+    n, d = pos.shape
+    bins = r_edges.size - 1
+    upper = r_edges.copy()
+    upper[-1] = np.nextafter(upper[-1], np.inf)
+    ends = np.cumsum(np.bincount(replica, minlength=n_replicas))
+    partners = ends[replica] - np.arange(n) - 1
+    width = max(int(partners.max(initial=0)), 1)
+    coords = np.zeros((d, n + width))   # zero padding, always masked
+    coords[:, :n] = pos.T
+    columns = sliding_window_view(coords, width, axis=1)  # coords[:, i:i+width]
+    hist = np.zeros((n_replicas, bins + 2), dtype=np.int64)
     start = 0
-    while start < n - 1:
-        stop = min(start + max(_PAIR_BLOCK // (n - 1 - start), 1), n - 1)
-        disp = window.displacement(pos[start:stop, None, :],
-                                   pos[None, start + 1:, :])
-        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
-        upper = np.arange(start + 1, n) > np.arange(start, stop)[:, None]
-        hist += np.histogram(dist[upper], bins=r_edges)[0]
+    while start < n:
+        widest = np.maximum.accumulate(partners[start:start + _PAIR_BLOCK])
+        rows = max(int(np.count_nonzero(
+            widest * np.arange(1, widest.size + 1) <= _PAIR_BLOCK)), 1)
+        stop, w = start + rows, int(widest[rows - 1])
+        if w:
+            disp = window.displacement(
+                coords[:, start:stop].T[:, None, :],
+                columns[:, start + 1:stop + 1, :w].transpose(1, 2, 0))
+            dist = np.sqrt(np.sum(np.square(disp), axis=-1))
+            count = partners[start:stop]
+            dist = dist[np.arange(w) < count[:, None]]    # row by row
+            first = replica[start]
+            if first == replica[stop - 1]:
+                hist[first, 1:-1] += np.histogram(dist, bins=r_edges)[0]
+            else:
+                index = np.zeros(dist.size,
+                                 dtype=np.min_scalar_type(upper.size))
+                for edge in upper:
+                    index += dist >= edge
+                key = np.repeat(replica[start:stop] * (bins + 2), count)
+                key += index
+                hist += np.bincount(key, minlength=hist.size).reshape(
+                    hist.shape)
         start = stop
-    return hist
+    return hist[:, 1:-1]
 
 
 def separation_edges(window: Window, r_edges) -> np.ndarray:
@@ -296,19 +366,20 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
 
     Ordered pairs with minimum-image separation in [r, r+dr) are counted per
     replica and divided by V * shell volume, an unbiased estimator of
-    k^(2)(r) on the torus; mean and stderr are taken across replicas.
+    k^(2)(r) on the torus; mean and stderr are taken across replicas.  The
+    pairs of every replica are counted in one pass (`_pair_histograms`).
     """
     window = ensemble.window
     r_edges = separation_edges(window, r_edges)
     shells = _shell_volumes(r_edges, window.dimension)
-    volume = window.volume
-    per_replica = np.zeros((ensemble.n_replicas, r_edges.size - 1))
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions(r, time_index)
-        if window.boundary != "periodic":
-            pos = pos[window.core.contains_points(pos)]
-        hist = _pair_histogram(window, pos, r_edges)
-        per_replica[r] = 2.0 * hist / (volume * shells)  # ordered pairs
+    pos, replica = _stack([ensemble.positions(r, time_index)
+                           for r in range(ensemble.n_replicas)],
+                          window.dimension)
+    if window.boundary != "periodic":
+        core = window.core.contains_points(pos)
+        pos, replica = pos[core], replica[core]
+    hist = _pair_histograms(window, pos, replica, ensemble.n_replicas, r_edges)
+    per_replica = 2.0 * hist / (window.volume * shells)   # ordered pairs
     centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     value, err = _replica_stats(per_replica)
     return CorrelationGrid(centers=centers, values=value, stderr=err, order=2)
@@ -336,8 +407,12 @@ def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
         fact_table[n] = [float(f) for f in facts]
         raw_table[n] = [float(raw_moment_from_factorials(facts, m))
                         for m in range(1, n_max + 1)]
-    f_mean, f_err = _replica_stats(fact_table[counts])
-    r_mean, r_err = _replica_stats(raw_table[counts])
+    replicas, shape = counts.shape[0], counts.shape[1:]
+    columns = counts.reshape(replicas, math.prod(shape))
+    f_mean, f_err = (a.reshape(shape + (l_max,))
+                     for a in _column_stats(columns, fact_table))
+    r_mean, r_err = (a.reshape(shape + (n_max,))
+                     for a in _column_stats(columns, raw_table))
     return MomentSeries(times=ensemble.times.copy(), orders=l_max,
                         raw_orders=n_max, factorial=f_mean,
                         factorial_stderr=f_err, raw=r_mean, raw_stderr=r_err,

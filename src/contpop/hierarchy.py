@@ -21,7 +21,8 @@ the clipped mass exceeds a fixed fraction of the state.
 The kernel grid, the full-grid kernel matrix and the pair-equation decay are
 built once per state.  The integrator carries one flat vector [rho | k1] +
 k2.ravel(), whose layout `HierarchyState.split` alone knows; each RK4 stage
-evaluates the right-hand sides on views of its stage vector.
+evaluates the right-hand sides on views of its stage vector, and in full-grid
+mode computes the M x M convolution of k2 with the kernel once for both.
 """
 
 from __future__ import annotations
@@ -200,28 +201,38 @@ def _closed_k2(state: HierarchyState):
     return np.outer(state.k1, state.k1)
 
 
-def rhs_order1(state: HierarchyState, closure: str = "zero-third-cumulant"):
+def _row_convolution(state: HierarchyState, k2: np.ndarray) -> np.ndarray:
+    """Full grid: each row of k2 circularly convolved with the kernel,
+    conv[i, j] = sum_l k2[i, l] a(x_j - x_l) dx."""
+    shape = k2.shape[1:]
+    return np.fft.irfftn(np.fft.rfftn(k2, axes=(1,), s=shape) *
+                         state.a_fft, s=shape, axes=(1,))
+
+
+def rhs_order1(state: HierarchyState, closure: str = "zero-third-cumulant",
+               k2_conv=None):
     """Time derivative of the density / first correlation.
 
     Uses the state's own k^(2) when present; when the state carries only the
-    first order, k^(2) is closed as the product of densities.
+    first order, k^(2) is closed as the product of densities.  A full-grid
+    caller that already holds `_row_convolution(state, state.k2)` passes it
+    as `k2_conv`.
     """
     k2 = state.k2 if state.k2 is not None else _closed_k2(state)
     if state.mode == "translation-invariant":
         competition = float(np.sum(state.a_grid * k2)) * state.cell_volume
         return state.b - state.m * state.rho - competition
-    shape = k2.shape[1:]
-    conv = np.fft.irfftn(np.fft.rfftn(k2, axes=(1,), s=shape) *
-                         state.a_fft, s=shape, axes=(1,))
+    conv = _row_convolution(state, k2) if k2_conv is None else k2_conv
     competition = np.einsum("ii->i", conv)
     return state.b - state.m * state.k1 - competition
 
 
-def _third_order_integral(state: HierarchyState, closure: str) -> np.ndarray:
+def _third_order_integral(state: HierarchyState, closure: str,
+                          k2_conv=None) -> np.ndarray:
     """Closure-dependent competition drain in the pair equation.
 
     Returns the integral of [a(y - x1) + a(y - x2)] k3(x1, x2, y) over y,
-    with k3 built by the requested closure.
+    with k3 built by the requested closure; k2_conv as in `rhs_order1`.
     """
     if closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
@@ -247,8 +258,7 @@ def _third_order_integral(state: HierarchyState, closure: str) -> np.ndarray:
         pair = a_conv_k1[:, None] + a_conv_k1[None, :]
         if closure == "mean-field":
             return k2 * pair
-        w = np.fft.irfft(np.fft.rfft(k2, axis=1) * state.a_fft[None, :],
-                         n=n, axis=1)
+        w = _row_convolution(state, k2) if k2_conv is None else k2_conv
         diag_w = np.einsum("ii->i", w)
         term = k2 * pair
         term += k1[None, :] * diag_w[:, None] + k1[:, None] * w.T
@@ -263,12 +273,13 @@ def _third_order_integral(state: HierarchyState, closure: str) -> np.ndarray:
     return pref * (cross + cross.T)
 
 
-def rhs_order2(state: HierarchyState,
-               closure: str = "zero-third-cumulant") -> np.ndarray:
-    """Time derivative of the second correlation on the state's grid."""
+def rhs_order2(state: HierarchyState, closure: str = "zero-third-cumulant",
+               k2_conv=None) -> np.ndarray:
+    """Time derivative of the second correlation on the state's grid;
+    k2_conv as in `rhs_order1`."""
     if state.k2 is None:
         raise ValueError("state carries no second correlation")
-    drain = _third_order_integral(state, closure)
+    drain = _third_order_integral(state, closure, k2_conv)
     if state.mode == "translation-invariant":
         gain = 2.0 * state.b * state.rho
     else:
@@ -332,8 +343,10 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
 
     def rhs(y: np.ndarray) -> np.ndarray:
         work._view(y, n_max)
-        d1 = rhs_order1(work, closure)
-        d2 = rhs_order2(work, closure) if n_max == 2 else None
+        conv = _row_convolution(work, work.k2) \
+            if work.mode == "full-grid" and n_max == 2 else None
+        d1 = rhs_order1(work, closure, conv)
+        d2 = rhs_order2(work, closure, conv) if n_max == 2 else None
         work.k1 = work.k2 = None    # hold no stage vector at the step's peak
         f = np.empty_like(y)        # made after the terms, for the same peak
         f_head, f_k2 = state.split(f, n_max)

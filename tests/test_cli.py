@@ -482,6 +482,25 @@ def test_surgailis_propagates_each_time_in_one_call(tmp_path, monkeypatch):
     assert shapes == [(5, 5, 2, 1)] * 3
 
 
+def test_surgailis_pair_grid_outside_1d_exit_2(tmp_path, capsys):
+    # the pair grid is 1-D only: a 2-D run with --pair-grid is refused
+    # before its manifest could record the flag, and writes nothing
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.5},
+                    extra={"dimension": 2, "sides": [4.0, 4.0]})
+    argv = ["surgailis", "--config", str(cfg), "--times", "0.5",
+            "--grid", "4"]
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sur"
+    code = main([*argv, "--out", str(out), "--pair-grid", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "--pair-grid" in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "k2.csv").exists()
+
+
 # ------------------------------------------------------------------- bounds
 
 def test_bounds_report_sections(tmp_path):

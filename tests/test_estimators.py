@@ -291,6 +291,79 @@ def test_pair_correlation_memory_stays_bounded():
     assert np.all(grid.values > 0.0)
 
 
+def row_block_histogram(window, pos, r_edges, block=1 << 16):
+    """The pair histogram of one configuration in row blocks: rows
+    [start, stop) against the columns after `start`, pairs j <= i masked,
+    about `block` pairs a block."""
+    n = pos.shape[0]
+    pos = np.asfortranarray(pos)
+    hist = np.zeros(r_edges.size - 1, dtype=np.int64)
+    start = 0
+    while start < n - 1:
+        stop = min(start + max(block // (n - 1 - start), 1), n - 1)
+        disp = window.displacement(pos[start:stop, None, :],
+                                   pos[None, start + 1:, :])
+        dist = np.sqrt(np.sum(np.square(disp), axis=-1))
+        upper = np.arange(start + 1, n) > np.arange(start, stop)[:, None]
+        hist += np.histogram(dist[upper], bins=r_edges)[0]
+        start = stop
+    return hist
+
+
+def per_replica_pair_correlation(ensemble, r_edges, time_index):
+    """The per-replica form of `pair_correlation_estimate`: the core filter
+    and one row-block histogram for each replica in turn."""
+    window = ensemble.window
+    r_edges = np.asarray(r_edges, dtype=float)
+    shells = estimators._shell_volumes(r_edges, window.dimension)
+    per_replica = np.zeros((ensemble.n_replicas, r_edges.size - 1))
+    for r in range(ensemble.n_replicas):
+        pos = ensemble.positions(r, time_index)
+        if window.boundary != "periodic":
+            pos = pos[window.core.contains_points(pos)]
+        hist = row_block_histogram(window, pos, r_edges)
+        per_replica[r] = 2.0 * hist / (window.volume * shells)
+    return _replica_stats(per_replica)
+
+
+@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 16, 1])
+@pytest.mark.parametrize("window", [
+    Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
+    Window([6.0], boundary="absorbing-buffer", buffer_width=1.0),
+    Window([6.0, 5.0], boundary="absorbing-buffer", buffer_width=1.5),
+    Window([4.0, 4.0, 5.0], boundary="absorbing-buffer", buffer_width=1.0)],
+    ids=["periodic-1d", "periodic-2d", "periodic-3d", "absorbing-1d",
+         "absorbing-2d", "absorbing-3d"])
+def test_one_pass_pair_correlation_matches_per_replica(window, block,
+                                                       monkeypatch):
+    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    gen = np.random.default_rng(17)
+    d = window.dimension
+    dom = window.domain
+    side = float(np.min(window.sides))
+    lattice = np.arange(0.0, side, side / 4.0)
+    lattice = np.stack(np.meshgrid(*([lattice] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    # empty and one-particle replicas between larger ones, so that blocks
+    # start, end and skip inside and across replicas; two snapshots
+    sizes = [0, 1, 7, 0, 1, 1, 2, 30, 0, 12, 1, 90, 3, 0]
+    reps = [[gen.uniform(dom.lo, dom.hi, size=(n, d)),
+             gen.uniform(dom.lo, dom.hi, size=(gen.integers(0, 25), d))]
+            for n in sizes]
+    reps.insert(5, [lattice, np.empty((0, d))])  # separations on the edges
+    reps.append([np.empty((0, d)), np.empty((0, d))])
+    ensemble = SnapshotEnsemble(window, [1.0, 2.0], reps)
+    if window.boundary != "periodic":   # particles in the buffer are dropped
+        assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
+    for edges in (np.linspace(0.0, side / 2, 9), [0.0, 0.3, 0.5, 1.25, side / 2],
+                  [0.5, 1.0]):
+        for k in (0, -1):
+            grid = pair_correlation_estimate(ensemble, edges, time_index=k)
+            value, err = per_replica_pair_correlation(ensemble, edges, k)
+            assert grid.values.tobytes() == value.tobytes()
+            assert grid.stderr.tobytes() == err.tobytes()
+
+
 # ------------------------------------------------------------- cell moments
 
 def test_moment_series_deterministic_exact():
@@ -446,6 +519,59 @@ def test_array_estimators_match_per_cell_reference(
         for k in range(n_times):
             assert part.counts(ens.positions(r, k)).tolist() == \
                 fact[r, k, :, 0].astype(int).tolist()
+
+
+@pytest.mark.parametrize("block", [1, 97, estimators._PAIR_BLOCK])
+@pytest.mark.parametrize("sides,cell_side", [([2.0], 0.25), ([2.0], 2.0),
+                                             ([1.0, 1.0], 0.5)],
+                         ids=["1d-8-cells", "1d-one-cell", "2d-4-cells"])
+@pytest.mark.parametrize("orders", [1, 4])
+def test_blocked_cell_estimators_match_per_cell_reference(
+        block, sides, cell_side, orders, monkeypatch):
+    # 12 replicas: numpy sums 8 or more values pairwise when a reduction
+    # keeps one value, so a one-column block would round differently from
+    # the whole tensor
+    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    gen = np.random.default_rng(23)
+    win = Window(sides)
+    part = CellPartition(win, cell_side)
+    d = win.dimension
+    configs = [[gen.uniform(0.0, sides[0], size=(gen.poisson(9), d))
+                for _ in range(3)] for _ in range(12)]
+    ens = SnapshotEnsemble(win, [0.0, 1.0, 2.0], configs)
+    series = moment_series(ens, part, l_max=orders, n_max=orders)
+    fact, raw = per_cell_reference(ens, part, orders, orders)
+    for got, got_err, ref in ((series.factorial, series.factorial_stderr, fact),
+                              (series.raw, series.raw_stderr, raw)):
+        mean, err = _replica_stats(ref)
+        assert got.tobytes() == mean.tobytes()
+        assert got_err.tobytes() == err.tobytes()
+    volume = cell_side ** d
+    for k, grid in enumerate(density_estimate(ens, part)):
+        mean, err = _replica_stats(fact[:, k, :, 0] / volume)
+        assert grid.values.tobytes() == mean.tobytes()
+        assert grid.stderr.tobytes() == err.tobytes()
+
+
+def test_moment_series_memory_stays_bounded():
+    # 450 replicas x 4 snapshots x 100 cells x 4 orders: one float tensor of
+    # factorial moments is 5.8 MB, and the whole-tensor reduction peaked at
+    # 12.5 MB; the count tensor itself is 1.4 MB
+    gen = np.random.default_rng(29)
+    win = Window([10.0])
+    ens = SnapshotEnsemble(win, [0.0, 1.0, 2.0, 4.0],
+                           [[gen.uniform(0.0, 10.0, size=(gen.poisson(13), 1))
+                             for _ in range(4)] for _ in range(450)])
+    part = CellPartition(win, 0.1)
+    tracemalloc.start()
+    try:
+        series = moment_series(ens, part, l_max=4, n_max=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert series.factorial.shape == (4, 100, 4)
+    assert np.all(series.factorial[:, :, 0] > 0.0)
 
 
 # -------------------------------------------------------------------- CSV

@@ -23,6 +23,7 @@ from contpop import (
     rhs_order1,
     rhs_order2,
 )
+from contpop import hierarchy
 from contpop.hierarchy import CLOSURES, KIRKWOOD_FLOOR
 from contpop.surgailis import SurgailisFlow, poisson_density_flow
 from conftest import gaussian_unit_kernel, make_params
@@ -372,6 +373,35 @@ def test_integrate_leaves_input_state_unchanged(mode, closure):
     assert not np.array_equal(traj.k2[-1], traj.k2[0])
     after = [np.array(v, copy=True) for v in (state.rho, state.k1, state.k2)]
     assert [v.tobytes() for v in after] == [v.tobytes() for v in before]
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_full_grid_stage_convolves_k2_once(closure, monkeypatch):
+    # rhs_order1 and the zero-third-cumulant drain share one M x M
+    # convolution of k2 per RK4 stage
+    M = 128
+    state = fg_state(M)
+    k2 = state.k2
+    conv = hierarchy._row_convolution(state, k2)
+    # the rfftn form is the irfft form the drain used, bit for bit
+    w = np.fft.irfft(np.fft.rfft(k2, axis=1) * state.a_fft[None, :], n=M,
+                     axis=1)
+    assert conv.tobytes() == w.tobytes()
+    for shared, alone in ((rhs_order1(state, closure, conv),
+                           rhs_order1(state, closure)),
+                          (rhs_order2(state, closure, conv),
+                           rhs_order2(state, closure))):
+        assert shared.tobytes() == alone.tobytes()
+    shapes = []
+    convolve = hierarchy._row_convolution
+
+    def counted(state, k2):
+        shapes.append(k2.shape)
+        return convolve(state, k2)
+
+    monkeypatch.setattr(hierarchy, "_row_convolution", counted)
+    integrate(state, 0.03, 1e-2, closure=closure, n_max=2)
+    assert shapes == [(M, M)] * (4 * 3)
 
 
 def test_stability_margin_reaches_one_under_the_guard():
