@@ -21,8 +21,9 @@ the clipped mass exceeds a fixed fraction of the state.
 The kernel grid, the full-grid kernel matrix and the pair-equation decay are
 built once per state.  The integrator carries one flat vector [rho | k1] +
 k2.ravel(), whose layout `HierarchyState.split` alone knows; each RK4 stage
-evaluates the right-hand sides on views of its stage vector, and in full-grid
-mode computes the M x M convolution of k2 with the kernel once for both.
+evaluates the right-hand sides on views of its stage vector.  A full-grid
+zero-third-cumulant stage computes the M x M convolution of k2 with the
+kernel once, for `rhs_order1` and the drain.
 """
 
 from __future__ import annotations
@@ -340,11 +341,14 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
             raise ValueError(f"snapshot time {t:g} outside [0, {t_end:g}]")
         snap_steps[idx] = t
     work = copy.copy(state)     # its fields view each RK4 stage vector
+    share_conv = (state.mode == "full-grid" and n_max == 2
+                  and closure == "zero-third-cumulant")
 
     def rhs(y: np.ndarray) -> np.ndarray:
         work._view(y, n_max)
-        conv = _row_convolution(work, work.k2) \
-            if work.mode == "full-grid" and n_max == 2 else None
+        # only the zero-third-cumulant drain reads the convolution again;
+        # the other closures let rhs_order1 free it before rhs_order2 runs
+        conv = _row_convolution(work, work.k2) if share_conv else None
         d1 = rhs_order1(work, closure, conv)
         d2 = rhs_order2(work, closure, conv) if n_max == 2 else None
         work.k1 = work.k2 = None    # hold no stage vector at the step's peak

@@ -378,7 +378,8 @@ def test_integrate_leaves_input_state_unchanged(mode, closure):
 @pytest.mark.parametrize("closure", CLOSURES)
 def test_full_grid_stage_convolves_k2_once(closure, monkeypatch):
     # rhs_order1 and the zero-third-cumulant drain share one M x M
-    # convolution of k2 per RK4 stage
+    # convolution of k2 per RK4 stage; the other closures do not keep it
+    # alive through rhs_order2, whose drain does not read it
     M = 128
     state = fg_state(M)
     k2 = state.k2
@@ -399,9 +400,18 @@ def test_full_grid_stage_convolves_k2_once(closure, monkeypatch):
         shapes.append(k2.shape)
         return convolve(state, k2)
 
+    passed = []
+    order2 = hierarchy.rhs_order2
+
+    def recorded(state, closure, k2_conv=None):
+        passed.append(k2_conv is not None)
+        return order2(state, closure, k2_conv)
+
     monkeypatch.setattr(hierarchy, "_row_convolution", counted)
+    monkeypatch.setattr(hierarchy, "rhs_order2", recorded)
     integrate(state, 0.03, 1e-2, closure=closure, n_max=2)
     assert shapes == [(M, M)] * (4 * 3)
+    assert passed == [closure == "zero-third-cumulant"] * (4 * 3)
 
 
 def test_stability_margin_reaches_one_under_the_guard():
