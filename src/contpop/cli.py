@@ -157,6 +157,8 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     ensemble, stats = run_replicas(params, plan, threads=args.threads)
     phase_s["replicas"] = time.perf_counter() - t0
+    phase_s["replicas_initial"] = stats.initial_s
+    phase_s["replicas_event_loop"] = stats.event_loop_s
     d = params.dimension
     header = ["replica"] + [f"x{i+1}" for i in range(d)]
     particle_files = [f"particles_{k:04d}.csv" for k in range(len(snapshots))]

@@ -61,7 +61,11 @@ class StirlingTable:
         row = self._rows[n] if n <= self.n_max else None
         if row is None:
             raise ValueError(f"n={n} exceeds table size {self.n_max}")
-        return float(sum(row[l] * kappa**l for l in range(1, n + 1)))
+        # left to right: from Python 3.12 the builtin sum compensates
+        total = 0
+        for l in range(1, n + 1):
+            total += row[l] * kappa**l
+        return float(total)
 
 
 _DEFAULT_TABLE = StirlingTable(64)

@@ -64,7 +64,7 @@ __all__ = [
 MAX_MOMENT_ORDER = 8
 # the one block budget: pairs per block of the pair histogram, and looked-up
 # floats per column block of the cell-moment and density reductions
-_PAIR_BLOCK = 1 << 16
+_PAIR_BLOCK = 1 << 14
 
 
 class SnapshotEnsemble:
@@ -289,6 +289,29 @@ def _shell_volumes(edges: np.ndarray, dimension: int) -> np.ndarray:
     return 4.0 / 3.0 * math.pi * np.diff(edges**3)
 
 
+def _pair_blocks(partners: np.ndarray):
+    """Blocks (start, stop, lo, hi) of at most _PAIR_BLOCK pairs: rows
+    [start, stop) against their partner columns [lo, hi).  A run of rows
+    whose widest row times their number fits the budget is one block, its
+    narrower rows padded to the widest; a row wider than the budget is cut
+    into pieces of _PAIR_BLOCK columns.  Blocks without pairs are skipped."""
+    start = 0
+    while start < partners.size:
+        head = int(partners[start])
+        if head > _PAIR_BLOCK:
+            for lo in range(0, head, _PAIR_BLOCK):
+                yield start, start + 1, lo, min(lo + _PAIR_BLOCK, head)
+            start += 1
+            continue
+        widest = np.maximum.accumulate(
+            partners[start:start + _PAIR_BLOCK // max(head, 1)])
+        rows = int(np.count_nonzero(
+            widest * np.arange(1, widest.size + 1) <= _PAIR_BLOCK))
+        if widest[rows - 1]:
+            yield start, start + rows, 0, int(widest[rows - 1])
+        start += rows
+
+
 def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
                      n_replicas: int, r_edges: np.ndarray) -> np.ndarray:
     """(n_replicas, bins) histograms of |displacement(pos[i], pos[j])| over
@@ -296,43 +319,76 @@ def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
     another, replica[i] being that of row i.
 
     Row i pairs with the partners[i] rows after it, read from a sliding
-    window over the coordinates, stored axis by axis so numpy's inner loops
-    run along the pairs.  A block of rows holds about _PAIR_BLOCK pairs at
-    its widest row; the columns past each row's replica are set to inf.  A
-    separation's bin is the count of edges at or below it, the last edge one
-    ulp up so the last bin is closed as in np.histogram, and bins 0 and
-    bins + 1 hold the separations outside.  Each row is sorted first, which
-    makes that search several times cheaper on long rows; one bincount per
-    block takes the keys replica * (bins + 2) + bin.
+    window over the coordinates, stored axis by axis, in the blocks of
+    `_pair_blocks`.  Each block makes two passes over its rows, in buffers
+    allocated once per call.  The first writes the separations as
+    `Window.distance` computes them: the minimum image of y - x, squares
+    added in axis order, sqrt; a block's padding columns are set to inf.
+    The second bins them: the key k of separation r satisfies
+    lower[k] <= r < lower[k + 1], with lower = [-inf, edges with the last
+    one ulp up, nan], so the last bin is closed as in np.histogram and keys
+    0 and bins + 1 hold the separations outside.  The key is guessed from
+    the edges' mean spacing, exact or one off on equally spaced edges, and
+    moved one bin at a time until no separation moves, which makes it exact
+    for any increasing edges.  One bincount per block takes the keys
+    replica * (bins + 2) + k.
     """
     n, d = pos.shape
     bins = r_edges.size - 1
-    upper = r_edges.copy()
-    upper[-1] = np.nextafter(upper[-1], np.inf)
+    lower = np.concatenate(([-np.inf], r_edges, [np.nan]))
+    lower[-2] = np.nextafter(lower[-2], np.inf)
+    above = lower[1:]   # above[k] = lower[k + 1]
+    scale = bins / (r_edges[-1] - r_edges[0])
     ends = np.cumsum(np.bincount(replica, minlength=n_replicas))
     partners = ends[replica] - np.arange(n) - 1
+    offset = replica * (bins + 2)
     width = max(int(partners.max(initial=0)), 1)
     coords = np.zeros((d, n + width))   # zero padding, always masked
     coords[:, :n] = pos.T
     columns = sliding_window_view(coords, width, axis=1)  # coords[:, i:i+width]
+    size = min(_PAIR_BLOCK, n * width)
+    buffers = (np.empty(size), np.empty(size), np.empty(size),
+               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool))
     hist = np.zeros((n_replicas, bins + 2), dtype=np.int64)
-    start = 0
-    while start < n:
-        widest = np.maximum.accumulate(partners[start:start + _PAIR_BLOCK])
-        rows = max(int(np.count_nonzero(
-            widest * np.arange(1, widest.size + 1) <= _PAIR_BLOCK)), 1)
-        stop, w = start + rows, int(widest[rows - 1])
-        if w:
-            dist = window.distance(
-                coords[:, start:stop].T[:, None, :],
-                columns[:, start + 1:stop + 1, :w].transpose(1, 2, 0))
-            dist[np.arange(w) >= partners[start:stop, None]] = np.inf
-            dist.sort(axis=1)
-            key = np.searchsorted(upper, dist, side="right")
-            key += replica[start:stop, None] * (bins + 2)
-            hist += np.bincount(key.ravel(),
-                                minlength=hist.size).reshape(hist.shape)
-        start = stop
+    for start, stop, lo, hi in _pair_blocks(partners):
+        shape = (stop - start, hi - lo)
+        sep, u, t, key, flag = (b[:shape[0] * shape[1]].reshape(shape)
+                                for b in buffers)
+        for axis in range(d):
+            np.subtract(columns[axis, start + 1:stop + 1, lo:hi],
+                        coords[axis, start:stop, None], out=u)
+            fold = window.minimum_image(u, axis, out=t)
+            if axis:
+                sep += np.multiply(fold, fold, out=t)
+            else:
+                np.multiply(fold, fold, out=sep)
+        np.sqrt(sep, out=sep)
+        if shape[0] > 1:   # the columns past each row's partners
+            np.greater_equal(np.arange(lo, hi), partners[start:stop, None],
+                             out=flag)
+            np.copyto(sep, np.inf, where=flag)
+        np.subtract(sep, r_edges[0], out=t)
+        t *= scale
+        # fmax, fmin: a nan guess (0 * inf, where bins / span overflows)
+        # becomes key 0 and is moved up like any other
+        np.fmax(t, -1.0, out=t)
+        np.fmin(t, bins, out=t)
+        t += 1.0
+        np.copyto(key, t, casting="unsafe")
+        while True:
+            lower.take(key, out=t, mode="clip")
+            down = np.less(sep, t, out=flag).any()
+            if down:
+                key -= flag
+            above.take(key, out=t, mode="clip")
+            up = np.greater_equal(sep, t, out=flag).any()
+            if up:
+                key += flag
+            if not (down or up):
+                break
+        key += offset[start:stop, None]
+        hist += np.bincount(key.ravel(),
+                            minlength=hist.size).reshape(hist.shape)
     return hist[:, 1:-1]
 
 

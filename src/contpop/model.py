@@ -125,10 +125,23 @@ class Window:
 
     def displacement(self, x, y):
         """Vector(s) from x to y, minimum-image under periodic boundaries."""
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        if self.boundary == "periodic":
-            d = d - self.sides * np.round(d / self.sides)
-        return d
+        return self.minimum_image(
+            np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
+
+    def minimum_image(self, u, axis: int | None = None, out=None):
+        """Displacements u folded to their minimum image, u - L round(u / L),
+        on a periodic window; u itself on an absorbing one.  L is the side
+        of `axis`, or each side along u's last axis when axis is None.  The
+        result is written into `out` when given (an array other than u, of
+        the broadcast shape), so a caller can fold one axis of many pairs in
+        preallocated buffers."""
+        if self.boundary != "periodic":
+            return u
+        side = self.sides if axis is None else self.sides[axis]
+        t = np.divide(u, side, out=out)
+        np.rint(t, out=t)   # ties to even, as np.round
+        t *= side
+        return np.subtract(u, t, out=t)
 
     def distance(self, x, y):
         d = self.displacement(x, y)

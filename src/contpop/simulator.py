@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -98,6 +99,9 @@ class RunStats:
     `replica_events` lists each replica's event count, in replica order.
     `rate_clamps` and `selection_fallbacks` count the silent float-drift
     repairs of `SimulationState.remove` and `SimulationState._select_death`.
+    `initial_s` and `event_loop_s` sum over the replicas the wall time of
+    the initial sampling and of the event loop, each timed in the process
+    that ran the replica; they are diagnostics, left out of comparisons.
     """
 
     births: int = 0
@@ -107,6 +111,8 @@ class RunStats:
     rate_clamps: int = 0
     selection_fallbacks: int = 0
     replica_events: list = dataclass_field(default_factory=list)
+    initial_s: float = dataclass_field(default=0.0, compare=False)
+    event_loop_s: float = dataclass_field(default=0.0, compare=False)
 
     @property
     def max_replica_events(self) -> int:
@@ -119,8 +125,20 @@ class RunStats:
         self.rate_clamps += other.rate_clamps
         self.selection_fallbacks += other.selection_fallbacks
         self.replica_events.extend(other.replica_events)
+        self.initial_s += other.initial_s
+        self.event_loop_s += other.event_loop_s
         self.max_audit_residual = max(self.max_audit_residual,
                                       other.max_audit_residual)
+
+
+def _sum_in_order(values) -> float:
+    """The float sum of `values` added left to right, as the builtin `sum`
+    adds floats before Python 3.12; from 3.12 it compensates the rounding,
+    which would change the rates, the death selections and every output."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _block_uniforms(rng: np.random.Generator):
@@ -339,12 +357,13 @@ class SimulationState:
         cell = self._cell_index(x)
         idx, vals = self._neighbors(x, cell)
         rates, cell_rate, cell_of = self.rate, self.cell_rate, self.cell_of
-        rate = self._mortality(x) + sum(vals)
-        d_tot = self.d_tot
+        d_tot, own = self.d_tot, 0.0
         for j, a in zip(idx, vals):
             rates[j] += a
             cell_rate[cell_of[j]] += a
             d_tot += a
+            own += a   # left to right, as `_sum_in_order`
+        rate = self._mortality(x) + own
         members = self.cells[cell]
         i = len(rates)
         self.pos.append(x)
@@ -495,17 +514,19 @@ class SimulationState:
 
     def audit(self) -> float:
         """Recompute all rates from scratch; record and return the residual."""
-        fresh = [self._mortality(x) + sum(self._neighbors(x, c, exclude=i)[1])
+        fresh = [self._mortality(x)
+                 + _sum_in_order(self._neighbors(x, c, exclude=i)[1])
                  for i, (x, c) in enumerate(zip(self.pos, self.cell_of))]
+        d_tot = _sum_in_order(fresh)
         residual = max((abs(f - r) for f, r in zip(fresh, self.rate)),
                        default=0.0)
-        residual = max(residual, abs(sum(fresh) - self.d_tot))
+        residual = max(residual, abs(d_tot - self.d_tot))
         self.max_audit_residual = max(self.max_audit_residual, residual)
         self.rate = fresh
         self.cell_rate = [0.0] * self.total_cells
         for c, r in zip(self.cell_of, fresh):
             self.cell_rate[c] += r
-        self.d_tot = sum(fresh)
+        self.d_tot = d_tot
         return residual
 
     def seed_initial(self, spec: dict) -> None:
@@ -526,13 +547,18 @@ class SimulationState:
 
 def _run_one(params: ModelParams, plan: ReplicaPlan,
              replica: int) -> tuple[list[np.ndarray], RunStats]:
+    t0 = time.perf_counter()
     state = SimulationState(params, _replica_rng(plan.base_seed, replica))
     state.seed_initial(plan.initial)
+    t1 = time.perf_counter()
     configs = []
     for t_snap in plan.snapshots:
         state.advance(t_snap, max_events=plan.max_events, replica=replica)
         configs.append(state.snapshot())
-    return configs, state.stats()
+    stats = state.stats()
+    stats.initial_s = t1 - t0
+    stats.event_loop_s = time.perf_counter() - t1
+    return configs, stats
 
 
 def run_replicas(params: ModelParams, plan: ReplicaPlan,

@@ -257,9 +257,12 @@ def test_golden_verify_lines(golden_runs, golden_interacting_runs, capsys,
 def test_summary_records_phase_times(golden_runs):
     for out in golden_runs.values():
         phases = json.loads((out / "summary.json").read_text())["phase_s"]
-        assert set(phases) == {"replicas", "particle_csv", "estimators",
-                               "estimator_csv"}
+        assert set(phases) == {"replicas", "replicas_initial",
+                               "replicas_event_loop", "particle_csv",
+                               "estimators", "estimator_csv"}
         assert all(v >= 0.0 for v in phases.values())
+        # summed over the replicas in the processes that ran them
+        assert phases["replicas_initial"] + phases["replicas_event_loop"] > 0.0
     for path in golden_runs[1].glob("*.csv"):
         assert (golden_runs[2] / path.name).read_bytes() == path.read_bytes()
 

@@ -95,6 +95,17 @@ def test_touchard_small_values():
     assert touchard(4, 1.0) == pytest.approx(15.0)  # B_4
 
 
+def test_touchard_adds_left_to_right():
+    # S(8, l) 0.1^l for l = 1..8 added left to right, not compensated as
+    # the builtin sum adds floats from Python 3.12
+    terms = [stirling(8, l) * 0.1**l for l in range(1, 9)]
+    left = 0.0
+    for term in terms:
+        left += term
+    assert left != math.fsum(terms)
+    assert touchard(8, 0.1) == left
+
+
 def test_touchard_is_poisson_raw_moment():
     # compare against the direct sum of the Poisson pmf (iterated weights)
     kappa, n = 1.7, 5

@@ -246,7 +246,10 @@ def _assert_pair_correlation_matches(ensemble, edges, time_index=-1):
     assert grid.stderr.tobytes() == err.tobytes()
 
 
-@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 16, 1])
+# the budget and a larger one, whose blocks span more rows; 16 splits the
+# first rows of 17 partners, 5 every row wider than 5 with a remainder, and
+# 1 every row into single pairs
+@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 5, 1])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
     Window([6.0, 5.0], boundary="absorbing-buffer", buffer_width=1.5)],
@@ -271,15 +274,33 @@ def test_blocked_pair_correlation_matches_all_pairs(window, block,
         assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
     _assert_pair_correlation_matches(ensemble, np.linspace(0.0, side / 2, 9))
     _assert_pair_correlation_matches(ensemble, [0.0, 0.3, 0.5, 1.25, side / 2])
+    # far from equal spacing: the guessed bin of most separations is one to
+    # several bins off and corrected
+    _assert_pair_correlation_matches(ensemble, [0.0, 1e-3, 2e-3, side / 2])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pair_bins_when_the_edges_span_almost_nothing():
+    # bins / span overflows to inf, so the guessed bin of a separation of 0
+    # is 0 * inf = nan; it must still land in the first bin
+    edges = np.array([0.0, 1e-323, 2e-323])
+    hist = estimators._pair_histograms(Window([10.0]),
+                                       np.array([[1.0], [1.0], [3.0]]),
+                                       np.zeros(3, dtype=np.intp), 1, edges)
+    assert hist.tolist() == [[1, 0]]
 
 
 def test_pair_correlation_memory_stays_bounded():
     # all pairs at n = 3000 in 2-D take n^2 * 2 * 8 bytes for the
-    # displacements alone (144 MB), and more than 300 MB in all
+    # displacements alone (144 MB), and more than 300 MB in all.  The block
+    # buffers take 33 bytes a pair of the budget (three floats, a key and a
+    # flag); allow twice that, and 256 bytes a particle for the arrays of
+    # length n: about 1.85 MB at the 2**14 budget
+    n = 3000
     gen = np.random.default_rng(9)
     window = Window([48.0, 48.0])
     ensemble = SnapshotEnsemble(window, [0.0],
-                                [[gen.uniform(0.0, 48.0, size=(3000, 2))]])
+                                [[gen.uniform(0.0, 48.0, size=(n, 2))]])
     edges = np.linspace(0.0, 24.0, 17)
     tracemalloc.start()
     try:
@@ -287,7 +308,7 @@ def test_pair_correlation_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 66 * estimators._PAIR_BLOCK + 256 * n
     assert np.all(grid.values > 0.0)
 
 
@@ -326,7 +347,7 @@ def per_replica_pair_correlation(ensemble, r_edges, time_index):
     return _replica_stats(per_replica)
 
 
-@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 16, 1])
+@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 1])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
     Window([6.0], boundary="absorbing-buffer", buffer_width=1.0),
@@ -356,7 +377,7 @@ def test_one_pass_pair_correlation_matches_per_replica(window, block,
     if window.boundary != "periodic":   # particles in the buffer are dropped
         assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
     for edges in (np.linspace(0.0, side / 2, 9), [0.0, 0.3, 0.5, 1.25, side / 2],
-                  [0.5, 1.0]):
+                  [0.5, 1.0], [0.0, 1e-3, 2e-3, side / 2]):
         for k in (0, -1):
             grid = pair_correlation_estimate(ensemble, edges, time_index=k)
             value, err = per_replica_pair_correlation(ensemble, edges, k)
@@ -521,7 +542,7 @@ def test_array_estimators_match_per_cell_reference(
                 fact[r, k, :, 0].astype(int).tolist()
 
 
-@pytest.mark.parametrize("block", [1, 97, estimators._PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 97, estimators._PAIR_BLOCK, 1 << 16])
 @pytest.mark.parametrize("sides,cell_side", [([2.0], 0.25), ([2.0], 2.0),
                                              ([1.0, 1.0], 0.5)],
                          ids=["1d-8-cells", "1d-one-cell", "2d-4-cells"])

@@ -268,6 +268,29 @@ def test_repair_counts_do_not_depend_on_workers():
     assert one.rate_clamps > 0
 
 
+def test_rate_sums_add_left_to_right():
+    # ten kernel values 0.1 add to 0.9999999999999999 left to right and to
+    # 1.0 compensated, as the builtin sum adds floats from Python 3.12
+    left = 0.0
+    for _ in range(10):
+        left += 0.1
+    assert left != math.fsum([0.1] * 10) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # top-hat is flagged
+        kernel = CompetitionKernel.top_hat(0.1, 0.5, 1)
+    state = SimulationState(make_params(window=Window([L]), kernel=kernel,
+                                        b=1.0, m=0.0),
+                            np.random.default_rng(0))
+    for _ in range(11):
+        state.insert([2.0])
+    assert state.rate[-1] == left    # m = 0 plus ten values, on insert
+    total = 0.0
+    for _ in range(11):
+        total += left
+    state.audit()   # every rate from scratch, then their total
+    assert state.rate == [left] * 11 and state.d_tot == total
+
+
 # ------------------------------------------------------- scalar hot path
 
 def _rate_cases():
