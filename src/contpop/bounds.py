@@ -9,7 +9,7 @@ the evolution is global in time.
 
 The second half of the module bounds cell counts: a closed triangular system
 for factorial moments of the count in a cell where the kernel has a positive
-infimum, and the stationary density cap.
+infimum and the cell rates it runs on, and the stationary density cap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, RateField
+from .model import Box, ModelParams, RateField, cell_infimum
 
 __all__ = [
     "theta_norm",
@@ -32,6 +32,7 @@ __all__ = [
     "ScheduleHorizonError",
     "continuation_schedule",
     "MomentBoundResult",
+    "cell_rates",
     "moment_bound_system",
     "kappa_from_factorial_moments",
     "EffectiveMortalityUnavailable",
@@ -228,6 +229,16 @@ class MomentBoundResult:
     a_cell: float
 
 
+def cell_rates(params: ModelParams, h: float) -> tuple[float, float]:
+    """Rates (a_cell, b_cell) of the comparison system for the cube [0, h)^d:
+    the kernel's infimum over the separations of two points in it, and the
+    birth rate integrated over it."""
+    d = params.dimension
+    cell = Box(np.zeros(d), np.full(d, h))
+    return (cell_infimum(params.kernel, cell.separation_box()),
+            params.birth.integral_over(cell))
+
+
 def moment_bound_system(q0, b_cell: float, a_cell: float, t_grid,
                         kappa0: float | None = None) -> MomentBoundResult:
     """Solve the triangular factorial-moment comparison system exactly.
@@ -306,7 +317,8 @@ class StationaryDensityBound:
 
 
 def stationary_density_bound(params: ModelParams, rho0) -> StationaryDensityBound:
-    """Density bound max(rho0(x), b(x)/a(0)) from the kernel's self-interaction.
+    """Density bound max(sup rho0, sup b/a(0)) from the kernel's self-interaction;
+    `rho0` is the initial density, a number or a RateField.
 
     A particle suppresses newcomers in its own neighborhood at least at rate
     a(0) per neighbor, which caps the density at b/a(0) up to the initial
@@ -317,18 +329,7 @@ def stationary_density_bound(params: ModelParams, rho0) -> StationaryDensityBoun
     if a_zero <= 0.0:
         raise EffectiveMortalityUnavailable(
             "kernel vanishes at the origin; no self-regulation bound")
-    if isinstance(rho0, RateField):
-        rho0_sup = rho0.sup
-    elif callable(rho0):
-        pts = params.window.domain
-        grid = np.linspace(pts.lo, pts.hi, 4097).reshape(-1, params.dimension) \
-            if params.dimension == 1 else None
-        if grid is None:
-            raise ValueError("callable rho0 supported in dimension 1 only; "
-                             "pass a RateField")
-        rho0_sup = float(np.max(np.asarray(rho0(grid), dtype=float)))
-    else:
-        rho0_sup = float(rho0)
+    rho0_sup = rho0.sup if isinstance(rho0, RateField) else float(rho0)
     level_sup = params.b_norm / a_zero
     return StationaryDensityBound(a_zero=a_zero,
                                   global_bound=max(rho0_sup, level_sup),

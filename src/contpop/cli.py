@@ -10,8 +10,8 @@ block.  summary.json additionally records wall-clock times, per-replica
 spreads and repair counters and is therefore diagnostic, not reproducible.
 `verify` compares k1.csv and moments.csv with the tables their writers
 build (`estimators.k1_table`, `moments_table`), rebuilt from the particle
-files, and tests the analytic envelopes; the layouts are spelled out
-only there.
+files (the layouts are spelled out only there), and tests the analytic
+envelopes that `surgailis` and `bounds` compute.
 
 Exit codes: 0 success, 1 failed verification checks, 2 configuration errors
 (any ValueError, including a library check's), 3 numerical failures (event-budget cap, step-size guard, clipping budget,
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
-                     continuation_schedule, existence_time,
+                     cell_rates, continuation_schedule, existence_time,
                      kappa_from_factorial_moments, moment_bound_system,
                      operator_norm_bound, stationary_density_bound,
                      surgailis_theta_growth, theta_norm, unit_existence_time)
@@ -46,7 +46,6 @@ from .estimators import (CellPartition, SnapshotEnsemble,
                          write_k1_csv, write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, integrate)
-from .model import Box, cell_infimum
 from .simulator import CappedRunError, ReplicaPlan, run_replicas
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
                         poisson_density_flow, propagate_correlation)
@@ -133,7 +132,7 @@ def cmd_simulate(args) -> int:
     snapshots = _parse_times(args.snapshots, "--snapshots")
     cell_side = args.cell_side if args.cell_side is not None \
         else float(np.min(params.window.sides))
-    # the estimator arguments are checked before any replica runs
+    # the estimator arguments and the plan are checked before the manifest
     partition = CellPartition(params.window, cell_side)
     check_moment_orders(args.lmax, args.nmax)
     if args.k2_bins < 0:
@@ -143,16 +142,16 @@ def cmd_simulate(args) -> int:
         half = float(np.min(params.window.sides)) / 2.0
         edges = separation_edges(params.window,
                                  np.linspace(0.0, half, k2_bins + 1))
+    plan = ReplicaPlan(replicas=args.replicas, base_seed=seed,
+                       snapshots=snapshots,
+                       initial=build_initial(cfg, params),
+                       max_events=args.max_events)
     out = Path(args.out)
     arguments = {"replicas": args.replicas, "snapshots": list(snapshots),
                  "threads": args.threads, "max_events": args.max_events,
                  "cell_side": cell_side, "l_max": args.lmax,
                  "n_max": args.nmax, "k2_bins": args.k2_bins}
     _write_manifest(out, "simulate", arguments, args.config, seed=seed)
-    plan = ReplicaPlan(replicas=args.replicas, base_seed=seed,
-                       snapshots=snapshots,
-                       initial=build_initial(cfg, params),
-                       max_events=args.max_events)
     phase_s = {}
     t0 = time.perf_counter()
     ensemble, stats = run_replicas(params, plan, threads=args.threads)
@@ -237,8 +236,11 @@ def _grid_blocks(times, values, coords, *constants):
 def cmd_hierarchy(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
+    if args.grid is not None:   # the flag overrides the config, same check
+        cfg = {**cfg, "hierarchy": {**cfg.get("hierarchy", {}),
+                                    "grid": args.grid}}
     opts = hierarchy_options(cfg)
-    grid = args.grid if args.grid is not None else opts["grid"]
+    grid = opts["grid"]
     mode = opts["mode"]
     snapshots = _parse_times(args.snapshots, "--snapshots") \
         if args.snapshots else (args.t_end,)
@@ -367,10 +369,8 @@ def cmd_bounds(args) -> int:
                                                    params.a_integral),
     }
     horizon_ref = args.schedule if args.schedule else 1.0
-    report["theta_growth"] = {
-        "t": horizon_ref,
-        "theta_t": surgailis_theta_growth(theta0, params.b_norm, horizon_ref),
-    }
+    theta_t = surgailis_theta_growth(theta0, params.b_norm, horizon_ref)
+    report["theta_growth"] = {"t": horizon_ref, "theta_t": theta_t}
     spec = build_initial(cfg, params)
     rho0 = spec.get("density", 0.0)
     rho0_value = rho0 if not hasattr(rho0, "sup") else rho0.sup
@@ -381,11 +381,8 @@ def cmd_bounds(args) -> int:
             "global_bound": sd.global_bound, "level": sd.level_sup,
         }
     except EffectiveMortalityUnavailable:
-        report["stationary_density"] = {
-            "available": False,
-            "theta_growth_fallback": surgailis_theta_growth(
-                theta0, params.b_norm, horizon_ref),
-        }
+        report["stationary_density"] = {"available": False,
+                                        "theta_growth_fallback": theta_t}
     if args.schedule is not None and args.schedule_steps is not None:
         raise ConfigError("pass --schedule or --schedule-steps, not both")
     if args.schedule is not None or args.schedule_steps is not None:
@@ -404,17 +401,14 @@ def cmd_bounds(args) -> int:
         orders = int(args.moment_system[0])
         t_end = float(args.moment_system[1])
         h = args.cell_side
-        d = params.dimension
-        cell = Box(np.zeros(d), np.full(d, h))
-        sep = Box(-np.full(d, h), np.full(d, h))
-        a_cell = cell_infimum(params.kernel, sep)
-        b_cell = params.birth.integral_over(cell)
+        a_cell, b_cell = cell_rates(params, h)
         if not isinstance(rho0, (int, float)):
             raise ConfigError("moment-system report needs a constant initial "
                               "density")
-        lam = float(rho0) * cell.volume
+        volume = math.prod([h] * params.dimension)
+        lam = float(rho0) * volume
         q0 = [lam**l / math.factorial(l) for l in range(1, orders + 1)]
-        kappa0 = max(cell.volume * math.exp(theta0), lam)
+        kappa0 = max(volume * math.exp(theta0), lam)
         t_grid = np.linspace(0.0, t_end, 101)
         mb = moment_bound_system(q0, b_cell, a_cell, t_grid, kappa0=kappa0)
         report["moment_system"] = {
@@ -469,7 +463,8 @@ def _recompute(name: str, path: Path, table) -> tuple:
     """Check a stored estimator CSV against its writer's (header, blocks)
     rebuilt from the reloaded particles: the same header, row count and
     text in str-written columns, and float columns within 1e-9.  Returns
-    the check and the stored columns, or None for them if the rows differ."""
+    the check and the stored columns, or None for them if the rows differ
+    or a float column holds a cell that is not a number."""
     header, blocks = table
     fresh = dict(zip(header, map(np.concatenate, zip(*blocks))))
     text = {column: list(map(str, col.tolist()))
@@ -480,8 +475,11 @@ def _recompute(name: str, path: Path, table) -> tuple:
             or any(stored[column] != t for column, t in text.items()):
         return (name, "FAIL", f"header, row counts {rows} or text differ "
                 f"from the {fresh[header[0]].size} recomputed rows"), None
-    floats = [(np.asarray(stored[column], dtype=float), col)
-              for column, col in fresh.items() if column not in text]
+    try:
+        floats = [(np.asarray(stored[column], dtype=float), col)
+                  for column, col in fresh.items() if column not in text]
+    except ValueError as exc:
+        return (name, "FAIL", f"non-numeric cell: {exc}"), None
     worst = float(np.max([np.max(np.abs(got - want), initial=0.0)
                           for got, want in floats]))
     return (name, "PASS" if worst <= 1e-9 else "FAIL",
@@ -527,9 +525,8 @@ def _envelope_checks(params, partition, series):
         origin = np.zeros(params.dimension)
         flows = (SurgailisFlow.from_params(params, float(t - series.times[0]))
                  for t in series.times[1:])
-        psi, phi = np.array([[float(f.psi(origin)), float(f.phi(origin))]
-                             for f in flows]).T
-        envelope = psi[:, None] * dens[0] + phi[:, None]
+        envelope = np.array([poisson_density_flow(dens[0], f, origin)
+                             for f in flows])
         yield _envelope("domination", "worst envelope excess {:.3g}",
                         dens[1:], envelope, err[1:])
         if params.a_integral == 0.0:   # the envelope is the exact law
@@ -538,28 +535,28 @@ def _envelope_checks(params, partition, series):
                             np.abs(dens[1:] - envelope), 0.0, err[1:])
         else:
             yield "oracle-equivalence", "SKIP", "competition kernel present"
-    a_cell = cell_infimum(params.kernel, partition.separation_box())
+    a_cell, b_cell = cell_rates(params, partition.cell_side)
     if a_cell > 0.0 and constant_rates:
-        b_cell = float(params.birth(np.zeros(params.dimension))) * volume
-        kappa = max(volume * math.exp(params.theta0),
-                    kappa_from_factorial_moments(
-                        np.max(series.factorial[0], axis=0)), b_cell / a_cell)
-        bounds = np.array([kappa**l / math.factorial(l)
-                           for l in range(1, series.orders + 1)])
+        q0 = np.max(series.factorial[0], axis=0)
+        mb = moment_bound_system(
+            q0, b_cell, a_cell, series.times - series.times[0],
+            kappa0=max(volume * math.exp(params.theta0),
+                       kappa_from_factorial_moments(q0)))
         yield _envelope("moment-envelope",
-                        f"kappa {kappa:.4g}, worst excess {{:.3g}}",
-                        series.factorial, bounds, series.factorial_stderr)
+                        f"kappa {mb.kappa:.4g}, worst excess {{:.3g}}",
+                        series.factorial, mb.envelope, series.factorial_stderr)
     else:
         yield "moment-envelope", "SKIP", "needs constant rates" if a_cell > 0 \
             else "kernel infimum over the cell separations is zero"
-    a_zero = float(params.kernel.radial(0.0))
-    if a_zero > 0.0:
-        level = max(float(np.max(dens[0])), params.b_norm / a_zero)
+    try:
+        level = stationary_density_bound(
+            params, float(np.max(dens[0]))).global_bound
+    except EffectiveMortalityUnavailable:
+        yield "density-cap", "SKIP", "kernel vanishes at the origin"
+    else:
         yield _envelope("density-cap",
                         f"level {level:.4g}, worst excess {{:.3g}}",
                         dens, level, err)
-    else:
-        yield "density-cap", "SKIP", "kernel vanishes at the origin"
 
 
 def cmd_verify(args) -> int:

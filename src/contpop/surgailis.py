@@ -158,13 +158,12 @@ def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow):
 
 
 def poisson_density_flow(rho0, flow: SurgailisFlow, x):
-    """Density at time t of an initially Poisson state: psi rho0 + phi."""
+    """Density at time t of an initially Poisson state: psi rho0 + phi.
+    `rho0` is a density field, evaluated at x, or densities that broadcast
+    against psi(x), such as one per cell at a single point x."""
     x = np.asarray(x, dtype=float)
-    if isinstance(rho0, RateField) or callable(rho0):
-        r0 = np.asarray(rho0(x), dtype=float)
-    else:
-        r0 = float(rho0)
-    return flow.psi(x) * r0 + flow.phi(x)
+    r0 = rho0(x) if callable(rho0) else rho0
+    return flow.psi(x) * np.asarray(r0, dtype=float) + flow.phi(x)
 
 
 def expected_count(region: Box, flow: SurgailisFlow, mu0_mean: float = 0.0,

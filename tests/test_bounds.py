@@ -21,6 +21,7 @@ from contpop import (
     theta_norm,
     unit_existence_time,
 )
+from contpop.bounds import cell_rates
 from conftest import gaussian_unit_kernel, make_params
 
 
@@ -233,6 +234,18 @@ def test_kappa_from_factorial_moments():
     assert kappa_from_factorial_moments([0.0, 0.0]) == 0.0
 
 
+def test_cell_rates_of_a_cube():
+    # the separations of two points in the cube reach its far corner,
+    # |u| = h sqrt(d), where the kernel is smallest; b is integrated over it
+    params = make_params(window=Window([8.0, 6.0]),
+                         kernel=gaussian_unit_kernel(2), b=1.5)
+    a_cell, b_cell = cell_rates(params, 0.5)
+    assert a_cell == pytest.approx(
+        float(params.kernel.radial(0.5 * math.sqrt(2.0))), rel=1e-12)
+    assert b_cell == pytest.approx(1.5 * 0.25, rel=1e-12)
+    assert cell_rates(make_params(window=Window([8.0, 6.0])), 0.5)[0] == 0.0
+
+
 # --------------------------------------------------------- stationary bound
 
 def test_stationary_density_bound_level():
@@ -244,6 +257,8 @@ def test_stationary_density_bound_level():
     assert bound.global_bound == pytest.approx(0.5)
     high = stationary_density_bound(params, rho0=2.0)
     assert high.global_bound == pytest.approx(2.0)
+    field = stationary_density_bound(params, RateField.constant(0.8, 1))
+    assert field.rho0_sup == field.global_bound == 0.8
 
 
 def test_stationary_density_bound_needs_self_interaction():

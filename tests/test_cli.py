@@ -1,11 +1,13 @@
 """End-to-end command-line runs: manifests, outputs, exit codes, verify."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import contpop.cli as cli
@@ -355,11 +357,12 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     ["simulate", "--replicas", "1", "--snapshots", "1", "--nmax", "5"],
     ["simulate", "--replicas", "1", "--snapshots", "1", "--cell-side", "3"],
     ["simulate", "--replicas", "1", "--snapshots", "1", "--k2-bins", "-1"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--max-events", "0"],
 ], ids=" ".join)
 def test_argument_errors_exit_2(tmp_path, capsys, argv):
     # a ValueError from a library check is a configuration error, not a
     # failed check (exit 1), and no traceback; simulate checks its arguments
-    # before any replica runs, so no particle file is written
+    # and its replica plan before it writes the manifest
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o"
     code = main([argv[0], "--config", str(cfg), "--out", str(out),
@@ -370,6 +373,8 @@ def test_argument_errors_exit_2(tmp_path, capsys, argv):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert list(out.glob("particles_*.csv")) == []
+    if argv[0] == "simulate":
+        assert not (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -443,6 +448,16 @@ def test_hierarchy_numerical_and_config_failures(tmp_path, capsys):
     code = main(["hierarchy", "--config", str(explicit), "--out",
                  str(tmp_path / "h3"), "--dt", "0.01", "--t-end", "0.1"])
     assert code == 2
+    capsys.readouterr()
+    # the --grid flag gets the check the config's hierarchy.grid gets
+    for grid in ("3", "0"):
+        code = main(["hierarchy", "--config", str(cfg), "--out",
+                     str(tmp_path / f"g{grid}"), "--dt", "0.02",
+                     "--t-end", "1.0", "--grid", grid])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "config error: hierarchy grid must have at least 8 points\n"
+        assert not (tmp_path / f"g{grid}" / "k1.csv").exists()
 
 
 # ---------------------------------------------------------------- surgailis
@@ -727,16 +742,25 @@ def test_verify_catches_tampered_moments(tmp_path, capsys):
     ("moments.csv", "moments-recompute", lambda rows: rows.pop(5)),
     ("k1.csv", "k1-recompute", lambda rows: rows[1].update(
         x1=repr(float(rows[1]["x1"]) + 0.05))),
-], ids=("moments-row-deleted", "k1-x1-changed"))
+    ("k1.csv", "k1-recompute", lambda rows: rows[0].update(value="abc")),
+    ("moments.csv", "moments-recompute",
+     lambda rows: rows[0].update(value="abc")),
+], ids=("moments-row-deleted", "k1-x1-changed", "k1-value-not-a-number",
+        "moments-value-not-a-number"))
 def test_verify_checks_every_column_and_row(tmp_path, capsys, name, check,
                                             edit):
-    # the stored file is compared with the writer's own table, so a lost row
-    # or a moved cell centre fails as surely as a changed value
+    # the stored file is compared with the writer's own table, so a lost row,
+    # a moved cell centre or a cell that is not a number fails as surely as
+    # a changed value, and is no configuration error
     cfg, out = run_free_simulation(tmp_path)
     edit_rows(out / name, edit)
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    captured = capsys.readouterr()
     assert code == 1
-    assert f"FAIL {check}" in capsys.readouterr().out
+    assert f"FAIL {check}" in captured.out
+    assert captured.err == ""
+    if name == "moments.csv":   # the identity needs the stored moments
+        assert "SKIP moment-identity" in captured.out
 
 
 def test_verify_fails_on_empty_k1_csv(tmp_path, capsys):
@@ -747,6 +771,44 @@ def test_verify_fails_on_empty_k1_csv(tmp_path, capsys):
     assert code == 1
     assert "FAIL k1-recompute" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_verify_reads_each_bound_from_its_owner(golden_runs,
+                                                golden_interacting_runs,
+                                                capsys, monkeypatch):
+    # shift what each owner returns: every printed level, kappa and excess
+    # must move with it, so verify holds no copy of the formulas
+    def shifted(owner, change):
+        return lambda *args, **kwargs: change(owner(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "stationary_density_bound", shifted(
+        cli.stationary_density_bound,
+        lambda bound: dataclasses.replace(bound, global_bound=5e6)))
+    monkeypatch.setattr(cli, "moment_bound_system", shifted(
+        cli.moment_bound_system, lambda system: dataclasses.replace(
+            system, kappa=7e6, envelope=np.full_like(system.envelope, 3e6))))
+    monkeypatch.setattr(cli, "poisson_density_flow", shifted(
+        cli.poisson_density_flow, lambda density: density + 4e6))
+    expected = {
+        "free": [
+            "verify PASS domination: worst envelope excess -4e+06",
+            "verify FAIL oracle-equivalence: worst |deviation| - 3 sigma "
+            "= 4e+06",
+            "verify SKIP density-cap: kernel vanishes at the origin"],
+        "interacting": [
+            "verify PASS domination: worst envelope excess -4e+06",
+            "verify PASS moment-envelope: kappa 7e+06, worst excess -3e+06",
+            "verify PASS density-cap: level 5e+06, worst excess -5e+06"],
+    }
+    for run, runs in (("free", golden_runs),
+                      ("interacting", golden_interacting_runs)):
+        out = runs[1]
+        capsys.readouterr()
+        main(["verify", "--config", str(out.parent / "model.json"),
+              "--run", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in expected[run] if line not in lines] == [], \
+            (run, lines)
 
 
 def test_verify_rejects_empty_particle_file(tmp_path, capsys):
