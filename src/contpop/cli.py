@@ -61,8 +61,8 @@ def _parse_times(text: str, flag: str) -> tuple:
         times = tuple(float(part) for part in text.split(",") if part != "")
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated numbers: {exc}")
-    if not times:
-        raise ConfigError(f"{flag} lists no times")
+    if not times or not all(map(math.isfinite, times)):
+        raise ConfigError(f"{flag} must list finite times")
     return times
 
 
@@ -193,8 +193,7 @@ def cmd_simulate(args) -> int:
                 [ensemble.positions(r, -1).shape[0]
                  for r in range(ensemble.n_replicas)])},
         "max_audit_residual": stats.max_audit_residual,
-        "repairs": {"rate_clamps": stats.rate_clamps,
-                    "selection_fallbacks": stats.selection_fallbacks},
+        "repairs": {"selection_fallbacks": stats.selection_fallbacks},
         "wall_time_s": phase_s["replicas"],
         "phase_s": phase_s,
         "estimators": {"cell_side": cell_side, "l_max": args.lmax,
@@ -244,23 +243,23 @@ def cmd_hierarchy(args) -> int:
     mode = opts["mode"]
     snapshots = _parse_times(args.snapshots, "--snapshots") \
         if args.snapshots else (args.t_end,)
+    rho0 = _initial_density(cfg, params)
+    ti = mode == "translation-invariant"
+    if ti and not isinstance(rho0, (int, float)):
+        raise ConfigError("translation-invariant runs need a constant "
+                          "initial density")
     out = Path(args.out)
     arguments = {"closure": args.closure, "nmax": args.nmax, "dt": args.dt,
                  "t_end": args.t_end, "grid": grid, "mode": mode,
                  "snapshots": list(snapshots)}
     _write_manifest(out, "hierarchy", arguments, args.config)
-    rho0 = _initial_density(cfg, params)
-    if mode == "translation-invariant":
-        if not isinstance(rho0, (int, float)):
-            raise ConfigError("translation-invariant runs need a constant "
-                              "initial density")
+    if ti:
         state = HierarchyState.translation_invariant(params, grid, rho0)
     else:
         state = HierarchyState.full_grid(params, grid, rho0)
     traj = integrate(state, args.t_end, args.dt, closure=args.closure,
                      n_max=args.nmax, snapshots=snapshots)
     d = params.dimension
-    ti = mode == "translation-invariant"
     # deterministic trajectories reuse the estimator CSV schema: stderr is 0
     # and a trailing source column tags the producer
     columns = ["value", "stderr", "source"]
@@ -301,6 +300,10 @@ def cmd_surgailis(args) -> int:
     params = build_params(cfg)
     times = _parse_times(args.times, "--times")
     rho0 = _initial_density(cfg, params)
+    if args.grid < 1:
+        raise ConfigError("--grid must be at least 1")
+    if args.pair_grid < 0:
+        raise ConfigError("--pair-grid must be nonnegative")
     if args.pair_grid > 0 and params.dimension != 1:
         raise ConfigError("--pair-grid needs a 1-D window, not dimension "
                           f"{params.dimension}")
@@ -345,6 +348,30 @@ def cmd_surgailis(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
+    # the initial density and the flags are checked before the manifest
+    rho0 = _initial_density(cfg, params)
+    if args.schedule is not None and args.schedule_steps is not None:
+        raise ConfigError("pass --schedule or --schedule-steps, not both")
+    if args.schedule is not None and not 0.0 < args.schedule < math.inf:
+        raise ConfigError("--schedule must be a positive finite horizon")
+    if args.schedule_steps is not None and args.schedule_steps < 1:
+        raise ConfigError("--schedule-steps must be positive")
+    if not 0.0 < args.kappa < 0.5:
+        raise ConfigError("--kappa must lie in (0, 1/2)")
+    if not 0.0 < args.cell_side < math.inf:
+        raise ConfigError("--cell-side must be positive and finite")
+    if args.moment_system:
+        order_text, t_text = args.moment_system
+        try:
+            orders, t_end = int(order_text), float(t_text)
+        except ValueError as exc:
+            raise ConfigError(f"--moment-system L T_END: {exc}")
+        if orders < 1 or not 0.0 <= t_end < math.inf:
+            raise ConfigError("--moment-system needs L >= 1 and a finite "
+                              "T_END >= 0")
+        if not isinstance(rho0, (int, float)):
+            raise ConfigError("moment-system report needs a constant initial "
+                              "density")
     out = Path(args.out)
     arguments = {"schedule": args.schedule,
                  "schedule_steps": args.schedule_steps, "kappa": args.kappa,
@@ -371,8 +398,6 @@ def cmd_bounds(args) -> int:
     horizon_ref = args.schedule if args.schedule else 1.0
     theta_t = surgailis_theta_growth(theta0, params.b_norm, horizon_ref)
     report["theta_growth"] = {"t": horizon_ref, "theta_t": theta_t}
-    spec = build_initial(cfg, params)
-    rho0 = spec.get("density", 0.0)
     rho0_value = rho0 if not hasattr(rho0, "sup") else rho0.sup
     try:
         sd = stationary_density_bound(params, rho0)
@@ -383,8 +408,6 @@ def cmd_bounds(args) -> int:
     except EffectiveMortalityUnavailable:
         report["stationary_density"] = {"available": False,
                                         "theta_growth_fallback": theta_t}
-    if args.schedule is not None and args.schedule_steps is not None:
-        raise ConfigError("pass --schedule or --schedule-steps, not both")
     if args.schedule is not None or args.schedule_steps is not None:
         sched = continuation_schedule(
             params.b_norm, params.a_integral, theta0,
@@ -398,13 +421,8 @@ def cmd_bounds(args) -> int:
             "times": sched.times, "thetas": sched.thetas,
         }
     if args.moment_system:
-        orders = int(args.moment_system[0])
-        t_end = float(args.moment_system[1])
         h = args.cell_side
         a_cell, b_cell = cell_rates(params, h)
-        if not isinstance(rho0, (int, float)):
-            raise ConfigError("moment-system report needs a constant initial "
-                              "density")
         volume = math.prod([h] * params.dimension)
         lam = float(rho0) * volume
         q0 = [lam**l / math.factorial(l) for l in range(1, orders + 1)]
@@ -565,6 +583,9 @@ def cmd_verify(args) -> int:
     if not manifest_path.is_file():
         raise ConfigError(f"no manifest.json under {run}")
     manifest = json.loads(manifest_path.read_text())
+    if manifest.get("command") != "simulate":
+        raise ConfigError(f"{run} holds a {manifest.get('command')!r} run; "
+                          "verify checks simulate runs")
     actual = config_sha256(args.config)
     if actual != manifest.get("config_sha256"):
         print(f"verify: config hash mismatch: {actual} vs manifest "

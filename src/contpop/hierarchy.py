@@ -105,8 +105,7 @@ class HierarchyState:
         # kernel sampled at minimum-image separations of the grid
         idx = np.indices((self.grid_points,) * d, dtype=float)
         sep = np.stack([idx[i] * self.spacing[i] for i in range(d)], axis=-1)
-        sep = sep - window.sides * np.round(sep / window.sides)
-        self.a_grid = params.kernel(sep)
+        self.a_grid = params.kernel(window.minimum_image(sep))
         self.a_fft = np.fft.rfftn(self.a_grid * self.cell_volume)
         self.a_mass = float(np.sum(self.a_grid) * self.cell_volume)
         if mode == "translation-invariant":
@@ -210,8 +209,7 @@ def _row_convolution(state: HierarchyState, k2: np.ndarray) -> np.ndarray:
                          state.a_fft, s=shape, axes=(1,))
 
 
-def rhs_order1(state: HierarchyState, closure: str = "zero-third-cumulant",
-               k2_conv=None):
+def rhs_order1(state: HierarchyState, k2_conv=None):
     """Time derivative of the density / first correlation.
 
     Uses the state's own k^(2) when present; when the state carries only the
@@ -349,7 +347,7 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
         # only the zero-third-cumulant drain reads the convolution again;
         # the other closures let rhs_order1 free it before rhs_order2 runs
         conv = _row_convolution(work, work.k2) if share_conv else None
-        d1 = rhs_order1(work, closure, conv)
+        d1 = rhs_order1(work, conv)
         d2 = rhs_order2(work, closure, conv) if n_max == 2 else None
         work.k1 = work.k2 = None    # hold no stage vector at the step's peak
         f = np.empty_like(y)        # made after the terms, for the same peak

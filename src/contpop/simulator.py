@@ -1,16 +1,18 @@
 """Event-driven simulation of the spatial birth-death process.
 
-Each replica runs the direct stochastic simulation algorithm: waiting times
-are exponential in the total event rate B + D, where B is the integral of the
-birth intensity over the domain and D the sum of all death rates; the event
-is a birth with probability B / (B + D) (exact ties resolve to birth, the
-first kind in the fixed ordering).  Birth positions are drawn by rejection
-against sup b.  Death rates are maintained incrementally under a cell list
-with cell side >= r_cut, so only neighboring cells are touched per event;
-per-cell rate sums drive a two-level search for the dying particle.  Rates
-are recomputed from scratch every AUDIT_PERIOD events to keep float drift in
-check, and the worst residual seen is reported, with counts of the negative
-rates clamped and of the death-selection fallbacks that drift causes.
+Each replica runs the direct stochastic simulation algorithm, one event per
+`SimulationState.step`: waiting times are exponential in the total event
+rate B + D, where B is the integral of the birth intensity over the domain
+and D the sum of all death rates; the event is a birth with probability
+B / (B + D) (exact ties resolve to birth, the first kind in the fixed
+ordering).  Birth positions are drawn by rejection against sup b.  Death
+rates are maintained incrementally under a cell list with cell side >=
+r_cut, so only neighboring cells are touched per event; per-cell rate sums
+drive a two-level search for the dying particle.  Rates are recomputed from
+scratch every AUDIT_PERIOD events to keep float drift in check, and the
+worst residual seen is reported.  Drift a few ulps below zero is read as
+zero where it is used; the one repair it needs, a death-selection fallback,
+is counted.
 
 The per-event path runs on plain Python floats and lists, with the scalar
 kernel and field evaluators of `model`: an event touches only the handful of
@@ -84,9 +86,9 @@ class ReplicaPlan:
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must fit in 64 bits")
         times = tuple(float(t) for t in self.snapshots)
-        if not times or any(t < 0 for t in times) or \
+        if not times or not all(0 <= t < math.inf for t in times) or \
                 any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshots must be nonnegative and ascending")
+            raise ValueError("snapshots must be finite, nonnegative, ascending")
         self.snapshots = times
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
@@ -97,8 +99,8 @@ class RunStats:
     """Aggregate counters across replicas.
 
     `replica_events` lists each replica's event count, in replica order.
-    `rate_clamps` and `selection_fallbacks` count the silent float-drift
-    repairs of `SimulationState.remove` and `SimulationState._select_death`.
+    `selection_fallbacks` counts the float-drift repairs of
+    `SimulationState._select_death`.
     `initial_s` and `event_loop_s` sum over the replicas the wall time of
     the initial sampling and of the event loop, each timed in the process
     that ran the replica; they are diagnostics, left out of comparisons.
@@ -108,7 +110,6 @@ class RunStats:
     deaths: int = 0
     events: int = 0
     max_audit_residual: float = 0.0
-    rate_clamps: int = 0
     selection_fallbacks: int = 0
     replica_events: list = dataclass_field(default_factory=list)
     initial_s: float = dataclass_field(default=0.0, compare=False)
@@ -122,7 +123,6 @@ class RunStats:
         self.births += other.births
         self.deaths += other.deaths
         self.events += other.events
-        self.rate_clamps += other.rate_clamps
         self.selection_fallbacks += other.selection_fallbacks
         self.replica_events.extend(other.replica_events)
         self.initial_s += other.initial_s
@@ -249,7 +249,6 @@ class SimulationState:
         self.births = 0
         self.deaths = 0
         self.events = 0
-        self.rate_clamps = 0
         self.selection_fallbacks = 0
         self.max_audit_residual = 0.0
         # neighbor cell offsets: +-1 per axis, deduplicated for tiny grids
@@ -378,39 +377,20 @@ class SimulationState:
     def remove(self, i: int) -> None:
         """Delete the particle in row i; the last row moves into row i.
 
-        Float drift can leave a rate or a cell sum a few ulps below zero;
-        each such value is clamped to zero and counted in `rate_clamps`.
+        Float drift can leave a rate, a cell sum or `d_tot` a few ulps below
+        zero; `_select_death` and `step` read such a value as zero.
         """
         pos, rates, cell_rate = self.pos, self.rate, self.cell_rate
         cell_of, slot_of = self.cell_of, self.slot_of
         idx, vals = self._neighbors(pos[i], cell_of[i], exclude=i)
-        clamps = 0
         d_tot = self.d_tot
         for j, a in zip(idx, vals):
-            r = rates[j] - a
-            if r < 0.0:
-                r = 0.0
-                clamps += 1
-            rates[j] = r
-            c = cell_of[j]
-            s = cell_rate[c] - a
-            if s < 0.0:
-                s = 0.0
-                clamps += 1
-            cell_rate[c] = s
+            rates[j] -= a
+            cell_rate[cell_of[j]] -= a
             d_tot -= a
         cell = cell_of[i]
-        s = cell_rate[cell] - rates[i]
-        if s < 0.0:
-            s = 0.0
-            clamps += 1
-        cell_rate[cell] = s
-        d_tot -= rates[i]
-        if d_tot < 0.0:
-            d_tot = 0.0
-            clamps += 1
-        self.d_tot = d_tot
-        self.rate_clamps += clamps
+        cell_rate[cell] -= rates[i]
+        self.d_tot = d_tot - rates[i]
         # unlink from the cell member list by swap-remove
         members = self.cells[cell]
         last = members.pop()
@@ -464,32 +444,30 @@ class SimulationState:
         self.selection_fallbacks += 1
         return members[-1]
 
-    def _wait(self) -> float:
-        """Exponential wait to the next event; inf, with no draw, when no
-        rate is left."""
+    def step(self, until: float = math.inf) -> str:
+        """Run the next event, or set the clock to `until` and return
+        'halted' when no event can happen or the event falls after `until`
+        (the clock is memoryless, so the discarded wait is redrawn exactly).
+        A death total a few ulps below zero halts the clock when b = 0 and
+        makes the event a birth when b > 0; with b = 0 an empty window
+        halts it whatever drift leaves in the death total."""
         total = self.b_tot + self.d_tot
-        if total <= 0.0:
-            return math.inf
-        return -math.log1p(-next(self._uniforms)) / total
-
-    def step(self) -> str:
-        """Dispatch one event unconditionally; 'halted' when no rate is left."""
-        wait = self._wait()
-        if wait == math.inf:
+        if total <= 0.0 or not self.rate and self.b_tot <= 0.0:
+            self.t = until
             return "halted"
-        self.t += wait
-        return self._dispatch()
-
-    def _dispatch(self) -> str:
-        total = self.b_tot + self.d_tot
-        kind = "birth" if self.b_tot > 0.0 and \
-            next(self._uniforms) * total <= self.b_tot else "death"
-        if kind == "birth":
+        t = self.t - math.log1p(-next(self._uniforms)) / total
+        if t > until:
+            self.t = until
+            return "halted"
+        self.t = t
+        if self.b_tot > 0.0 and next(self._uniforms) * total <= self.b_tot:
             self.insert(self._draw_birth_position())
             self.births += 1
+            kind = "birth"
         else:
             self.remove(self._select_death())
             self.deaths += 1
+            kind = "death"
         self.events += 1
         if self.events % AUDIT_PERIOD == 0:
             self.audit()
@@ -497,16 +475,8 @@ class SimulationState:
 
     def advance(self, until: float, max_events: int = 10**8,
                 replica: int = 0) -> None:
-        """Run events up to time `until`; a crossing wait is discarded (the
-        exponential clock is memoryless, so redrawing after the boundary is
-        exact)."""
-        while True:
-            wait = self._wait()
-            if self.t + wait > until:
-                self.t = until
-                return
-            self.t += wait
-            self._dispatch()
+        """Run events up to time `until`."""
+        while self.step(until) != "halted":
             if self.events > max_events:
                 raise CappedRunError(replica, self.events, self.t)
 
@@ -540,7 +510,6 @@ class SimulationState:
         return RunStats(births=self.births, deaths=self.deaths,
                         events=self.events,
                         max_audit_residual=self.max_audit_residual,
-                        rate_clamps=self.rate_clamps,
                         selection_fallbacks=self.selection_fallbacks,
                         replica_events=[self.events])
 

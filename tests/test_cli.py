@@ -111,7 +111,7 @@ def test_repair_counts_in_summary_match_across_workers(tmp_path):
         repairs.append(json.loads((out / "summary.json").read_text())
                        ["repairs"])
     assert repairs[0] == repairs[1]
-    assert set(repairs[0]) == {"rate_clamps", "selection_fallbacks"}
+    assert set(repairs[0]) == {"selection_fallbacks"}
 
 
 def test_simulate_rerun_and_threads_are_byte_identical(tmp_path):
@@ -358,11 +358,24 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     ["simulate", "--replicas", "1", "--snapshots", "1", "--cell-side", "3"],
     ["simulate", "--replicas", "1", "--snapshots", "1", "--k2-bins", "-1"],
     ["simulate", "--replicas", "1", "--snapshots", "1", "--max-events", "0"],
+    ["simulate", "--replicas", "1", "--snapshots", "nan"],
+    ["simulate", "--replicas", "1", "--snapshots", "1,inf"],
+    ["bounds", "--kappa", "0.7"],
+    ["bounds", "--schedule", "1", "--schedule-steps", "3"],
+    ["bounds", "--moment-system", "x", "1"],
+    ["bounds", "--moment-system", "0", "1"],
+    ["bounds", "--moment-system", "2", "nan"],
+    ["bounds", "--cell-side", "-1", "--moment-system", "2", "1"],
+    ["surgailis", "--times", "1", "--grid", "0"],
+    ["surgailis", "--times", "1", "--pair-grid", "-1"],
+    ["surgailis", "--times", "nan"],
+    ["surgailis", "--times", "1,inf"],
+    ["hierarchy", "--dt", "0.1", "--t-end", "1", "--snapshots", "nan"],
 ], ids=" ".join)
 def test_argument_errors_exit_2(tmp_path, capsys, argv):
     # a ValueError from a library check is a configuration error, not a
-    # failed check (exit 1), and no traceback; simulate checks its arguments
-    # and its replica plan before it writes the manifest
+    # failed check (exit 1), and no traceback; every command checks its
+    # arguments before it writes the manifest
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o"
     code = main([argv[0], "--config", str(cfg), "--out", str(out),
@@ -370,11 +383,31 @@ def test_argument_errors_exit_2(tmp_path, capsys, argv):
                  *argv[1:]])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error:")
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert list(out.glob("particles_*.csv")) == []
-    if argv[0] == "simulate":
-        assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["bounds", "--moment-system", "2", "1"],
+    ["hierarchy", "--dt", "0.01", "--t-end", "0.1"],
+    ["surgailis", "--times", "1"],
+], ids=" ".join)
+def test_explicit_initial_state_exit_2_before_manifest(tmp_path, capsys,
+                                                        argv):
+    # deterministic commands need a density: six particles in [1, 1.05]
+    # are refused, not read as density 0
+    points = [[1.0 + 0.01 * i] for i in range(6)]
+    cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL),
+                    initial={"kind": "explicit", "points": points})
+    out = tmp_path / "o"
+    code = main([argv[0], "--config", str(cfg), "--out", str(out),
+                 *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "explicit" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -520,6 +553,21 @@ def test_surgailis_pair_grid_outside_1d_exit_2(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- bounds
+
+def test_verify_refuses_a_run_that_is_not_simulate(tmp_path, capsys):
+    # a hierarchy directory has a manifest and a summary too, but no
+    # particle files: a configuration error, not a failed check
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.3})
+    out = tmp_path / "hier"
+    assert main(["hierarchy", "--config", str(cfg), "--out", str(out),
+                 "--dt", "0.01", "--t-end", "0.1", "--grid", "16"]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "'hierarchy'" in err
+
 
 def test_bounds_report_sections(tmp_path):
     cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL),

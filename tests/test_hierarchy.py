@@ -115,7 +115,7 @@ def test_rhs_matches_slow_evaluator_translation_invariant(closure):
     M = 48
     state = ti_state(rho=0.7, M=M, k2=smooth_even_k2(M))
     slow_r, slow_k2 = slow_rhs_ti(state, closure)
-    assert rhs_order1(state, closure) == pytest.approx(slow_r, abs=1e-12)
+    assert rhs_order1(state) == pytest.approx(slow_r, abs=1e-12)
     fast = rhs_order2(state, closure)
     assert np.allclose(fast, slow_k2, rtol=1e-12, atol=1e-12)
 
@@ -136,7 +136,7 @@ def test_rhs_matches_slow_evaluator_full_grid(closure):
         p.ravel(), x, k1, period=L), k20=k2)
     assert np.allclose(state.k1, k1)
     slow_k1, slow_k2 = slow_rhs_full(state, closure)
-    fast1 = rhs_order1(state, closure)
+    fast1 = rhs_order1(state)
     fast2 = rhs_order2(state, closure)
     assert np.allclose(fast1, slow_k1, rtol=1e-12, atol=1e-11)
     assert np.allclose(fast2, slow_k2, rtol=1e-12, atol=1e-11)
@@ -388,8 +388,8 @@ def test_full_grid_stage_convolves_k2_once(closure, monkeypatch):
     w = np.fft.irfft(np.fft.rfft(k2, axis=1) * state.a_fft[None, :], n=M,
                      axis=1)
     assert conv.tobytes() == w.tobytes()
-    for shared, alone in ((rhs_order1(state, closure, conv),
-                           rhs_order1(state, closure)),
+    for shared, alone in ((rhs_order1(state, conv),
+                           rhs_order1(state)),
                           (rhs_order2(state, closure, conv),
                            rhs_order2(state, closure))):
         assert shared.tobytes() == alone.tobytes()

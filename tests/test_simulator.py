@@ -242,30 +242,68 @@ def test_capped_run_error_crosses_worker_processes():
     assert info.value.events > 10
 
 
-def test_remove_clamps_and_counts_negative_drift():
+def _drifted_state(b, seed=0):
+    """m = 0: a lone particle at 2.0 whose rate, cell sum and the death
+    total sit a few ulps below their true value 0, as float drift leaves
+    them when its competitors die, next to an interacting pair at 6.0."""
     params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
-                         b=1.0, m=0.0)
-    state = SimulationState(params, np.random.default_rng(0))
-    state.insert(np.array([2.0]))
-    state.insert(np.array([2.3]))
-    state.rate[0] -= 1e-12   # drift below the true rate a(0.3)
-    state.remove(1)
-    assert state.rate == [0.0]
-    assert state.rate_clamps == 1
-    assert state.stats().rate_clamps == 1
+                         b=b, m=0.0)
+    state = SimulationState(params, np.random.default_rng(seed))
+    lone = state.insert([2.0])
+    assert state.rate[lone] == 0.0
+    drift = 4 * math.ulp(1.0)   # a few ulps of a unit rate
+    state.rate[lone] -= drift
+    state.cell_rate[state.cell_of[lone]] -= drift
+    state.d_tot -= drift
+    return state, lone
 
 
-def test_repair_counts_do_not_depend_on_workers():
-    # m = 0: a particle whose competitors all die returns to a rate of zero
-    # through float subtractions, the case the clamps repair
+def test_death_selection_skips_a_negative_rate():
+    state, lone = _drifted_state(b=1.0)
+    state.insert([6.0])
+    state.insert([6.3])
+    assert state.rate[lone] < 0.0 and state.cell_rate[state.cell_of[lone]] < 0.0
+    assert state.cells[state.cell_of[lone]] == [lone]
+    picks = {state._select_death() for _ in range(2000)}
+    assert picks == {1, 2}
+    assert state.selection_fallbacks == 0
+
+
+def test_negative_death_total_halts_without_birth():
+    state, _ = _drifted_state(b=0.0)
+    assert state.d_tot < 0.0
+    assert state.step(5.0) == "halted" and state.t == 5.0
+    assert state.step() == "halted" and state.t == math.inf
+    assert state.events == 0 and state.n == 1
+
+
+def test_negative_death_total_makes_the_event_a_birth():
+    for seed in range(200):
+        state, _ = _drifted_state(b=1.0, seed=seed)
+        assert state.d_tot < 0.0
+        assert state.step() == "birth"
+
+
+def test_advance_to_infinity_without_birth_empties_and_halts():
+    # b = 0: every particle dies and the clock halts at t = inf; drift
+    # leaves the final death total of an empty window on either side of 0
     params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
-                         b=1.0, m=0.0)
-    plan = ReplicaPlan(replicas=16, base_seed=31, snapshots=(12.0, 24.0),
-                       initial={"kind": "poisson", "density": 0.5})
-    _, one = run_replicas(params, plan, threads=1)
-    _, two = run_replicas(params, plan, threads=2)
-    assert one == two
-    assert one.rate_clamps > 0
+                         b=0.0, m=0.1)
+    residuals = []
+    for seed in range(12):
+        state = SimulationState(params, np.random.default_rng(seed))
+        state.seed_initial({"kind": "poisson", "density": 3.0})
+        state.advance(math.inf)
+        assert state.n == 0 and state.t == math.inf
+        assert state.deaths > 0 and state.births == 0
+        residuals.append(state.d_tot)
+    assert min(residuals) < 0.0 < max(residuals)
+
+
+def test_non_finite_snapshots_are_rejected():
+    for times in ((1.0, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            ReplicaPlan(replicas=1, base_seed=0, snapshots=times)
 
 
 def test_rate_sums_add_left_to_right():
