@@ -13,9 +13,13 @@ build (`estimators.k1_table`, `moments_table`), rebuilt from the particle
 files (the layouts are spelled out only there), and tests the analytic
 envelopes that `surgailis` and `bounds` compute.
 
-Exit codes: 0 success, 1 failed verification checks, 2 configuration errors
-(any ValueError, including a library check's), 3 numerical failures (event-budget cap, step-size guard, clipping budget,
-divergence, schedule horizon).
+Exit codes: 0 success, 1 failed verification checks, 3 numerical failures
+(event-budget cap, step-size guard, clipping budget, divergence, schedule
+horizon), 2 configuration errors: a bad, missing or unknown flag, or any
+ValueError, a library check's included.  Each prints one `config error:`
+line (`config error: argument --flag: ...` for the flag ranges that
+`_build_parser` declares); every flag is checked before the manifest, so a
+refused flag leaves no output directory.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,8 @@ from .estimators import (CellPartition, SnapshotEnsemble,
                          read_csv_columns, separation_edges, write_csv,
                          write_k1_csv, write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
-                        HierarchyState, StepSizeError, integrate)
+                        HierarchyState, StepSizeError, check_steps,
+                        integrate)
 from .simulator import CappedRunError, ReplicaPlan, run_replicas
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
                         poisson_density_flow, propagate_correlation)
@@ -56,46 +62,50 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _parse_times(text: str, flag: str) -> tuple:
+class _Parser(argparse.ArgumentParser):
+    """Its errors (a bad value, a missing or an unknown flag), and those of
+    its subparsers, are configuration errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _number(kind, low, high=math.inf):
+    """argparse `type=`: an int >= low, or a float strictly between low and
+    high, which refuses nan and inf."""
+    def check(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan   # fails both comparisons below
+        if low <= value if kind is int else low < value < high:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"expects an integer >= {low}, not {text!r}" if kind is int else
+            f"expects a finite number in ({low:g}, {high:g}), not {text!r}")
+    return check
+
+
+def _parse_times(text: str) -> tuple:
+    """argparse `type=`: comma-separated finite times >= 0."""
     try:
         times = tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers: {exc}")
-    if not times or not all(map(math.isfinite, times)):
-        raise ConfigError(f"{flag} must list finite times")
+    except ValueError:
+        times = ()
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated finite times >= 0, not {text!r}")
     return times
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("CONTPOP_SEED")
-        if env is None:
-            raise ConfigError("no seed given: pass --seed or set CONTPOP_SEED")
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CONTPOP_SEED is not an integer: {env!r}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    return seed
 
 
 def _write_manifest(out: Path, command: str, arguments: dict,
                     config_path: str, seed=None) -> None:
-    manifest = {
-        "tool": "contpop",
-        "version": __version__,
-        "command": command,
-        "config_path": str(config_path),
-        "config_sha256": config_sha256(config_path),
-        "seed": seed,
-        "arguments": arguments,
-    }
+    manifest = {"tool": "contpop", "version": __version__,
+                "command": command, "config_path": str(config_path),
+                "config_sha256": config_sha256(config_path), "seed": seed,
+                "arguments": arguments}
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -103,10 +113,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None    # JSON has no inf; absent bound means unbounded
     if isinstance(obj, dict):
@@ -128,21 +136,20 @@ def _spread(values) -> dict:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
-    seed = _resolve_seed(args)
-    snapshots = _parse_times(args.snapshots, "--snapshots")
+    if args.seed is None:   # its range is the ReplicaPlan's to check
+        raise ConfigError("no seed given: pass --seed or set CONTPOP_SEED")
+    snapshots = args.snapshots
     cell_side = args.cell_side if args.cell_side is not None \
         else float(np.min(params.window.sides))
     # the estimator arguments and the plan are checked before the manifest
     partition = CellPartition(params.window, cell_side)
     check_moment_orders(args.lmax, args.nmax)
-    if args.k2_bins < 0:
-        raise ConfigError("--k2-bins must be nonnegative (0 writes no k2.csv)")
     k2_bins = args.k2_bins if params.window.boundary == "periodic" else 0
     if k2_bins > 0:
         half = float(np.min(params.window.sides)) / 2.0
         edges = separation_edges(params.window,
                                  np.linspace(0.0, half, k2_bins + 1))
-    plan = ReplicaPlan(replicas=args.replicas, base_seed=seed,
+    plan = ReplicaPlan(replicas=args.replicas, base_seed=args.seed,
                        snapshots=snapshots,
                        initial=build_initial(cfg, params),
                        max_events=args.max_events)
@@ -151,7 +158,8 @@ def cmd_simulate(args) -> int:
                  "threads": args.threads, "max_events": args.max_events,
                  "cell_side": cell_side, "l_max": args.lmax,
                  "n_max": args.nmax, "k2_bins": args.k2_bins}
-    _write_manifest(out, "simulate", arguments, args.config, seed=seed)
+    _write_manifest(out, "simulate", arguments, args.config,
+                    seed=args.seed)
     phase_s = {}
     t0 = time.perf_counter()
     ensemble, stats = run_replicas(params, plan, threads=args.threads)
@@ -241,8 +249,8 @@ def cmd_hierarchy(args) -> int:
     opts = hierarchy_options(cfg)
     grid = opts["grid"]
     mode = opts["mode"]
-    snapshots = _parse_times(args.snapshots, "--snapshots") \
-        if args.snapshots else (args.t_end,)
+    snapshots = args.snapshots or (args.t_end,)
+    check_steps(args.t_end, args.dt, snapshots)
     rho0 = _initial_density(cfg, params)
     ti = mode == "translation-invariant"
     if ti and not isinstance(rho0, (int, float)):
@@ -298,12 +306,8 @@ def cmd_hierarchy(args) -> int:
 def cmd_surgailis(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
-    times = _parse_times(args.times, "--times")
+    times = args.times
     rho0 = _initial_density(cfg, params)
-    if args.grid < 1:
-        raise ConfigError("--grid must be at least 1")
-    if args.pair_grid < 0:
-        raise ConfigError("--pair-grid must be nonnegative")
     if args.pair_grid > 0 and params.dimension != 1:
         raise ConfigError("--pair-grid needs a 1-D window, not dimension "
                           f"{params.dimension}")
@@ -348,27 +352,19 @@ def cmd_surgailis(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
-    # the initial density and the flags are checked before the manifest
+    # the initial density and flag conflicts are checked before the manifest
     rho0 = _initial_density(cfg, params)
     if args.schedule is not None and args.schedule_steps is not None:
         raise ConfigError("pass --schedule or --schedule-steps, not both")
-    if args.schedule is not None and not 0.0 < args.schedule < math.inf:
-        raise ConfigError("--schedule must be a positive finite horizon")
-    if args.schedule_steps is not None and args.schedule_steps < 1:
-        raise ConfigError("--schedule-steps must be positive")
-    if not 0.0 < args.kappa < 0.5:
-        raise ConfigError("--kappa must lie in (0, 1/2)")
-    if not 0.0 < args.cell_side < math.inf:
-        raise ConfigError("--cell-side must be positive and finite")
     if args.moment_system:
         order_text, t_text = args.moment_system
         try:
             orders, t_end = int(order_text), float(t_text)
-        except ValueError as exc:
-            raise ConfigError(f"--moment-system L T_END: {exc}")
+        except ValueError:
+            orders, t_end = 0, math.nan
         if orders < 1 or not 0.0 <= t_end < math.inf:
-            raise ConfigError("--moment-system needs L >= 1 and a finite "
-                              "T_END >= 0")
+            raise ConfigError("--moment-system needs an integer L >= 1 and "
+                              "a finite T_END >= 0")
         if not isinstance(rho0, (int, float)):
             raise ConfigError("moment-system report needs a constant initial "
                               "density")
@@ -387,9 +383,7 @@ def cmd_bounds(args) -> int:
     op = operator_norm_bound(params.b_norm, params.m_norm, params.a_sup,
                              params.a_integral, theta0 + 1.0, theta0)
     report["operator"] = {
-        "theta": op.theta, "theta_prime": op.theta_prime,
-        "kernel_mortality_part": op.kernel_mortality_part,
-        "birth_kernel_part": op.birth_kernel_part, "total": op.total,
+        **asdict(op),
         "existence_time": existence_time(params.b_norm, params.a_integral,
                                          theta0 + 1.0, theta0),
         "unit_existence_time": unit_existence_time(theta0, params.b_norm,
@@ -429,12 +423,8 @@ def cmd_bounds(args) -> int:
         kappa0 = max(volume * math.exp(theta0), lam)
         t_grid = np.linspace(0.0, t_end, 101)
         mb = moment_bound_system(q0, b_cell, a_cell, t_grid, kappa0=kappa0)
-        report["moment_system"] = {
-            "orders": orders, "cell_side": h, "a_cell": a_cell,
-            "b_cell": b_cell, "kappa": mb.kappa, "kappa0": mb.kappa0,
-            "t_grid": mb.t_grid, "trajectories": mb.trajectories,
-            "envelope": mb.envelope,
-        }
+        report["moment_system"] = {**asdict(mb), "orders": orders,
+                                   "cell_side": h}
     if args.theta_norm is not None:
         family = {n: float(rho0_value) ** n for n in range(17)}
         th = args.theta_norm
@@ -617,7 +607,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contpop",
         description="Spatial birth-death population dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -627,9 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", required=True, help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=int,
+                           default=os.environ.get("CONTPOP_SEED"),
                            help="base seed (fallback: CONTPOP_SEED)")
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_number(int, 1), default=1,
                            help="worker processes for the replicas, at most "
                                 "one per replica and per CPU (default 1: "
                                 "run in this process)")
@@ -637,14 +628,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run stochastic replicas")
     common(p, seed=True)
     p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--snapshots", required=True,
+    p.add_argument("--snapshots", type=_parse_times, required=True,
                    help="comma-separated snapshot times")
     p.add_argument("--max-events", type=int, default=10**8)
     p.add_argument("--cell-side", type=float, default=None,
                    help="moment/density cell side (default: smallest window side)")
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--k2-bins", type=int, default=16)
+    p.add_argument("--k2-bins", type=_number(int, 0), default=16,
+                   help="pair-correlation bins (0 writes no k2.csv)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("hierarchy", help="integrate the truncated hierarchy")
@@ -654,29 +646,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, choices=(1, 2), default=2)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--snapshots", default=None)
+    p.add_argument("--snapshots", type=_parse_times, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("surgailis", help="exact non-interacting flow")
     common(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--pair-grid", type=int, default=0,
+    p.add_argument("--times", type=_parse_times, required=True)
+    p.add_argument("--grid", type=_number(int, 1), default=1024)
+    p.add_argument("--pair-grid", type=_number(int, 0), default=0,
                    help="also emit k2 on an NxN pair grid (d = 1 only)")
     p.set_defaults(func=cmd_surgailis)
 
     p = sub.add_parser("bounds", help="analytical bounds report")
     common(p)
-    p.add_argument("--schedule", type=float, default=None,
+    p.add_argument("--schedule", type=_number(float, 0.0), default=None,
                    help="build the continuation schedule to this horizon")
-    p.add_argument("--schedule-steps", type=int, default=None,
+    p.add_argument("--schedule-steps", type=_number(int, 1), default=None,
                    help="build the schedule for a fixed number of steps")
-    p.add_argument("--kappa", type=float, default=0.4)
-    p.add_argument("--moment-system", nargs=2, metavar=("L", "T_END"),
-                   default=None)
-    p.add_argument("--theta-norm", type=float, default=None)
-    p.add_argument("--cell-side", type=float, default=1.0)
+    p.add_argument("--kappa", type=_number(float, 0.0, 0.5), default=0.4)
+    p.add_argument("--moment-system", nargs=2, metavar=("L", "T_END"))
+    p.add_argument("--theta-norm", type=_number(float, -math.inf))
+    p.add_argument("--cell-side", type=_number(float, 0.0), default=1.0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="re-check a finished simulate run")
@@ -687,12 +678,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CappedRunError, StepSizeError, ClipBudgetError, DivergenceError,
             ScheduleHorizonError) as exc:

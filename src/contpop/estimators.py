@@ -101,8 +101,8 @@ class CellPartition:
     """Congruent cells of side `cell_side` tiling the observation core."""
 
     def __init__(self, window: Window, cell_side: float):
-        if cell_side <= 0:
-            raise ValueError("cell side must be positive")
+        if not 0.0 < cell_side < math.inf:
+            raise ValueError("cell side must be positive and finite")
         counts = np.round(window.sides / cell_side).astype(int)
         if np.any(counts < 1) or np.any(
                 np.abs(counts * cell_side - window.sides) > 1e-9 * window.sides):
@@ -338,7 +338,8 @@ def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
     lower = np.concatenate(([-np.inf], r_edges, [np.nan]))
     lower[-2] = np.nextafter(lower[-2], np.inf)
     above = lower[1:]   # above[k] = lower[k + 1]
-    scale = bins / (r_edges[-1] - r_edges[0])
+    with np.errstate(over="ignore"):   # inf: see the fmax, fmin below
+        scale = bins / (r_edges[-1] - r_edges[0])
     ends = np.cumsum(np.bincount(replica, minlength=n_replicas))
     partners = ends[replica] - np.arange(n) - 1
     offset = replica * (bins + 2)

@@ -29,6 +29,7 @@ kernel once, for `rhs_order1` and the drain.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "DivergenceError",
     "rhs_order1",
     "rhs_order2",
+    "check_steps",
     "integrate",
 ]
 
@@ -305,10 +307,26 @@ class HierarchyTrajectory:
 
 
 def _step_index(t: float, dt: float, what: str) -> int:
-    steps = round(t / dt)
-    if abs(steps * dt - t) > 1e-9 * max(1.0, abs(t)):
+    steps = round(t / dt) if math.isfinite(t / dt) else None
+    if steps is None or abs(steps * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"{what} {t:g} is not a multiple of dt {dt:g}")
     return steps
+
+
+def check_steps(t_end: float, dt: float, snapshots=None) -> tuple[int, dict]:
+    """Raise ValueError unless dt > 0 and t_end >= 0 are finite and t_end
+    and the snapshot times (default: t_end) are multiples of dt in
+    [0, t_end]; returns the step count and the time of each snapshot step."""
+    if not (0.0 < dt < math.inf and 0.0 <= t_end < math.inf):
+        raise ValueError("needs a finite dt > 0 and a finite t_end >= 0")
+    n_steps = _step_index(t_end, dt, "t_end")
+    snap_steps = {}
+    for t in sorted(set(snapshots)) if snapshots is not None else [t_end]:
+        idx = _step_index(t, dt, "snapshot time")
+        if not 0 <= idx <= n_steps:
+            raise ValueError(f"snapshot time {t:g} outside [0, {t_end:g}]")
+        snap_steps[idx] = t
+    return n_steps, snap_steps
 
 
 def integrate(state: HierarchyState, t_end: float, dt: float,
@@ -327,17 +345,8 @@ def integrate(state: HierarchyState, t_end: float, dt: float,
         raise ValueError("n_max must be 1 or 2")
     if closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
-    if dt <= 0 or t_end < 0:
-        raise ValueError("needs dt > 0 and t_end >= 0")
+    n_steps, snap_steps = check_steps(t_end, dt, snapshots)
     params = state.params
-    n_steps = _step_index(t_end, dt, "t_end")
-    snap_times = sorted(set(snapshots)) if snapshots is not None else [t_end]
-    snap_steps = {}
-    for t in snap_times:
-        idx = _step_index(t, dt, "snapshot time")
-        if not 0 <= idx <= n_steps:
-            raise ValueError(f"snapshot time {t:g} outside [0, {t_end:g}]")
-        snap_steps[idx] = t
     work = copy.copy(state)     # its fields view each RK4 stage vector
     share_conv = (state.mode == "full-grid" and n_max == 2
                   and closure == "zero-third-cumulant")

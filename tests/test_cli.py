@@ -371,11 +371,26 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     ["surgailis", "--times", "nan"],
     ["surgailis", "--times", "1,inf"],
     ["hierarchy", "--dt", "0.1", "--t-end", "1", "--snapshots", "nan"],
+    ["hierarchy", "--dt", "nan", "--t-end", "1"],
+    ["hierarchy", "--dt", "0.1", "--t-end", "nan"],
+    ["hierarchy", "--dt", "0.1", "--t-end", "inf"],
+    ["hierarchy", "--dt", "0", "--t-end", "1"],
+    ["hierarchy", "--dt", "0.1", "--t-end", "-1"],
+    ["hierarchy", "--dt", "0.03", "--t-end", "1"],
+    ["hierarchy", "--dt", "0.1", "--t-end", "1", "--snapshots", "-1"],
+    ["surgailis", "--times", "-1"],
+    ["bounds", "--theta-norm", "nan"],
+    ["simulate", "--replicas", "x", "--snapshots", "1"],
+    ["simulate", "--replicas", "1", "--snapshots", "1", "--cell-side", "nan"],
+    ["simulate", "--snapshots", "1"],
+    ["bounds", "--no-such-flag"],
 ], ids=" ".join)
+@pytest.mark.filterwarnings("error")
 def test_argument_errors_exit_2(tmp_path, capsys, argv):
-    # a ValueError from a library check is a configuration error, not a
-    # failed check (exit 1), and no traceback; every command checks its
-    # arguments before it writes the manifest
+    # a bad, missing or unknown flag and a ValueError from a library check
+    # are configuration errors, not failed checks (exit 1), and print no
+    # usage block, warning or traceback; every command checks its arguments
+    # before it writes the manifest
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o"
     code = main([argv[0], "--config", str(cfg), "--out", str(out),

@@ -282,6 +282,7 @@ def test_blocked_pair_correlation_matches_all_pairs(window, block,
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_pair_bins_when_the_edges_span_almost_nothing():
     # bins / span overflows to inf, so the guessed bin of a separation of 0
     # is 0 * inf = nan; it must still land in the first bin

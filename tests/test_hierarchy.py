@@ -24,7 +24,7 @@ from contpop import (
     rhs_order2,
 )
 from contpop import hierarchy
-from contpop.hierarchy import CLOSURES, KIRKWOOD_FLOOR
+from contpop.hierarchy import CLOSURES, KIRKWOOD_FLOOR, check_steps
 from contpop.surgailis import SurgailisFlow, poisson_density_flow
 from conftest import gaussian_unit_kernel, make_params
 
@@ -307,6 +307,26 @@ def test_snapshot_validation():
         integrate(state, 1.0, -1e-2)
     with pytest.raises(ValueError, match="n_max"):
         integrate(state, 1.0, 1e-2, n_max=3)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (1.0, math.nan), (math.nan, 1e-2), (1.0, math.inf), (math.inf, 1e-2),
+    (1.0, 0.0), (-1.0, 1e-2),
+])
+def test_non_finite_or_non_positive_steps_are_refused(t_end, dt):
+    params = make_params(window=Window([L]), b=1.0, m=1.0)
+    state = HierarchyState.translation_invariant(params, 16, 0.0)
+    with pytest.raises(ValueError, match="finite dt > 0"):
+        integrate(state, t_end, dt)
+    with pytest.raises(ValueError, match="finite dt > 0"):
+        check_steps(t_end, dt)
+
+
+def test_check_steps_maps_steps_to_snapshot_times():
+    assert check_steps(1.0, 0.25, [0.5, 0.0, 0.5]) == (4, {0: 0.0, 2: 0.5})
+    assert check_steps(1.0, 0.25) == (4, {4: 1.0})
+    with pytest.raises(ValueError, match="multiple"):
+        check_steps(1.0, 0.25, [math.inf])
 
 
 def test_trajectory_bookkeeping():
