@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Box, ModelParams, RateField, cell_infimum
+from .model import Box, ModelParams, cell_infimum
 
 __all__ = [
     "theta_norm",
@@ -316,9 +316,10 @@ class StationaryDensityBound:
     level_sup: float
 
 
-def stationary_density_bound(params: ModelParams, rho0) -> StationaryDensityBound:
+def stationary_density_bound(params: ModelParams,
+                             rho0_sup: float) -> StationaryDensityBound:
     """Density bound max(sup rho0, sup b/a(0)) from the kernel's self-interaction;
-    `rho0` is the initial density, a number or a RateField.
+    `rho0_sup` is the sup of the initial density.
 
     A particle suppresses newcomers in its own neighborhood at least at rate
     a(0) per neighbor, which caps the density at b/a(0) up to the initial
@@ -329,7 +330,6 @@ def stationary_density_bound(params: ModelParams, rho0) -> StationaryDensityBoun
     if a_zero <= 0.0:
         raise EffectiveMortalityUnavailable(
             "kernel vanishes at the origin; no self-regulation bound")
-    rho0_sup = rho0.sup if isinstance(rho0, RateField) else float(rho0)
     level_sup = params.b_norm / a_zero
     return StationaryDensityBound(a_zero=a_zero,
                                   global_bound=max(rho0_sup, level_sup),

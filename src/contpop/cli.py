@@ -18,8 +18,10 @@ Exit codes: 0 success, 1 failed verification checks, 3 numerical failures
 horizon), 2 configuration errors: a bad, missing or unknown flag, or any
 ValueError, a library check's included.  Each prints one `config error:`
 line (`config error: argument --flag: ...` for the flag ranges that
-`_build_parser` declares); every flag is checked before the manifest, so a
-refused flag leaves no output directory.
+`_build_parser` declares).  Every flag, the config (through `config`'s
+builders, the initial state's included) and the engine a command builds
+from them are checked before the manifest, so a refused run leaves no
+output directory.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .estimators import (CellPartition, SnapshotEnsemble,
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, check_steps,
                         integrate)
+from .model import RateField
 from .simulator import CappedRunError, ReplicaPlan, run_replicas
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
                         poisson_density_flow, propagate_correlation)
@@ -193,8 +196,7 @@ def cmd_simulate(args) -> int:
         "snapshot_times": list(snapshots),
         "particle_files": particle_files,
         "events": {"births": stats.births, "deaths": stats.deaths,
-                   "total": stats.events,
-                   "max_per_replica": stats.max_replica_events},
+                   "total": stats.events},
         "per_replica": {
             "events": _spread(stats.replica_events),
             "final_particles": _spread(
@@ -202,7 +204,6 @@ def cmd_simulate(args) -> int:
                  for r in range(ensemble.n_replicas)])},
         "max_audit_residual": stats.max_audit_residual,
         "repairs": {"selection_fallbacks": stats.selection_fallbacks},
-        "wall_time_s": phase_s["replicas"],
         "phase_s": phase_s,
         "estimators": {"cell_side": cell_side, "l_max": args.lmax,
                        "n_max": args.nmax, "k2_bins": k2_bins},
@@ -216,15 +217,13 @@ def cmd_simulate(args) -> int:
 # -- hierarchy ----------------------------------------------------------------
 
 
-def _initial_density(cfg: dict, params):
-    """Initial density for deterministic runs: a float or a RateField."""
-    spec = build_initial(cfg, params)
-    if spec["kind"] == "empty":
-        return 0.0
-    if spec["kind"] == "poisson":
-        return spec["density"]
-    raise ConfigError("deterministic runs need an empty or poisson initial "
-                      "state (a density), not an explicit point list")
+def _initial_density(cfg: dict, params) -> RateField:
+    """Initial density field for deterministic runs."""
+    initial = build_initial(cfg, params)
+    if not isinstance(initial, RateField):
+        raise ConfigError("deterministic runs need an empty or poisson "
+                          "initial state, not explicit points")
+    return initial
 
 
 def _grid_blocks(times, values, coords, *constants):
@@ -253,18 +252,19 @@ def cmd_hierarchy(args) -> int:
     check_steps(args.t_end, args.dt, snapshots)
     rho0 = _initial_density(cfg, params)
     ti = mode == "translation-invariant"
-    if ti and not isinstance(rho0, (int, float)):
+    if ti and rho0.kind != "constant":
         raise ConfigError("translation-invariant runs need a constant "
                           "initial density")
+    # built before the manifest: it refuses windows and rates it cannot use
+    if ti:
+        state = HierarchyState.translation_invariant(params, grid, rho0.value)
+    else:
+        state = HierarchyState.full_grid(params, grid, rho0)
     out = Path(args.out)
     arguments = {"closure": args.closure, "nmax": args.nmax, "dt": args.dt,
                  "t_end": args.t_end, "grid": grid, "mode": mode,
                  "snapshots": list(snapshots)}
     _write_manifest(out, "hierarchy", arguments, args.config)
-    if ti:
-        state = HierarchyState.translation_invariant(params, grid, rho0)
-    else:
-        state = HierarchyState.full_grid(params, grid, rho0)
     traj = integrate(state, args.t_end, args.dt, closure=args.closure,
                      n_max=args.nmax, snapshots=snapshots)
     d = params.dimension
@@ -326,9 +326,8 @@ def cmd_surgailis(args) -> int:
     if args.pair_grid > 0:
         # second correlation on point pairs, via the subset-sum propagator
         # over the whole pair grid at once
-        if isinstance(rho0, (int, float)):
-            r0 = float(rho0)
-            k0 = lambda eta: r0 ** eta.shape[-2]
+        if rho0.kind == "constant":   # value ** n, as `x * x` may differ
+            k0 = lambda eta: rho0.value ** eta.shape[-2]
         else:
             k0 = lambda eta: np.prod(np.asarray(rho0(eta), dtype=float),
                                      axis=-1)
@@ -365,7 +364,7 @@ def cmd_bounds(args) -> int:
         if orders < 1 or not 0.0 <= t_end < math.inf:
             raise ConfigError("--moment-system needs an integer L >= 1 and "
                               "a finite T_END >= 0")
-        if not isinstance(rho0, (int, float)):
+        if rho0.kind != "constant":
             raise ConfigError("moment-system report needs a constant initial "
                               "density")
     out = Path(args.out)
@@ -392,9 +391,8 @@ def cmd_bounds(args) -> int:
     horizon_ref = args.schedule if args.schedule else 1.0
     theta_t = surgailis_theta_growth(theta0, params.b_norm, horizon_ref)
     report["theta_growth"] = {"t": horizon_ref, "theta_t": theta_t}
-    rho0_value = rho0 if not hasattr(rho0, "sup") else rho0.sup
     try:
-        sd = stationary_density_bound(params, rho0)
+        sd = stationary_density_bound(params, rho0.sup)
         report["stationary_density"] = {
             "available": True, "a_zero": sd.a_zero,
             "global_bound": sd.global_bound, "level": sd.level_sup,
@@ -418,7 +416,7 @@ def cmd_bounds(args) -> int:
         h = args.cell_side
         a_cell, b_cell = cell_rates(params, h)
         volume = math.prod([h] * params.dimension)
-        lam = float(rho0) * volume
+        lam = rho0.value * volume
         q0 = [lam**l / math.factorial(l) for l in range(1, orders + 1)]
         kappa0 = max(volume * math.exp(theta0), lam)
         t_grid = np.linspace(0.0, t_end, 101)
@@ -426,7 +424,7 @@ def cmd_bounds(args) -> int:
         report["moment_system"] = {**asdict(mb), "orders": orders,
                                    "cell_side": h}
     if args.theta_norm is not None:
-        family = {n: float(rho0_value) ** n for n in range(17)}
+        family = {n: rho0.sup ** n for n in range(17)}
         th = args.theta_norm
         report["theta_norm"] = {
             "theta": th,

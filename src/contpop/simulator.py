@@ -24,9 +24,11 @@ so the draws and the results are those of one call per uniform.
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
-in any order, with identical results.  `run_replicas` spreads the replicas
-over up to `threads` forked worker processes, at most one per replica and
-per CPU, and merges their results in replica order.
+in any order, with identical results.  A replica first draws its start from
+`sample_initial`: a Poisson state of a density field, or fixed points.
+`run_replicas` spreads the replicas over up to `threads` forked worker
+processes, at most one per replica and per CPU, and merges their results in
+replica order.
 """
 
 from __future__ import annotations
@@ -72,12 +74,14 @@ class CappedRunError(RuntimeError):
 
 @dataclass
 class ReplicaPlan:
-    """What to run: replica count, seed, snapshot times, initial state."""
+    """What to run: replica count, seed, snapshot times, and the initial
+    state that `sample_initial` takes (by default, no points)."""
 
     replicas: int
     base_seed: int
     snapshots: tuple
-    initial: dict = dataclass_field(default_factory=lambda: {"kind": "empty"})
+    initial: RateField | np.ndarray = dataclass_field(
+        default_factory=lambda: np.empty((0, 0)))
     max_events: int = 10**8
 
     def __post_init__(self):
@@ -115,10 +119,6 @@ class RunStats:
     initial_s: float = dataclass_field(default=0.0, compare=False)
     event_loop_s: float = dataclass_field(default=0.0, compare=False)
 
-    @property
-    def max_replica_events(self) -> int:
-        return max(self.replica_events, default=0)
-
     def merge(self, other: "RunStats") -> None:
         self.births += other.births
         self.deaths += other.deaths
@@ -154,47 +154,25 @@ def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_initial(spec: dict, params: ModelParams,
+def sample_initial(initial, params: ModelParams,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw an initial configuration over the simulation domain.
 
-    Kinds: `empty`; `poisson` with a `density` (scalar or RateField), sampled
-    as a Poisson count of mean integral(density) and positions by rejection
-    against sup density; `explicit` with a `points` array.
+    `initial` is an (n, d) array of points, returned as it is, or the
+    density RateField of a Poisson start: a Poisson count of mean its
+    integral over the domain, at positions drawn by rejection against its
+    sup.  `config.build_initial` builds and checks either one.
     """
-    kind = spec.get("kind")
+    if not isinstance(initial, RateField):
+        return initial
     domain = params.window.domain
     d = params.dimension
-    if kind == "empty":
-        return np.empty((0, d))
-    if kind == "explicit":
-        pts = np.asarray(spec["points"], dtype=float)
-        if pts.size == 0:
-            return np.empty((0, d))
-        pts = pts.reshape(-1, d)
-        if not np.all(domain.contains_points(pts)):
-            raise ValueError("explicit initial points fall outside the domain")
-        return pts
-    if kind != "poisson":
-        raise ValueError(f"unknown initial kind {spec.get('kind')!r}")
-    density = spec["density"]
-    if isinstance(density, RateField):
-        mean = density.integral_over(domain)
-        sup = density.sup
-        rho = density
-    else:
-        rho = float(density)
-        if rho < 0:
-            raise ValueError("initial density must be nonnegative")
-        mean = rho * domain.volume
-        sup = rho
-    count = int(rng.poisson(mean))
-    points = np.empty((count, d))
-    for i in range(count):
+    sup = initial.sup
+    points = np.empty((int(rng.poisson(initial.integral_over(domain))), d))
+    for i in range(len(points)):
         while True:
             x = domain.lo + rng.random(d) * domain.sides
-            if rng.random() * sup <= float(rho(x) if isinstance(rho, RateField)
-                                           else rho):
+            if rng.random() * sup <= float(initial(x)):
                 points[i] = x
                 break
     return points
@@ -499,8 +477,8 @@ class SimulationState:
         self.d_tot = d_tot
         return residual
 
-    def seed_initial(self, spec: dict) -> None:
-        for x in sample_initial(spec, self.params, self.rng):
+    def seed_initial(self, initial) -> None:
+        for x in sample_initial(initial, self.params, self.rng):
             self.insert(x)
 
     def snapshot(self) -> np.ndarray:

@@ -52,7 +52,7 @@ def long_run():
     snapshots = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0,
                  45.0, 50.0)
     plan = ReplicaPlan(replicas=200, base_seed=SEED, snapshots=snapshots,
-                       initial={"kind": "poisson", "density": 0.5})
+                       initial=RateField.constant(0.5, 1))
     ensemble, _ = run_replicas(params, plan, threads=4)
     return params, ensemble
 
@@ -61,7 +61,7 @@ def test_criterion_01_simulator_free_law():
     params = constant_params(CompetitionKernel.zero(1), 1.0, 1.0)
     snapshots = (0.5, 1.0, 2.0, 5.0)
     plan = ReplicaPlan(replicas=200, base_seed=SEED, snapshots=snapshots,
-                       initial={"kind": "empty"})
+                       initial=RateField.constant(0.0, 1))
     t0 = time.perf_counter()
     ensemble, _ = run_replicas(params, plan, threads=4)
     wall = time.perf_counter() - t0
@@ -226,7 +226,7 @@ def test_criterion_07_small_torus_occupation_law():
     snapshots = (0.5, 2.0)
     replicas = 10_000
     plan = ReplicaPlan(replicas=replicas, base_seed=7, snapshots=snapshots,
-                       initial={"kind": "empty"})
+                       initial=RateField.constant(0.0, 1))
     ensemble, _ = run_replicas(params, plan, threads=4)
     counts = ensemble.counts_in(params.window.domain)
     # birth-death chain on {0..3}: up rate b V, down rate m n + 2 a C(n, 2)

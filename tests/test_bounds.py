@@ -8,7 +8,6 @@ import pytest
 from contpop import (
     CompetitionKernel,
     EffectiveMortalityUnavailable,
-    RateField,
     ScheduleHorizonError,
     Window,
     continuation_schedule,
@@ -251,17 +250,17 @@ def test_cell_rates_of_a_cube():
 def test_stationary_density_bound_level():
     params = make_params(window=Window([10.0]), kernel=gaussian_unit_kernel(1),
                          b=0.5, m=0.0)
-    bound = stationary_density_bound(params, rho0=0.25)
+    bound = stationary_density_bound(params, rho0_sup=0.25)
     assert bound.a_zero == pytest.approx(1.0)
     assert bound.level_sup == pytest.approx(0.5)
     assert bound.global_bound == pytest.approx(0.5)
-    high = stationary_density_bound(params, rho0=2.0)
+    high = stationary_density_bound(params, rho0_sup=2.0)
     assert high.global_bound == pytest.approx(2.0)
-    field = stationary_density_bound(params, RateField.constant(0.8, 1))
-    assert field.rho0_sup == field.global_bound == 0.8
+    initial = stationary_density_bound(params, 0.8)
+    assert initial.rho0_sup == initial.global_bound == 0.8
 
 
 def test_stationary_density_bound_needs_self_interaction():
     params = make_params(window=Window([10.0]))
     with pytest.raises(EffectiveMortalityUnavailable):
-        stationary_density_bound(params, rho0=1.0)
+        stationary_density_bound(params, rho0_sup=1.0)

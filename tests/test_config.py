@@ -7,7 +7,6 @@ import pytest
 
 from contpop import (
     ConfigError,
-    RateField,
     build_initial,
     build_params,
     config_sha256,
@@ -41,7 +40,8 @@ def test_round_trip_minimal(tmp_path):
     assert float(params.birth(np.array([1.0]))) == 1.0
     assert float(params.mortality(np.array([1.0]))) == 0.5
     assert params.theta0 == 0.0
-    assert build_initial(cfg, params) == {"kind": "empty"}
+    empty = build_initial(cfg, params)
+    assert (empty.kind, empty.value) == ("constant", 0.0)
 
 
 def test_missing_file_names_path(tmp_path):
@@ -155,13 +155,16 @@ def test_build_initial_kinds(tmp_path):
     cfg = load_config(write_config(tmp_path))
     params = build_params(cfg)
     cfg["initial"] = {"kind": "poisson", "density": 0.5}
-    assert build_initial(cfg, params) == {"kind": "poisson", "density": 0.5}
+    density = build_initial(cfg, params)
+    assert (density.kind, density.value) == ("constant", 0.5)
     cfg["initial"] = {"kind": "poisson",
                       "density": {"kind": "constant", "value": 1.5}}
-    spec = build_initial(cfg, params)
-    assert isinstance(spec["density"], RateField)
+    assert build_initial(cfg, params).value == 1.5
     cfg["initial"] = {"kind": "explicit", "points": [[1.0], [2.0]]}
-    assert build_initial(cfg, params)["points"] == [[1.0], [2.0]]
+    points = build_initial(cfg, params)
+    assert points.dtype == float and points.tolist() == [[1.0], [2.0]]
+    cfg["initial"] = {"kind": "explicit", "points": []}
+    assert build_initial(cfg, params).shape == (0, 1)
     cfg["initial"] = {"kind": "explicit"}
     with pytest.raises(ConfigError, match="points"):
         build_initial(cfg, params)
@@ -174,6 +177,23 @@ def test_build_initial_kinds(tmp_path):
     cfg["initial"] = {"kind": "grid"}
     with pytest.raises(ConfigError, match="initial kind"):
         build_initial(cfg, params)
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[1, 2], [3, 4]], "each list 1 coordinates"),
+    ([[1.0], [2.0, 3.0]], "each list 1 coordinates"),
+    ([1.0, 2.0], "each list 1 coordinates"),
+    ([[11.0]], "outside the domain"),
+    ([[-1.0]], "outside the domain"),
+    ([["a"]], "convert string to float"),
+    (3.0, "not iterable"),
+], ids=str)
+def test_explicit_points_checked(tmp_path, points, message):
+    # exactly one coordinate per point in 1-D, each inside [0, 10)
+    cfg = load_config(write_config(tmp_path))
+    cfg["initial"] = {"kind": "explicit", "points": points}
+    with pytest.raises(ConfigError, match=message):
+        build_initial(cfg, build_params(cfg))
 
 
 def test_initial_density_field_keys_checked(tmp_path):

@@ -37,8 +37,7 @@ def free_params(b=1.0, m=1.0):
 def test_poisson_initial_count_distribution(rng):
     params = free_params()
     counts = np.array([
-        sample_initial({"kind": "poisson", "density": 0.5}, params,
-                       rng).shape[0]
+        sample_initial(RateField.constant(0.5, 1), params, rng).shape[0]
         for _ in range(3000)])
     mean = 0.5 * L
     assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / 3000)
@@ -53,7 +52,7 @@ def test_poisson_initial_count_distribution(rng):
 def test_poisson_initial_positions_uniform(rng):
     params = free_params()
     points = np.concatenate([
-        sample_initial({"kind": "poisson", "density": 2.0}, params, rng)
+        sample_initial(RateField.constant(2.0, 1), params, rng)
         for _ in range(200)])
     stat = scipy.stats.kstest(points.ravel() / L, "uniform")
     assert stat.pvalue > 1e-4
@@ -64,34 +63,32 @@ def test_poisson_initial_with_field_density(rng):
     bump = RateField.gaussian_bump(3.0, [5.0], 0.5, Box([0.0], [L]))
     mean = bump.integral_over(params.window.domain)
     counts = np.array([
-        sample_initial({"kind": "poisson", "density": bump}, params,
-                       rng).shape[0]
+        sample_initial(bump, params, rng).shape[0]
         for _ in range(1500)])
     assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / 1500)
     pts = np.concatenate([
-        sample_initial({"kind": "poisson", "density": bump}, params, rng)
-        for _ in range(300)])
+        sample_initial(bump, params, rng) for _ in range(300)])
     # rejection sampling should concentrate points around the bump center
     assert np.mean(np.abs(pts.ravel() - 5.0)) < 1.0
 
 
 def test_explicit_initial(rng):
+    # points are the start as they are, and draw nothing from the stream
     params = free_params()
-    pts = sample_initial({"kind": "explicit", "points": [[1.0], [2.0]]},
-                         params, rng)
-    assert pts.shape == (2, 1)
-    empty = sample_initial({"kind": "explicit", "points": []}, params, rng)
-    assert empty.shape == (0, 1)
-    with pytest.raises(ValueError, match="outside"):
-        sample_initial({"kind": "explicit", "points": [[11.0]]}, params, rng)
+    state = rng.bit_generator.state
+    points = np.array([[1.0], [2.0]])
+    assert sample_initial(points, params, rng) is points
+    assert rng.bit_generator.state == state
 
 
-def test_initial_validation(rng):
+def test_empty_initial_density_draws_no_number():
+    # an `empty` start is density 0: its Poisson count of mean 0 draws no
+    # number, so the event loop's stream is that of a start with no points
     params = free_params()
-    with pytest.raises(ValueError, match="kind"):
-        sample_initial({"kind": "lattice"}, params, rng)
-    with pytest.raises(ValueError, match="nonnegative"):
-        sample_initial({"kind": "poisson", "density": -1.0}, params, rng)
+    rngs = [np.random.Generator(np.random.Philox(key=7)) for _ in range(2)]
+    assert sample_initial(RateField.constant(0.0, 1), params,
+                          rngs[0]).shape == (0, 1)
+    assert rngs[0].random() == rngs[1].random()
 
 
 # ------------------------------------------------------------ single events
@@ -149,7 +146,7 @@ def test_snapshot_at_time_zero_returns_initial():
     params = free_params(b=1.0, m=1.0)
     points = [[1.0], [4.0], [7.5]]
     plan = ReplicaPlan(replicas=2, base_seed=9, snapshots=(0.0,),
-                       initial={"kind": "explicit", "points": points})
+                       initial=np.array(points))
     ensemble, stats = run_replicas(params, plan)
     for r in range(2):
         assert np.array_equal(ensemble.configurations[r][0],
@@ -164,7 +161,7 @@ def test_free_process_matches_exact_density():
     params = free_params(b=1.0, m=1.0)
     plan = ReplicaPlan(replicas=150, base_seed=42,
                        snapshots=(0.0, 1.0, 2.0, 4.0),
-                       initial={"kind": "poisson", "density": 2.0})
+                       initial=RateField.constant(2.0, 1))
     ensemble, _ = run_replicas(params, plan)
     grid = mean_density(ensemble)
     cap = max(2.0, 1.0)
@@ -202,7 +199,7 @@ def test_reruns_are_bitwise_identical():
     params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
                          b=1.0, m=0.2)
     plan = ReplicaPlan(replicas=20, base_seed=4242, snapshots=(1.0, 2.0),
-                       initial={"kind": "poisson", "density": 0.5})
+                       initial=RateField.constant(0.5, 1))
     first, stats1 = run_replicas(params, plan, threads=1)
     second, stats2 = run_replicas(params, plan, threads=1)
     threaded, stats4 = run_replicas(params, plan, threads=4)
@@ -292,7 +289,7 @@ def test_advance_to_infinity_without_birth_empties_and_halts():
     residuals = []
     for seed in range(12):
         state = SimulationState(params, np.random.default_rng(seed))
-        state.seed_initial({"kind": "poisson", "density": 3.0})
+        state.seed_initial(RateField.constant(3.0, 1))
         state.advance(math.inf)
         assert state.n == 0 and state.t == math.inf
         assert state.deaths > 0 and state.births == 0
