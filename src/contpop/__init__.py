@@ -17,8 +17,7 @@ from .bounds import (EffectiveMortalityUnavailable, MomentBoundResult,
                      moment_bound_system, operator_norm_bound,
                      stationary_density_bound, surgailis_theta_growth,
                      theta_norm, unit_existence_time)
-from .combinatorics import (StirlingTable, binomial, stirling, subsets,
-                            touchard)
+from .combinatorics import binomial, stirling, subsets, touchard
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, CorrelationGrid, MomentSeries,
@@ -41,7 +40,7 @@ __all__ = [
     "__version__",
     "Box", "Window", "CompetitionKernel", "RateField", "ModelParams",
     "death_rate", "death_rates", "cell_infimum",
-    "StirlingTable", "stirling", "touchard", "binomial", "subsets",
+    "stirling", "touchard", "binomial", "subsets",
     "SurgailisFlow", "propagate_correlation", "poisson_density_flow",
     "expected_count", "box_quadrature",
     "theta_norm", "OperatorNormBound", "operator_norm_bound",

@@ -41,17 +41,14 @@ __all__ = [
 ]
 
 
-def theta_norm(values_by_order, theta: float) -> float:
+def theta_norm(values_by_order: dict, theta: float) -> float:
     """sup over orders n of |k^(n)| e^(-theta n), over the provided family.
 
-    `values_by_order` is a mapping n -> sup |k^(n)| or an iterable of
-    (n, value) pairs.  The order-0 value k(empty) = 1 is not implied; include
-    it if the family should contain it.
+    `values_by_order` maps n to sup |k^(n)|.  The order-0 value k(empty) = 1
+    is not implied; include it if the family should contain it.
     """
-    items = values_by_order.items() if hasattr(values_by_order, "items") \
-        else values_by_order
     best = 0.0
-    for n, value in items:
+    for n, value in values_by_order.items():
         best = max(best, abs(float(value)) * math.exp(-theta * int(n)))
     return best
 

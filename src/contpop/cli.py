@@ -338,7 +338,7 @@ def cmd_surgailis(args) -> int:
               for flow in flows)
         write_csv(out / "k2.csv", ["t", "x1", "x2", "value"],
                   _grid_blocks(times, k2, pairs))
-    counts = {repr(float(t)): expected_count(window.core, flow, rho0=rho0)
+    counts = {repr(float(t)): expected_count(window.core, flow, rho0)
               for t, flow in zip(times, flows)}
     _write_json(out / "summary.json", _jsonable({"expected_core_counts": counts}))
     print(f"surgailis: {len(times)} times, outputs in {out}")
@@ -424,13 +424,17 @@ def cmd_bounds(args) -> int:
         report["moment_system"] = {**asdict(mb), "orders": orders,
                                    "cell_side": h}
     if args.theta_norm is not None:
+        # the norm of the Poisson family rho^n over every order: its terms
+        # (rho e^-theta)^n peak at n = 0 when rho e^-theta <= 1 and grow
+        # without bound otherwise
         family = {n: rho0.sup ** n for n in range(17)}
         th = args.theta_norm
         report["theta_norm"] = {
             "theta": th,
             "per_order": {str(n): v * math.exp(-th * n)
                           for n, v in family.items()},
-            "value": theta_norm(family, th),
+            "value": theta_norm(family, th)
+            if rho0.sup * math.exp(-th) <= 1.0 else math.inf,
         }
     _write_json(out / "bounds.json", _jsonable(report))
     print(f"bounds: report in {out / 'bounds.json'}")
@@ -516,7 +520,7 @@ def _envelope(name: str, detail: str, value, bound, stderr) -> tuple:
 
 def _envelope_checks(params, partition, series):
     """domination, oracle-equivalence, moment-envelope and density-cap."""
-    volume = partition.cell_side ** params.dimension
+    volume = partition.volume
     dens = series.factorial[:, :, 0] / volume
     err = series.factorial_stderr[:, :, 0] / volume
     constant_rates = {params.birth.kind, params.mortality.kind} == {"constant"}

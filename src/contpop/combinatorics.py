@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 __all__ = [
-    "StirlingTable",
     "stirling",
     "touchard",
     "subsets",
@@ -24,61 +23,44 @@ __all__ = [
 MAX_SUBSET_ORDER = 20
 
 
-class StirlingTable:
-    """Triangle of Stirling numbers of the second kind, exact integers.
-
-    Built with the recurrence S(n, l) = l S(n-1, l) + S(n-1, l-1),
-    S(0, 0) = 1, S(n, 0) = 0 for n >= 1.
-    """
-
-    def __init__(self, n_max: int = 64):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.n_max = n_max
-        rows: list[list[int]] = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [0] * (n + 1)
-            for l in range(1, n + 1):
-                above = prev[l] if l < len(prev) else 0
-                row[l] = l * above + prev[l - 1]
-            rows.append(row)
-        self._rows = rows
-
-    def stirling(self, n: int, l: int) -> int:
-        if n < 0 or l < 0:
-            raise ValueError("indices must be nonnegative")
-        if n > self.n_max:
-            raise ValueError(f"n={n} exceeds table size {self.n_max}")
-        if l > n:
-            return 0
-        return self._rows[n][l]
-
-    def touchard(self, n: int, kappa: float) -> float:
-        """T_n(kappa) = sum_{l=1..n} S(n, l) kappa^l; T_0 = 1."""
-        if n == 0:
-            return 1.0
-        row = self._rows[n] if n <= self.n_max else None
-        if row is None:
-            raise ValueError(f"n={n} exceeds table size {self.n_max}")
-        # left to right: from Python 3.12 the builtin sum compensates
-        total = 0
-        for l in range(1, n + 1):
-            total += row[l] * kappa**l
-        return float(total)
+def _stirling_rows(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of the triangle, by S(n, l) = l S(n-1, l) + S(n-1, l-1)
+    with S(0, 0) = 1 and S(n, 0) = 0 for n >= 1."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [l * prev[l] + prev[l - 1] for l in range(1, n + 1)])
+    return rows
 
 
-_DEFAULT_TABLE = StirlingTable(64)
+# the Stirling triangle for n <= 64, exact integers
+_STIRLING = _stirling_rows(64)
+
+
+def _stirling_row(n: int) -> list[int]:
+    if not 0 <= n < len(_STIRLING):
+        raise ValueError(f"n={n} is outside the table's "
+                         f"0..{len(_STIRLING) - 1}")
+    return _STIRLING[n]
 
 
 def stirling(n: int, l: int) -> int:
-    """S(n, l) from a shared table covering n <= 64."""
-    return _DEFAULT_TABLE.stirling(n, l)
+    """S(n, l) for 0 <= n <= 64; zero when l > n."""
+    if l < 0:
+        raise ValueError("indices must be nonnegative")
+    row = _stirling_row(n)
+    return row[l] if l <= n else 0
 
 
 def touchard(n: int, kappa: float) -> float:
-    """n-th raw moment of a Poisson(kappa) count."""
-    return _DEFAULT_TABLE.touchard(n, kappa)
+    """n-th raw moment of a Poisson(kappa) count:
+    T_n(kappa) = sum_{l=1..n} S(n, l) kappa^l, T_0 = 1, for 0 <= n <= 64."""
+    row = _stirling_row(n)
+    # left to right: from Python 3.12 the builtin sum compensates
+    total = row[0]   # S(n, 0): 1 for n = 0, else 0
+    for l in range(1, n + 1):
+        total += row[l] * kappa**l
+    return float(total)
 
 
 def subsets(eta: Sequence) -> Iterator[tuple[tuple, tuple]]:

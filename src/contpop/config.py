@@ -4,9 +4,10 @@ The configuration fixes the model (window, kernel, rate fields, theta0) and
 optionally the initial state and hierarchy grid.  Parsing is strict: any key
 outside the documented schema fails with a ConfigError naming the offending
 keys, so typos cannot silently fall back to defaults.  Every number must
-be finite, and a value of the wrong type is a ConfigError.  The initial
-state becomes a RateField (a Poisson start) or an (n, d) array of points
-inside the domain, checked here, before any command writes its manifest.
+be finite, and a value of the wrong type, a boolean included, is a
+ConfigError.  The initial state becomes a RateField (a Poisson start) or an
+(n, d) array of points inside the domain, checked here, before any command
+writes its manifest.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ def _finite(text: str, kind=float):
     raise ConfigError(f"config numbers must be finite, not {text}")
 
 
+def _refuse_booleans(node, path: str) -> None:
+    """Raise a ConfigError at the first JSON true or false under `node`: no
+    config key takes one, and Python would read it as the number 1 or 0."""
+    if isinstance(node, bool):
+        raise ConfigError(f"config key {path} is {str(node).lower()}; no "
+                          "key takes a boolean")
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        _refuse_booleans(value, f"{path}.{key}" if path else str(key))
+
+
 def _refusing(build):
     """`build` with a TypeError or ValueError raised as a ConfigError."""
     @functools.wraps(build)
@@ -75,6 +88,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_booleans(cfg, "")
     unknown = _unknown_keys(cfg, _TOP_KEYS, "")
     for name, keys in (("boundary", _BOUNDARY_KEYS), ("kernel", _KERNEL_KEYS),
                        ("b", _FIELD_KEYS), ("m", _FIELD_KEYS),
@@ -194,7 +208,9 @@ def build_initial(cfg: dict, params: ModelParams):
 @_refusing
 def hierarchy_options(cfg: dict) -> dict:
     section = cfg.get("hierarchy", {})
-    grid = int(section.get("grid", 256))
+    grid = section.get("grid", 256)
+    if not isinstance(grid, int):
+        raise ConfigError(f"hierarchy grid must be an integer, not {grid!r}")
     if grid < 8:
         raise ConfigError("hierarchy grid must have at least 8 points")
     mode = section.get("mode", "translation-invariant")

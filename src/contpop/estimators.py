@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,7 +98,12 @@ class SnapshotEnsemble:
 
 
 class CellPartition:
-    """Congruent cells of side `cell_side` tiling the observation core."""
+    """Congruent cells of side `cell_side` tiling the observation core.
+
+    A cell is known by its flat C-order index into `shape`; `centers[c]` is
+    the center of cell c, and iterating yields each cell's Box in the same
+    order, built only when reached.
+    """
 
     def __init__(self, window: Window, cell_side: float):
         if not 0.0 < cell_side < math.inf:
@@ -110,28 +115,31 @@ class CellPartition:
         self.window = window
         self.cell_side = float(cell_side)
         self.shape = tuple(int(c) for c in counts)
-        self.cells = []
-        for flat in range(int(np.prod(counts))):
-            idx = np.unravel_index(flat, self.shape)
-            lo = np.asarray(idx, dtype=float) * cell_side
-            self.cells.append(Box(lo, lo + cell_side))
+        self.volume = self.cell_side ** window.dimension
+        # each cell Box's midpoint 0.5 * (lo + hi), computed in place
+        lo = self._lower_corners()
+        self.centers = lo + self.cell_side
+        self.centers += lo
+        self.centers *= 0.5
+
+    def _lower_corners(self) -> np.ndarray:
+        """(cells, d) lower corners, index times cell side, in C order."""
+        index = np.indices(self.shape, dtype=float)
+        return np.multiply(index.reshape(len(self.shape), -1).T,
+                           self.cell_side, order="C")
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return math.prod(self.shape)
 
     def __iter__(self):
-        return iter(self.cells)
+        for lo in self._lower_corners():
+            yield Box(lo, lo + self.cell_side)
 
     def separation_box(self) -> Box:
         """Box of pairwise separations within one cell: [-h, h]^d."""
         h = self.cell_side
         d = self.window.dimension
         return Box(-h * np.ones(d), h * np.ones(d))
-
-    def counts(self, positions: np.ndarray) -> np.ndarray:
-        """Particle count per cell (C-order); buffer particles are ignored."""
-        flat, _ = _cell_index(self, positions)
-        return np.bincount(flat, minlength=len(self.cells))
 
 
 def _cell_index(partition: CellPartition,
@@ -182,7 +190,6 @@ class CorrelationGrid:
     centers: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    order: int = 1
 
 
 @dataclass
@@ -202,7 +209,6 @@ class MomentSeries:
     factorial_stderr: np.ndarray
     raw: np.ndarray
     raw_stderr: np.ndarray
-    cell_side: float = field(default=0.0)
 
 
 def factorial_moment(positions, box: Box, l: int) -> int:
@@ -261,22 +267,22 @@ def mean_density(ensemble: SnapshotEnsemble) -> CorrelationGrid:
     counts = ensemble.counts_in(ensemble.window.core).astype(float)
     value, err = _replica_stats(counts / ensemble.window.volume)
     return CorrelationGrid(centers=ensemble.times.copy(), values=value,
-                           stderr=err, order=1)
+                           stderr=err)
 
 
 def density_estimate(ensemble: SnapshotEnsemble,
                      partition: CellPartition) -> list[CorrelationGrid]:
     """Per-cell density estimate, one grid per snapshot time."""
-    volume = partition.cell_side ** ensemble.window.dimension
-    centers = np.asarray([0.5 * (c.lo + c.hi) for c in partition])
     counts = _cell_counts(ensemble, partition)
-    table = np.arange(counts.max(initial=0) + 1, dtype=float)[:, None] / volume
+    table = np.arange(counts.max(initial=0) + 1,
+                      dtype=float)[:, None] / partition.volume
     out = []
     # snapshot by snapshot: over a single cell, numpy sums the replicas
     # pairwise, so the snapshots are not merged into one reduction
     for k in range(ensemble.n_times):
         value, err = _column_stats(counts[:, k, :], table)
-        out.append(CorrelationGrid(centers=centers, values=value.ravel(),
+        out.append(CorrelationGrid(centers=partition.centers,
+                                   values=value.ravel(),
                                    stderr=err.ravel()))
     return out
 
@@ -429,7 +435,7 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     per_replica = 2.0 * hist / (window.volume * shells)   # ordered pairs
     centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     value, err = _replica_stats(per_replica)
-    return CorrelationGrid(centers=centers, values=value, stderr=err, order=2)
+    return CorrelationGrid(centers=centers, values=value, stderr=err)
 
 
 def check_moment_orders(l_max: int, n_max: int) -> None:
@@ -462,8 +468,7 @@ def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
                      for a in _column_stats(columns, raw_table))
     return MomentSeries(times=ensemble.times.copy(), orders=l_max,
                         raw_orders=n_max, factorial=f_mean,
-                        factorial_stderr=f_err, raw=r_mean, raw_stderr=r_err,
-                        cell_side=partition.cell_side)
+                        factorial_stderr=f_err, raw=r_mean, raw_stderr=r_err)
 
 
 # -- CSV serialization -------------------------------------------------------

@@ -147,13 +147,6 @@ class Window:
         d = self.displacement(x, y)
         return np.sqrt(np.sum(np.square(d), axis=-1))
 
-    def wrap(self, x):
-        """Map a position into [0, L) per axis (periodic windows only)."""
-        x = np.asarray(x, dtype=float)
-        if self.boundary != "periodic":
-            return x
-        return np.mod(x, self.sides)
-
 
 def _sphere_surface(r: NDArray[np.float64], dimension: int) -> NDArray[np.float64]:
     """Surface measure of the radius-r sphere, the radial quadrature weight."""
@@ -478,8 +471,8 @@ class RateField:
         return float(np.sum(self(mesh)) * cell)
 
 
-def _box_grid(box: Box, points_per_axis: int) -> NDArray[np.float64]:
-    axes = [np.linspace(box.lo[i], box.hi[i], points_per_axis)
+def _box_grid(box: Box, points: int) -> NDArray[np.float64]:
+    axes = [np.linspace(box.lo[i], box.hi[i], points)
             for i in range(box.dimension)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
@@ -555,11 +548,11 @@ def death_rates(positions, params: ModelParams) -> NDArray[np.float64]:
     return rates
 
 
-def cell_infimum(kernel: CompetitionKernel, box: Box, divisions: int = 64) -> float:
+def cell_infimum(kernel: CompetitionKernel, box: Box) -> float:
     """Infimum of the kernel over a box in separation space, clamped at zero.
 
-    Scans a dense inclusive grid with pitch at most side/divisions per axis.
-    Returns 0.0 when the scanned infimum is nonpositive.
+    Scans an inclusive grid of 65 points per axis (pitch side/64).  Returns
+    0.0 when the scanned infimum is nonpositive.
     """
-    inf = float(np.min(kernel(_box_grid(box, divisions + 1))))
+    inf = float(np.min(kernel(_box_grid(box, 65))))
     return inf if inf > 0.0 else 0.0

@@ -32,34 +32,29 @@ __all__ = [
     "box_quadrature",
 ]
 
-# Mortality below this is treated as exactly zero ...
-_M_ZERO = 1e-12
-# ... and below this the series form of phi avoids cancellation.
-_M_SERIES = 1e-6
+# quadrature points per axis of `expected_count`, by dimension
+_COUNT_POINTS = {1: 1 << 10, 2: 1 << 7, 3: 1 << 5}
 
 
-def _default_points(dimension: int) -> int:
-    return {1: 1 << 10, 2: 1 << 7, 3: 1 << 5}[dimension]
-
-
-def box_quadrature(box: Box, points_per_axis: int,
+def box_quadrature(box: Box, points: int,
                    periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (N, d) and weights (N,) for a box.
+    """Quadrature nodes (N, d) and weights (N,) for a box, `points` per axis
+    (one more on plain boxes, whose rule includes both faces).
 
     Periodic boxes use the uniform wrap-around trapezoid rule (equal weights);
     plain boxes use the inclusive trapezoid product rule.
     """
     d = box.dimension
     if periodic:
-        axes = [np.linspace(box.lo[i], box.hi[i], points_per_axis, endpoint=False)
+        axes = [np.linspace(box.lo[i], box.hi[i], points, endpoint=False)
                 for i in range(d)]
-        w1 = [np.full(points_per_axis, box.sides[i] / points_per_axis)
+        w1 = [np.full(points, box.sides[i] / points)
               for i in range(d)]
     else:
         axes, w1 = [], []
         for i in range(d):
-            axes.append(np.linspace(box.lo[i], box.hi[i], points_per_axis + 1))
-            w = np.full(points_per_axis + 1, box.sides[i] / points_per_axis)
+            axes.append(np.linspace(box.lo[i], box.hi[i], points + 1))
+            w = np.full(points + 1, box.sides[i] / points)
             w[0] *= 0.5
             w[-1] *= 0.5
             w1.append(w)
@@ -74,27 +69,19 @@ def box_quadrature(box: Box, points_per_axis: int,
 class SurgailisFlow:
     """The non-interacting flow at a fixed time t: fields psi_t and phi_t."""
 
-    def __init__(self, birth: RateField | float, mortality: RateField | float,
-                 window: Window, t: float, points_per_axis: int | None = None):
+    def __init__(self, birth: RateField, mortality: RateField, window: Window,
+                 t: float):
         if t < 0:
             raise ValueError("flow time must be nonnegative")
-        d = window.dimension
-        if not isinstance(birth, RateField):
-            birth = RateField.constant(float(birth), d)
-        if not isinstance(mortality, RateField):
-            mortality = RateField.constant(float(mortality), d)
         self.birth = birth
         self.mortality = mortality
         self.window = window
         self.t = float(t)
-        self.points_per_axis = points_per_axis or _default_points(d)
 
     @classmethod
-    def from_params(cls, params: ModelParams, t: float,
-                    points_per_axis: int | None = None) -> "SurgailisFlow":
+    def from_params(cls, params: ModelParams, t: float) -> "SurgailisFlow":
         """Drop the kernel of `params`; b and m are kept."""
-        return cls(params.birth, params.mortality, params.window, t,
-                   points_per_axis)
+        return cls(params.birth, params.mortality, params.window, t)
 
     def psi(self, x):
         """Survival factor exp(-m(x) t)."""
@@ -102,26 +89,15 @@ class SurgailisFlow:
         return np.exp(-m * self.t)
 
     def phi(self, x):
-        """Immigration density accumulated by time t."""
+        """Immigration density accumulated by time t:
+        b (1 - exp(-m t)) / m, and b t where m = 0."""
         x = np.asarray(x, dtype=float)
         b = np.asarray(self.birth(x), dtype=float)
         m = np.asarray(self.mortality(x), dtype=float)
-        return _phi_from_rates(b, m, self.t)
-
-
-def _phi_from_rates(b, m, t):
-    b = np.asarray(b, dtype=float)
-    m = np.asarray(m, dtype=float)
-    bt = b * t
-    mt = m * t
-    # three branches: exact zero-mortality, small-m series, closed form
-    m_safe = np.where(m > 0, m, 1.0)
-    closed = b * (-np.expm1(-mt)) / m_safe
-    series = bt * (1.0 - mt / 2.0 + mt**2 / 6.0 - mt**3 / 24.0)
-    out = np.select([m < _M_ZERO, m < _M_SERIES], [bt, series], default=closed)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        positive = m > 0
+        closed = b * (-np.expm1(-(m * self.t))) / np.where(positive, m, 1.0)
+        out = np.where(positive, closed, b * self.t)
+        return float(out) if out.ndim == 0 else out
 
 
 def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow):
@@ -166,15 +142,9 @@ def poisson_density_flow(rho0, flow: SurgailisFlow, x):
     return flow.psi(x) * np.asarray(r0, dtype=float) + flow.phi(x)
 
 
-def expected_count(region: Box, flow: SurgailisFlow, mu0_mean: float = 0.0,
-                   rho0=None) -> float:
-    """Expected number of particles in `region` at time t.
-
-    The initial state enters through its density; when only the initial mean
-    count `mu0_mean` is known, the density is taken uniform on the region.
-    """
-    if rho0 is None:
-        rho0 = mu0_mean / region.volume
-    pts, w = box_quadrature(region, flow.points_per_axis)
+def expected_count(region: Box, flow: SurgailisFlow, rho0) -> float:
+    """Expected number of particles in `region` at time t of a flow started
+    from a Poisson state of density `rho0` (a field, or a number)."""
+    pts, w = box_quadrature(region, _COUNT_POINTS[region.dimension])
     vals = np.asarray(poisson_density_flow(rho0, flow, pts), dtype=float)
     return float(np.sum(w * vals))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -43,11 +44,29 @@ def has_dotted(obj, name):
     ("model", "interaction_energy"),
     ("surgailis", "bogoliubov_functional"),
     ("surgailis", "SurgailisFlow.window_quadrature"),
+    ("combinatorics", "StirlingTable"),
+    ("model", "Window.wrap"),
+    ("estimators", "CorrelationGrid.order"),
+    ("estimators", "MomentSeries.cell_side"),
+    ("estimators", "CellPartition.counts"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)
     assert name not in contpop.__all__
     assert not has_dotted(importlib.import_module(f"contpop.{module}"), name)
+
+
+@pytest.mark.parametrize("module, name, parameter", [
+    ("surgailis", "SurgailisFlow", "points_per_axis"),
+    ("surgailis", "SurgailisFlow.from_params", "points_per_axis"),
+    ("surgailis", "expected_count", "mu0_mean"),
+    ("model", "cell_infimum", "divisions"),
+])
+def test_removed_parameters_are_gone(module, name, parameter):
+    obj = importlib.import_module(f"contpop.{module}")
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    assert parameter not in inspect.signature(obj).parameters
 
 
 SOURCES = sorted(p for p in Path(contpop.__file__).parent.glob("*.py")

@@ -37,9 +37,9 @@ def test_theta_norm_poisson_family():
     assert theta_norm(fam, theta) == pytest.approx(expect)
 
 
-def test_theta_norm_accepts_pairs():
-    assert theta_norm([(1, 2.0), (2, 1.0)], 0.0) == pytest.approx(2.0)
-    assert theta_norm([], 0.3) == 0.0
+def test_theta_norm_of_small_families():
+    assert theta_norm({1: 2.0, 2: 1.0}, 0.0) == pytest.approx(2.0)
+    assert theta_norm({}, 0.3) == 0.0
 
 
 # ------------------------------------------------- operator norm, lifetimes

@@ -353,6 +353,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("simulate", "initial.points", "[[1, 2], [3, 4]]"),
     ("simulate", "initial.points", "[[11.0]]"),
     ("simulate", "initial.points", "[[1.0], [2.0, 3.0]]"),
+    ("simulate", "dimension", "true"),
+    ("simulate", "b.value", "true"),
+    ("simulate", "theta0", "false"),
+    ("simulate", "sides", "[true]"),
+    ("hierarchy", "hierarchy.grid", "16.9"),
 ], ids=lambda v: v if len(v) < 20 else v[:12] + "...")
 @pytest.mark.filterwarnings("error")
 def test_config_values_exit_2_before_manifest(tmp_path, capsys, command, key,
@@ -364,13 +369,15 @@ def test_config_values_exit_2_before_manifest(tmp_path, capsys, command, key,
     cfg = json.loads(write_cfg(tmp_path, initial=initial).read_text())
     cfg["initial"].pop("density" if key == "initial.points" else "points")
     section, _, name = key.rpartition(".")
-    (cfg[section] if section else cfg)[name] = "@"
+    (cfg.setdefault(section, {}) if section else cfg)[name] = "@"
     path = tmp_path / "values.json"
     path.write_text(json.dumps(cfg).replace('"@"', literal))
     out = tmp_path / "o"
+    flags = {"simulate": ["--seed", "1", "--replicas", "1", "--snapshots",
+                          "1", "--max-events", "1000"],
+             "hierarchy": ["--dt", "0.1", "--t-end", "0.1"]}
     code = main([command, "--config", str(path), "--out", str(out),
-                 *(["--seed", "1", "--replicas", "1", "--snapshots", "1",
-                    "--max-events", "1000"] if command == "simulate" else [])])
+                 *flags.get(command, [])])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
@@ -664,6 +671,22 @@ def test_bounds_report_sections(tmp_path):
     assert all(len(row) == 3 for row in ms["trajectories"])
     assert report["theta_norm"]["value"] > 0.0
     assert report["stationary_density"]["available"] is True
+
+
+@pytest.mark.parametrize("density, theta, value", [
+    (2.0, 0.0, None), (2.0, -1.0, None), (2.0, 1.0, 1.0), (0.5, 0.0, 1.0)])
+def test_bounds_theta_norm_of_the_poisson_family(tmp_path, density, theta,
+                                                 value):
+    # sup over every order n of (rho e^-theta)^n: 1 at n = 0 when
+    # rho e^-theta <= 1, else infinite, written as null; the 17 listed
+    # orders stay as they are
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": density})
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out),
+                 "--theta-norm", repr(theta)]) == 0
+    report = json.loads((out / "bounds.json").read_text())["theta_norm"]
+    assert report["value"] == value
+    assert report["per_order"]["16"] == density**16 * math.exp(-16 * theta)
 
 
 def test_bounds_schedule_steps_mode_and_flag_conflict(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contpop import (
-    StirlingTable,
     binomial,
     stirling,
     subsets,
@@ -68,15 +67,17 @@ def test_stirling_alternating_sum_formula():
 
 
 def test_stirling_table_bounds():
-    table = StirlingTable(6)
-    assert table.stirling(6, 3) == 90
-    assert table.stirling(3, 5) == 0
-    with pytest.raises(ValueError):
-        table.stirling(7, 2)
-    with pytest.raises(ValueError):
-        table.stirling(-1, 0)
-    with pytest.raises(ValueError):
-        StirlingTable(-2)
+    # the module's one triangle covers 0 <= n <= 64
+    assert stirling(6, 3) == 90
+    assert stirling(3, 5) == 0
+    assert stirling(64, 64) == 1
+    for n, l in ((65, 2), (-1, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            stirling(n, l)
+    assert touchard(64, 0.0) == 0.0
+    for n in (65, -1):
+        with pytest.raises(ValueError):
+            touchard(n, 1.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -122,18 +122,59 @@ def test_partition_rejects_non_tiling():
         CellPartition(Window([1.0]), -1.0)
 
 
+def one_replica_counts(window, cell_side, pos):
+    """Cell counts of one configuration, through the ensemble's tensor."""
+    ens = SnapshotEnsemble(window, [0.0], [[np.asarray(pos, dtype=float)]])
+    return estimators._cell_counts(ens, CellPartition(window, cell_side))[0, 0]
+
+
 def test_partition_counts():
-    part = CellPartition(Window([4.0]), 1.0)
+    win = Window([4.0])
     pos = np.array([[0.2], [0.8], [2.5], [3.999]])
-    assert part.counts(pos).tolist() == [2, 0, 1, 1]
-    assert part.counts(np.empty((0, 1))).tolist() == [0, 0, 0, 0]
+    assert one_replica_counts(win, 1.0, pos).tolist() == [2, 0, 1, 1]
+    assert one_replica_counts(win, 1.0, np.empty((0, 1))).tolist() == \
+        [0, 0, 0, 0]
 
 
 def test_partition_ignores_buffer_particles():
     win = Window([4.0], boundary="absorbing-buffer", buffer_width=1.0)
-    part = CellPartition(win, 1.0)
     pos = np.array([[-0.5], [0.5], [4.5]])  # two live in the buffer
-    assert part.counts(pos).sum() == 1
+    assert one_replica_counts(win, 1.0, pos).sum() == 1
+
+
+@pytest.mark.parametrize("sides, cell_side", [
+    ([4.0], 1.0), ([1.0], 1.0 / 3.0), ([10.0, 10.0], 1.0),
+    ([12.0, 12.0], 1.0), ([48.0, 48.0], 0.5), ([4.8, 2.4], 0.1),
+    ([2.0, 1.0, 3.0], 0.5)])
+def test_partition_arrays_match_the_per_cell_boxes(sides, cell_side):
+    # the cell boxes as one Box per flat C-order index, with lower corner
+    # index * side, the center their midpoint and the volume side ** d
+    part = CellPartition(Window(sides), cell_side)
+    lows = [np.asarray(np.unravel_index(flat, part.shape), dtype=float)
+            * cell_side for flat in range(len(part))]
+    boxes = [Box(lo, lo + cell_side) for lo in lows]
+    centers = np.asarray([0.5 * (b.lo + b.hi) for b in boxes])
+    assert len(part) == len(boxes) == math.prod(part.shape)
+    assert part.centers.shape == (len(part), len(sides))
+    assert part.centers.tobytes() == centers.tobytes()
+    assert part.volume == cell_side ** len(sides)
+    got = list(part)
+    assert [b.lo.tobytes() for b in got] == [b.lo.tobytes() for b in boxes]
+    assert [b.hi.tobytes() for b in got] == [b.hi.tobytes() for b in boxes]
+
+
+def test_partition_of_fine_cells_holds_no_object_per_cell():
+    # 480 x 480 cells, where one Box object per cell takes about 81 MB
+    tracemalloc.start()
+    try:
+        part = CellPartition(Window([48.0, 48.0]), 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(part) == 230_400
+    assert peak < 16 * 2**20
+    assert not any(isinstance(value, (list, Box))
+                   for value in vars(part).values())
 
 
 # ---------------------------------------------------------------- densities
@@ -179,7 +220,6 @@ def test_pair_correlation_poisson_is_squared_density(rng):
     ens = poisson_ensemble(rng, kappa, replicas=400)
     edges = np.linspace(0.0, 2.0, 9)
     grid = pair_correlation_estimate(ens, edges)
-    assert grid.order == 2
     assert np.all(np.abs(grid.values - kappa**2) <= 4.0 * grid.stderr + 1e-12)
     pooled = np.mean(grid.values)
     pooled_err = np.sqrt(np.sum(grid.stderr**2)) / grid.stderr.size
@@ -398,7 +438,6 @@ def test_moment_series_deterministic_exact():
     assert series.factorial[0, 0].tolist() == [2.0, 1.0, 0.0]
     assert series.raw[0, 0].tolist() == [2.0, 4.0, 8.0]
     assert np.all(series.factorial_stderr == 0.0)
-    assert series.cell_side == 1.0
 
 
 def test_moment_series_poisson_levels(rng):
@@ -538,11 +577,9 @@ def test_array_estimators_match_per_cell_reference(
         mean, err = _replica_stats(fact[:, k, :, 0] / volume)
         assert grid.values.tobytes() == mean.tobytes()
         assert grid.stderr.tobytes() == err.tobytes()
-    # the per-configuration counts share the cell indexing
-    for r in range(replicas):
-        for k in range(n_times):
-            assert part.counts(ens.positions(r, k)).tolist() == \
-                fact[r, k, :, 0].astype(int).tolist()
+    # the count tensor shares the cell boxes' indexing
+    assert estimators._cell_counts(ens, part).tolist() == \
+        fact[..., 0].astype(int).tolist()
 
 
 @pytest.mark.parametrize("block", [1, 97, estimators._PAIR_BLOCK, 1 << 16])

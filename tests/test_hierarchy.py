@@ -170,7 +170,7 @@ def test_free_hierarchy_matches_exact_flow():
     params = make_params(window=Window([L]), b=1.0, m=1.0)
     state = HierarchyState.translation_invariant(params, 64, 0.3)
     traj = integrate(state, 2.0, 1e-3, n_max=2)
-    flow = SurgailisFlow(1.0, 1.0, params.window, 2.0)
+    flow = SurgailisFlow.from_params(params, 2.0)
     exact = float(poisson_density_flow(0.3, flow, np.zeros((1, 1)))[0])
     assert abs(traj.final_density() - exact) <= 1e-6
     assert np.max(np.abs(traj.k2[-1] - exact**2)) <= 1e-6
@@ -182,7 +182,7 @@ def test_free_full_grid_matches_pointwise_flow():
     params = make_params(window=win, b=bump, m=1.0)
     state = HierarchyState.full_grid(params, 64, 0.3)
     traj = integrate(state, 1.5, 1e-3, n_max=2)
-    flow = SurgailisFlow(bump, 1.0, win, 1.5)
+    flow = SurgailisFlow.from_params(params, 1.5)
     pts = state.x[:, None]
     exact = poisson_density_flow(0.3, flow, pts)
     assert np.max(np.abs(traj.density[-1] - exact)) <= 1e-6

@@ -18,8 +18,9 @@ from contpop import (
 from conftest import make_params
 
 
-def flow(b=1.0, m=1.0, t=1.0, L=10.0, points=None):
-    return SurgailisFlow(b, m, Window([L]), t, points_per_axis=points)
+def flow(b=1.0, m=1.0, t=1.0, L=10.0):
+    return SurgailisFlow(RateField.constant(b, 1), RateField.constant(m, 1),
+                         Window([L]), t)
 
 
 # ------------------------------------------------------------- psi and phi
@@ -65,6 +66,13 @@ def test_phi_continuous_across_branches():
         series = flow(b=1.0, m=m * 0.999999, t=t).phi([0.0])
         closed = 1.0 * (-math.expm1(-m * t)) / m
         assert series == pytest.approx(closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("m, t", [(5e-7, 1e7), (1e-13, 1e13)])
+def test_phi_exact_for_small_m_and_large_m_t(m, t):
+    # a small m does not make m t small: one closed form holds for m > 0
+    exact = (1.0 - math.exp(-m * t)) / m
+    assert flow(b=1.0, m=m, t=t).phi([0.0]) == pytest.approx(exact, rel=1e-9)
 
 
 def test_flow_rejects_negative_time():
@@ -197,23 +205,24 @@ def test_density_flow_no_mortality():
 
 
 def test_density_flow_field_initial():
-    win = Window([10.0])
     rho0 = RateField.tabulated([0.2, 0.8], Box([0.0], [10.0]))
-    f = SurgailisFlow(0.0, 1.0, win, 1.0)
+    f = flow(b=0.0, m=1.0, t=1.0)
     val = poisson_density_flow(rho0, f, [1.0])
     assert val == pytest.approx(0.2 * math.exp(-1.0), rel=1e-12)
 
 
 def test_expected_count_decay_plus_drive():
     region = Box([0.0], [5.0])
-    f = SurgailisFlow(2.0, 1.0, Window([5.0]), 1.0)
+    f = flow(b=2.0, m=1.0, t=1.0, L=5.0)
+    # an initial mean count of 3 spread uniformly over the region
     expect = 3.0 * math.exp(-1.0) + 2.0 * (1.0 - math.exp(-1.0)) * 5.0
-    assert expected_count(region, f, mu0_mean=3.0) == pytest.approx(expect, rel=1e-9)
+    assert expected_count(region, f, 3.0 / 5.0) == \
+        pytest.approx(expect, rel=1e-9)
 
 
 def test_expected_count_explicit_density():
     region = Box([0.0], [4.0])
-    f = SurgailisFlow(0.0, 2.0, Window([4.0]), 0.5)
+    f = flow(b=0.0, m=2.0, t=0.5, L=4.0)
     got = expected_count(region, f, rho0=1.5)
     assert got == pytest.approx(1.5 * math.exp(-1.0) * 4.0, rel=1e-9)
 
