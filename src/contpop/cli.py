@@ -1,16 +1,16 @@
 """Command-line interface: simulate, hierarchy, surgailis, bounds, verify.
 
-Every run writes a manifest.json (command, normalized arguments, config
-hash, seed) into the output directory before any computation starts, so a
-finished or failed run can always be reproduced.  Data outputs are CSV/JSON
-with repr-formatted floats: rerunning the same manifest yields byte-identical
-CSV files regardless of the worker count (`--threads`).  Every CSV is
-written by `estimators.write_csv`, one replica, snapshot or grid row per
-block.  summary.json additionally records wall-clock times, per-replica
-spreads and repair counters and is therefore diagnostic, not reproducible.
-`verify` compares k1.csv and moments.csv with the tables their writers
-build (`estimators.k1_table`, `moments_table`), rebuilt from the particle
-files (the layouts are spelled out only there), and tests the analytic
+Every run writes a manifest.json (command, config hash, seed, and every
+parsed flag as the command resolved it) into the output directory before any
+computation starts, so a finished or failed run can always be reproduced.
+Data outputs are CSV/JSON with repr-formatted floats: rerunning the same
+manifest yields byte-identical CSV files regardless of the worker count
+(`--threads`).  Every CSV is written by `estimators.write_csv`, one replica,
+snapshot or grid row per block.  summary.json additionally records
+wall-clock times, per-replica spreads and repair counters and is diagnostic
+only.  `verify` reads a run's settings from its manifest, compares k1.csv
+and moments.csv with the tables their writers build (`estimators.k1_table`,
+`moments_table`), rebuilt from the particle files, and tests the analytic
 envelopes that `surgailis` and `bounds` compute.
 
 Exit codes: 0 success, 1 failed verification checks, 3 numerical failures
@@ -42,7 +42,7 @@ from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
                      cell_rates, continuation_schedule, existence_time,
                      kappa_from_factorial_moments, moment_bound_system,
                      operator_norm_bound, stationary_density_bound,
-                     surgailis_theta_growth, theta_norm, unit_existence_time)
+                     surgailis_theta_growth, unit_existence_time)
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, SnapshotEnsemble,
@@ -63,6 +63,8 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# the particle file of snapshot k, which simulate writes and verify reads
+_PARTICLE_FILE = "particles_{:04d}.csv"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,14 +103,20 @@ def _parse_times(text: str) -> tuple:
     return times
 
 
-def _write_manifest(out: Path, command: str, arguments: dict,
-                    config_path: str, seed=None) -> None:
+def _write_manifest(args) -> Path:
+    """Create args.out with its manifest.json, whose `arguments` are the
+    parsed flags as the command resolved them; returns the directory."""
+    out = Path(args.out)
     manifest = {"tool": "contpop", "version": __version__,
-                "command": command, "config_path": str(config_path),
-                "config_sha256": config_sha256(config_path), "seed": seed,
-                "arguments": arguments}
+                "command": args.command, "config_path": str(args.config),
+                "config_sha256": config_sha256(args.config),
+                "seed": getattr(args, "seed", None),
+                "arguments": {key: value for key, value in vars(args).items()
+                              if key not in ("command", "config", "out",
+                                             "seed", "func")}}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", manifest)
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -142,11 +150,11 @@ def cmd_simulate(args) -> int:
     if args.seed is None:   # its range is the ReplicaPlan's to check
         raise ConfigError("no seed given: pass --seed or set CONTPOP_SEED")
     snapshots = args.snapshots
-    cell_side = args.cell_side if args.cell_side is not None \
-        else float(np.min(params.window.sides))
+    if args.cell_side is None:
+        args.cell_side = float(np.min(params.window.sides))
     # the estimator arguments and the plan are checked before the manifest
-    partition = CellPartition(params.window, cell_side)
-    check_moment_orders(args.lmax, args.nmax)
+    partition = CellPartition(params.window, args.cell_side)
+    check_moment_orders(args.l_max, args.n_max)
     k2_bins = args.k2_bins if params.window.boundary == "periodic" else 0
     if k2_bins > 0:
         half = float(np.min(params.window.sides)) / 2.0
@@ -156,13 +164,7 @@ def cmd_simulate(args) -> int:
                        snapshots=snapshots,
                        initial=build_initial(cfg, params),
                        max_events=args.max_events)
-    out = Path(args.out)
-    arguments = {"replicas": args.replicas, "snapshots": list(snapshots),
-                 "threads": args.threads, "max_events": args.max_events,
-                 "cell_side": cell_side, "l_max": args.lmax,
-                 "n_max": args.nmax, "k2_bins": args.k2_bins}
-    _write_manifest(out, "simulate", arguments, args.config,
-                    seed=args.seed)
+    out = _write_manifest(args)
     phase_s = {}
     t0 = time.perf_counter()
     ensemble, stats = run_replicas(params, plan, threads=args.threads)
@@ -171,17 +173,18 @@ def cmd_simulate(args) -> int:
     phase_s["replicas_event_loop"] = stats.event_loop_s
     d = params.dimension
     header = ["replica"] + [f"x{i+1}" for i in range(d)]
-    particle_files = [f"particles_{k:04d}.csv" for k in range(len(snapshots))]
+    particle_files = [_PARTICLE_FILE.format(k) for k in range(len(snapshots))]
     t0 = time.perf_counter()
     for k, name in enumerate(particle_files):
         write_csv(out / name, header,    # one block per replica
-                  ([np.full(len(reps[k]), r), *reps[k].T]
-                   for r, reps in enumerate(ensemble.configurations)))
+                  ([np.full(ensemble.counts[r, k], r),
+                    *ensemble.positions(r, k).T]
+                   for r in range(ensemble.n_replicas)))
     phase_s["particle_csv"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     grids = density_estimate(ensemble, partition)
-    series = moment_series(ensemble, partition, l_max=args.lmax,
-                           n_max=args.nmax)
+    series = moment_series(ensemble, partition, l_max=args.l_max,
+                           n_max=args.n_max)
     k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k)
                 for k in range(len(snapshots))] if k2_bins > 0 else []
     phase_s["estimators"] = time.perf_counter() - t0
@@ -199,14 +202,10 @@ def cmd_simulate(args) -> int:
                    "total": stats.events},
         "per_replica": {
             "events": _spread(stats.replica_events),
-            "final_particles": _spread(
-                [ensemble.positions(r, -1).shape[0]
-                 for r in range(ensemble.n_replicas)])},
+            "final_particles": _spread(ensemble.counts[:, -1].tolist())},
         "max_audit_residual": stats.max_audit_residual,
         "repairs": {"selection_fallbacks": stats.selection_fallbacks},
         "phase_s": phase_s,
-        "estimators": {"cell_side": cell_side, "l_max": args.lmax,
-                       "n_max": args.nmax, "k2_bins": k2_bins},
     }
     _write_json(out / "summary.json", _jsonable(summary))
     print(f"simulate: {plan.replicas} replicas, {stats.events} events, "
@@ -246,9 +245,10 @@ def cmd_hierarchy(args) -> int:
         cfg = {**cfg, "hierarchy": {**cfg.get("hierarchy", {}),
                                     "grid": args.grid}}
     opts = hierarchy_options(cfg)
-    grid = opts["grid"]
-    mode = opts["mode"]
-    snapshots = args.snapshots or (args.t_end,)
+    # the resolved grid, mode and snapshots are what the manifest records
+    grid = args.grid = opts["grid"]
+    mode = args.mode = opts["mode"]
+    snapshots = args.snapshots = args.snapshots or (args.t_end,)
     check_steps(args.t_end, args.dt, snapshots)
     rho0 = _initial_density(cfg, params)
     ti = mode == "translation-invariant"
@@ -260,11 +260,7 @@ def cmd_hierarchy(args) -> int:
         state = HierarchyState.translation_invariant(params, grid, rho0.value)
     else:
         state = HierarchyState.full_grid(params, grid, rho0)
-    out = Path(args.out)
-    arguments = {"closure": args.closure, "nmax": args.nmax, "dt": args.dt,
-                 "t_end": args.t_end, "grid": grid, "mode": mode,
-                 "snapshots": list(snapshots)}
-    _write_manifest(out, "hierarchy", arguments, args.config)
+    out = _write_manifest(args)
     traj = integrate(state, args.t_end, args.dt, closure=args.closure,
                      n_max=args.nmax, snapshots=snapshots)
     d = params.dimension
@@ -311,10 +307,7 @@ def cmd_surgailis(args) -> int:
     if args.pair_grid > 0 and params.dimension != 1:
         raise ConfigError("--pair-grid needs a 1-D window, not dimension "
                           f"{params.dimension}")
-    out = Path(args.out)
-    arguments = {"times": list(times), "grid": args.grid,
-                 "pair_grid": args.pair_grid}
-    _write_manifest(out, "surgailis", arguments, args.config)
+    out = _write_manifest(args)
     window = params.window
     d = params.dimension
     flows = [SurgailisFlow.from_params(params, t) for t in times]
@@ -348,6 +341,16 @@ def cmd_surgailis(args) -> int:
 # -- bounds -------------------------------------------------------------------
 
 
+def _poisson_term(rho: float, theta: float, n: int) -> float:
+    """(rho e^-theta)^n as rho**n * exp(-theta n); where a factor overflows,
+    through its logarithm, and inf past the largest float (e^709.78)."""
+    try:
+        return rho ** n * math.exp(-theta * n)
+    except OverflowError:
+        log = n * (math.log(rho) - theta) if rho > 0.0 else -math.inf
+        return math.exp(log) if log < 709.78 else math.inf
+
+
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
@@ -361,18 +364,14 @@ def cmd_bounds(args) -> int:
             orders, t_end = int(order_text), float(t_text)
         except ValueError:
             orders, t_end = 0, math.nan
-        if orders < 1 or not 0.0 <= t_end < math.inf:
-            raise ConfigError("--moment-system needs an integer L >= 1 and "
-                              "a finite T_END >= 0")
+        if not 0.0 <= t_end < math.inf:
+            raise ConfigError("--moment-system needs an integer L and a "
+                              "finite T_END >= 0")
+        check_moment_orders(orders, orders)   # L! overflows a float past 170
         if rho0.kind != "constant":
             raise ConfigError("moment-system report needs a constant initial "
                               "density")
-    out = Path(args.out)
-    arguments = {"schedule": args.schedule,
-                 "schedule_steps": args.schedule_steps, "kappa": args.kappa,
-                 "moment_system": args.moment_system,
-                 "theta_norm": args.theta_norm, "cell_side": args.cell_side}
-    _write_manifest(out, "bounds", arguments, args.config)
+    out = _write_manifest(args)
     theta0 = params.theta0
     report: dict = {
         "norms": {"b_sup": params.b_norm, "m_sup": params.m_norm,
@@ -427,15 +426,12 @@ def cmd_bounds(args) -> int:
         # the norm of the Poisson family rho^n over every order: its terms
         # (rho e^-theta)^n peak at n = 0 when rho e^-theta <= 1 and grow
         # without bound otherwise
-        family = {n: rho0.sup ** n for n in range(17)}
-        th = args.theta_norm
+        terms = [_poisson_term(rho0.sup, args.theta_norm, n)
+                 for n in range(17)]
         report["theta_norm"] = {
-            "theta": th,
-            "per_order": {str(n): v * math.exp(-th * n)
-                          for n, v in family.items()},
-            "value": theta_norm(family, th)
-            if rho0.sup * math.exp(-th) <= 1.0 else math.inf,
-        }
+            "theta": args.theta_norm,
+            "per_order": dict(zip(map(str, range(17)), terms)),
+            "value": 1.0 if terms[1] <= 1.0 else math.inf}
     _write_json(out / "bounds.json", _jsonable(report))
     print(f"bounds: report in {out / 'bounds.json'}")
     return EXIT_OK
@@ -444,29 +440,30 @@ def cmd_bounds(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _load_ensemble(run: Path, params, summary) -> SnapshotEnsemble:
-    times = summary["snapshot_times"]
-    replicas = summary["replicas"]
+def _load_ensemble(run: Path, params, arguments: dict) -> SnapshotEnsemble:
+    """A simulate run's particle table: one stable sort by slot of every
+    particle file's rows keeps each slot's rows in file order."""
+    times = arguments["snapshots"]
+    replicas = arguments["replicas"]
     d = params.dimension
-    configs = [[None] * len(times) for _ in range(replicas)]
-    for k, fname in enumerate(summary["particle_files"]):
-        cols = read_csv_columns(run / fname)
+    points, slots = [], []
+    for k in range(len(times)):
+        path = run / _PARTICLE_FILE.format(k)
+        cols = read_csv_columns(path)
         missing = {"replica", *(f"x{i+1}" for i in range(d))} - set(cols)
         if missing:
-            raise ConfigError(f"{run / fname} lacks columns {sorted(missing)}")
+            raise ConfigError(f"{path} lacks columns {sorted(missing)}")
         reps = np.asarray(cols["replica"], dtype=int)
         if np.any((reps < 0) | (reps >= replicas)):
-            raise ConfigError(f"{run / fname} has replica ids outside "
+            raise ConfigError(f"{path} has replica ids outside "
                               f"0..{replicas - 1}")
-        coords = np.column_stack([np.asarray(cols[f"x{i+1}"], dtype=float)
-                                  for i in range(d)])
-        # one stable sort groups the rows by replica in file order
-        order = np.argsort(reps, kind="stable")
-        coords = coords[order]
-        bounds = np.searchsorted(reps[order], np.arange(replicas + 1))
-        for r in range(replicas):
-            configs[r][k] = coords[bounds[r]:bounds[r + 1]]
-    return SnapshotEnsemble(params.window, times, configs)
+        points.append(np.asarray([cols[f"x{i+1}"] for i in range(d)],
+                                 dtype=float).T)
+        slots.append(reps * len(times) + k)
+    slot = np.concatenate(slots)
+    counts = np.bincount(slot, minlength=replicas * len(times))
+    return SnapshotEnsemble(params.window, times, np.concatenate(points)[
+        np.argsort(slot, kind="stable")], counts.reshape(replicas, -1))
 
 
 def _recompute(name: str, path: Path, table) -> tuple:
@@ -584,15 +581,14 @@ def cmd_verify(args) -> int:
               f"{manifest.get('config_sha256')}", file=sys.stderr)
         return EXIT_CONFIG
     params = build_params(load_config(args.config))
-    summary = json.loads((run / "summary.json").read_text())
-    ensemble = _load_ensemble(run, params, summary)
-    est = summary["estimators"]
-    partition = CellPartition(params.window, est["cell_side"])
+    arguments = manifest["arguments"]
+    ensemble = _load_ensemble(run, params, arguments)
+    partition = CellPartition(params.window, arguments["cell_side"])
     grids = density_estimate(ensemble, partition)
     k1_check, _ = _recompute("k1-recompute", run / "k1.csv",
                              k1_table(grids, ensemble.times, params.dimension))
-    series = moment_series(ensemble, partition, l_max=est["l_max"],
-                           n_max=est["n_max"])
+    series = moment_series(ensemble, partition, l_max=arguments["l_max"],
+                           n_max=arguments["n_max"])
     moments_check, moments = _recompute(
         "moments-recompute", run / "moments.csv", moments_table(series))
     results = [k1_check, moments_check, _moment_identity(moments, series),
@@ -635,8 +631,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=10**8)
     p.add_argument("--cell-side", type=float, default=None,
                    help="moment/density cell side (default: smallest window side)")
-    p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--lmax", dest="l_max", type=int, default=4)
+    p.add_argument("--nmax", dest="n_max", type=int, default=4)
     p.add_argument("--k2-bins", type=_number(int, 0), default=16,
                    help="pair-correlation bins (0 writes no k2.csv)")
     p.set_defaults(func=cmd_simulate)

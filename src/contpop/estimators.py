@@ -1,8 +1,9 @@
 """Empirical estimators over replica ensembles of particle snapshots.
 
+An ensemble is one particle table, rows ordered by replica and snapshot.
 Every cell estimator reads one integer tensor counts[r, k, c], the number of
 core particles of replica r at snapshot k in cell c, built in one vectorised
-pass over the whole ensemble (`_cell_counts`).  Factorial moments binom(N, l)
+pass over that table (`_cell_counts`).  Factorial moments binom(N, l)
 and raw moments N^n are looked up in tables indexed by count, whose rows come
 from the exact integer functions (`binomial`, and the Stirling transform
 N^n = sum_l l! S(n, l) binom(N, l) in `raw_moment_from_factorials`), so the
@@ -68,33 +69,48 @@ _PAIR_BLOCK = 1 << 14
 
 
 class SnapshotEnsemble:
-    """Replica-resolved snapshots: configurations[r][k] is an (n, d) array."""
+    """Replica-resolved snapshots as one particle table: the (N, d) `points`
+    sorted by the slot r * n_times + k of replica r at snapshot k, and
+    counts[r, k], the rows in that slot."""
 
-    def __init__(self, window: Window, times, configurations):
+    def __init__(self, window: Window, times, points, counts):
         self.window = window
         self.times = np.asarray(times, dtype=float)
-        self.configurations = configurations
-        if any(len(reps) != self.times.size for reps in configurations):
-            raise ValueError("every replica needs one configuration per time")
+        self.points = np.asarray(points, dtype=float).reshape(
+            -1, window.dimension)
+        self.counts = np.asarray(counts, dtype=np.intp)
+        if self.counts.shape[1:] != self.times.shape or np.any(
+                self.counts < 0) or self.counts.sum() != len(self.points):
+            raise ValueError("counts must be (replicas, times) row counts "
+                             "adding up to the rows of points")
+        self._slot = np.repeat(np.arange(self.counts.size),
+                               self.counts.ravel())
+        self._stop = np.cumsum(self.counts).reshape(self.counts.shape)
 
     @property
     def n_replicas(self) -> int:
-        return len(self.configurations)
+        return self.counts.shape[0]
 
     @property
     def n_times(self) -> int:
         return self.times.size
 
     def positions(self, replica: int, time_index: int) -> np.ndarray:
-        return self.configurations[replica][time_index]
+        """The rows of one replica at one snapshot, a view of `points`."""
+        stop = self._stop[replica, time_index]
+        return self.points[stop - self.counts[replica, time_index]:stop]
+
+    def snapshot(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of every replica at one snapshot, in replica order, and
+        the replica of each row."""
+        rows = self._slot % self.n_times == range(self.n_times)[time_index]
+        return self.points[rows], self._slot[rows] // self.n_times
 
     def counts_in(self, box: Box) -> np.ndarray:
         """(replicas, times) matrix of particle counts inside `box`."""
-        points, slot = _stacked(self)
-        shape = (self.n_replicas, self.n_times)
-        inside = box.contains_points(points)
-        return np.bincount(slot[inside],
-                           minlength=math.prod(shape)).reshape(shape)
+        inside = box.contains_points(self.points)
+        return np.bincount(self._slot[inside], minlength=self.counts.size
+                           ).reshape(self.counts.shape)
 
 
 class CellPartition:
@@ -155,31 +171,12 @@ def _cell_index(partition: CellPartition,
     return np.ravel_multi_index(tuple(idx.T), partition.shape), inside
 
 
-def _stack(configs, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """The position arrays of `configs` as one (N, d) array, and the index
-    in `configs` of each row."""
-    configs = [np.asarray(pos, dtype=float).reshape(-1, dimension)
-               for pos in configs]
-    if not configs:
-        return np.empty((0, dimension)), np.empty(0, dtype=np.intp)
-    slot = np.repeat(np.arange(len(configs)), [p.shape[0] for p in configs])
-    return np.concatenate(configs), slot
-
-
-def _stacked(ensemble: SnapshotEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Every particle of the ensemble as one (N, d) array, and the
-    replica-snapshot slot r * n_times + k of each."""
-    return _stack([pos for reps in ensemble.configurations for pos in reps],
-                  ensemble.window.dimension)
-
-
 def _cell_counts(ensemble: SnapshotEnsemble,
                  partition: CellPartition) -> np.ndarray:
     """(replicas, times, cells) integer tensor of core particle counts."""
     shape = (ensemble.n_replicas, ensemble.n_times, len(partition))
-    points, slot = _stacked(ensemble)
-    flat, inside = _cell_index(partition, points)
-    key = slot[inside] * len(partition) + flat
+    flat, inside = _cell_index(partition, ensemble.points)
+    key = ensemble._slot[inside] * len(partition) + flat
     return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
 
@@ -425,9 +422,7 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     window = ensemble.window
     r_edges = separation_edges(window, r_edges)
     shells = _shell_volumes(r_edges, window.dimension)
-    pos, replica = _stack([ensemble.positions(r, time_index)
-                           for r in range(ensemble.n_replicas)],
-                          window.dimension)
+    pos, replica = ensemble.snapshot(time_index)
     if window.boundary != "periodic":
         core = window.core.contains_points(pos)
         pos, replica = pos[core], replica[core]

@@ -136,30 +136,22 @@ class HierarchyState:
 
     @classmethod
     def translation_invariant(cls, params: ModelParams, grid_points: int,
-                              rho0: float, k20=None) -> "HierarchyState":
+                              rho0: float) -> "HierarchyState":
         state = cls(params, grid_points, "translation-invariant")
         state.rho = float(rho0)
-        if k20 is None:
-            state.k2 = np.full(state.k2.shape, float(rho0) ** 2)
-        else:
-            state.k2 = np.broadcast_to(np.asarray(k20, dtype=float),
-                                       state.k2.shape).copy()
+        state.k2 = np.full(state.k2.shape, float(rho0) ** 2)
         return state
 
     @classmethod
-    def full_grid(cls, params: ModelParams, grid_points: int, k10,
-                  k20=None) -> "HierarchyState":
+    def full_grid(cls, params: ModelParams, grid_points: int,
+                  k10) -> "HierarchyState":
         state = cls(params, grid_points, "full-grid")
         if callable(k10):
             state.k1 = np.asarray(k10(state.x[:, None]),
                                   dtype=float).reshape(-1).copy()
         else:
             state.k1 = np.full(state.grid_points, float(k10))
-        if k20 is None:
-            state.k2 = np.outer(state.k1, state.k1)
-        else:
-            state.k2 = np.broadcast_to(np.asarray(k20, dtype=float),
-                                       state.k2.shape).copy()
+        state.k2 = np.outer(state.k1, state.k1)
         return state
 
     # -- the flat layout [rho | k1] + k2.ravel() of the integrator ----------

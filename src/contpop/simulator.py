@@ -510,7 +510,8 @@ def _run_one(params: ModelParams, plan: ReplicaPlan,
 
 def run_replicas(params: ModelParams, plan: ReplicaPlan,
                  threads: int = 1) -> tuple[SnapshotEnsemble, RunStats]:
-    """Run all replicas and collect snapshots in replica order.
+    """Run all replicas and collect their snapshots, in replica order, into
+    one particle table.
 
     `threads` is the number of worker processes, capped by the replica count
     and `os.cpu_count()`; with one worker the replicas run in this process.
@@ -534,9 +535,9 @@ def run_replicas(params: ModelParams, plan: ReplicaPlan,
             results = list(pool.map(functools.partial(_run_one, params, plan),
                                     range(plan.replicas), chunksize=chunk))
     stats = RunStats()
-    configurations = []
-    for configs, replica_stats in results:
-        configurations.append(configs)
+    for _, replica_stats in results:
         stats.merge(replica_stats)
-    ensemble = SnapshotEnsemble(params.window, plan.snapshots, configurations)
-    return ensemble, stats
+    points = np.concatenate([pos for configs, _ in results for pos in configs])
+    counts = [[len(pos) for pos in configs] for configs, _ in results]
+    return SnapshotEnsemble(params.window, plan.snapshots, points,
+                            counts), stats

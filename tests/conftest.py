@@ -8,7 +8,8 @@ criterion, including for failed tests.
 import numpy as np
 import pytest
 
-from contpop import Box, CompetitionKernel, ModelParams, RateField, Window
+from contpop import (Box, CompetitionKernel, ModelParams, RateField,
+                     SnapshotEnsemble, Window)
 
 ACCEPTANCE_RESULTS = []
 
@@ -46,6 +47,17 @@ def make_params(window=None, kernel=None, b=1.0, m=1.0, theta0=0.0):
     birth = b if isinstance(b, RateField) else RateField.constant(b, d)
     death = m if isinstance(m, RateField) else RateField.constant(m, d)
     return ModelParams(window, kernel, birth, death, theta0=theta0)
+
+
+def nested_ensemble(window, times, configs):
+    """The particle table of configs[r][k], the (n, d) positions of replica
+    r at snapshot k."""
+    d = window.dimension
+    configs = [[np.asarray(pos, dtype=float).reshape(-1, d) for pos in reps]
+               for reps in configs]
+    points = [pos for reps in configs for pos in reps] or [np.empty((0, d))]
+    return SnapshotEnsemble(window, times, np.concatenate(points),
+                            [[len(pos) for pos in reps] for reps in configs])
 
 
 def gaussian_unit_kernel(dimension: int = 1) -> CompetitionKernel:

@@ -49,6 +49,9 @@ def has_dotted(obj, name):
     ("estimators", "CorrelationGrid.order"),
     ("estimators", "MomentSeries.cell_side"),
     ("estimators", "CellPartition.counts"),
+    ("estimators", "SnapshotEnsemble.configurations"),
+    ("estimators", "_stack"),
+    ("estimators", "_stacked"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)
@@ -61,6 +64,8 @@ def test_removed_names_are_gone(module, name):
     ("surgailis", "SurgailisFlow.from_params", "points_per_axis"),
     ("surgailis", "expected_count", "mu0_mean"),
     ("model", "cell_infimum", "divisions"),
+    ("hierarchy", "HierarchyState.translation_invariant", "k20"),
+    ("hierarchy", "HierarchyState.full_grid", "k20"),
 ])
 def test_removed_parameters_are_gone(module, name, parameter):
     obj = importlib.import_module(f"contpop.{module}")

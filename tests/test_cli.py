@@ -1,10 +1,12 @@
 """End-to-end command-line runs: manifests, outputs, exit codes, verify."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -256,6 +258,95 @@ def test_golden_verify_lines(golden_runs, golden_interacting_runs, capsys,
     assert (code, lines) == GOLDEN_VERIFY[run]
 
 
+@pytest.mark.parametrize("run", sorted(GOLDEN_VERIFY))
+def test_verify_reads_the_manifest_not_the_summary(
+        golden_runs, golden_interacting_runs, tmp_path, capsys, run):
+    # summary.json is diagnostic: verify takes the replicas, snapshot times,
+    # cell side and moment orders of a run from its manifest
+    source = {"free": golden_runs,
+              "interacting": golden_interacting_runs}[run][1]
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    (out / "summary.json").unlink()
+    capsys.readouterr()
+    code = main(["verify", "--config", str(source.parent / "model.json"),
+                 "--run", str(out)])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.split(" ")[0] == "verify"]
+    assert (code, lines) == GOLDEN_VERIFY[run]
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("dimension", (1, 2))
+def test_reloaded_table_equals_the_simulated_one(tmp_path, monkeypatch,
+                                                 dimension, threads):
+    # the particle files hold the whole table: verify's reload has the
+    # simulator's rows in the same order and the same counts per slot
+    cfg = write_cfg(tmp_path, b=0.05, m=1.0,
+                    kernel={"kind": "gaussian", "amplitude": 1.0,
+                            "range": 0.4, "r_cut": 1.5},
+                    initial={"kind": "poisson", "density": 0.2},
+                    extra={"dimension": 2, "sides": [5.0, 4.0]}
+                    if dimension == 2 else None)
+    simulated = []
+    run_replicas = cli.run_replicas
+
+    def recorded(*args, **kwargs):
+        result = run_replicas(*args, **kwargs)
+        simulated.append(result[0])
+        return result
+
+    monkeypatch.setattr(cli, "run_replicas", recorded)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "5", "--replicas", "7",
+                 "--snapshots", "0.0,0.5,2.0", "--cell-side", "1.0",
+                 "--threads", str(threads)]) == 0
+    arguments = json.loads((out / "manifest.json").read_text())["arguments"]
+    reloaded = cli._load_ensemble(out, build_params(load_config(cfg)),
+                                  arguments)
+    ensemble = simulated[0]
+    assert np.any(ensemble.counts == 0)   # empty slots are kept
+    assert np.array_equal(reloaded.points, ensemble.points)
+    assert np.array_equal(reloaded.counts, ensemble.counts)
+    assert np.array_equal(reloaded.times, ensemble.times)
+
+
+def _declared_destinations(command):
+    parser = cli._build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in commands.choices[command]._actions
+            if action.dest != "help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "3", "--replicas", "2", "--snapshots", "0.5"],
+    ["hierarchy", "--dt", "0.05", "--t-end", "0.1"],
+    ["surgailis", "--times", "0.5", "--grid", "8"],
+    ["bounds"],
+], ids=lambda argv: argv[0])
+def test_manifest_records_every_parsed_flag(tmp_path, argv):
+    # one function builds every manifest from the parsed flags, with the
+    # values the command resolved: simulate's cell side, hierarchy's grid,
+    # mode and snapshots
+    cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.5},
+                    extra={"hierarchy": {"grid": 16}})
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", str(cfg), "--out", str(out),
+                 *argv[1:]]) == 0
+    arguments = json.loads((out / "manifest.json").read_text())["arguments"]
+    expected = _declared_destinations(argv[0]) - {
+        "command", "config", "out", "seed", "func"}
+    if argv[0] == "hierarchy":
+        expected.add("mode")
+        assert (arguments["grid"], arguments["mode"], arguments["snapshots"]) \
+            == (16, "translation-invariant", [0.1])
+    if argv[0] == "simulate":
+        assert arguments["cell_side"] == 10.0
+    assert set(arguments) == expected
+
+
 def test_summary_records_phase_times(golden_runs):
     for out in golden_runs.values():
         phases = json.loads((out / "summary.json").read_text())["phase_s"]
@@ -413,6 +504,8 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     ["bounds", "--moment-system", "x", "1"],
     ["bounds", "--moment-system", "0", "1"],
     ["bounds", "--moment-system", "2", "nan"],
+    ["bounds", "--moment-system", "9", "1"],
+    ["bounds", "--moment-system", "200", "1"],
     ["bounds", "--cell-side", "-1", "--moment-system", "2", "1"],
     ["surgailis", "--times", "1", "--grid", "0"],
     ["surgailis", "--times", "1", "--pair-grid", "-1"],
@@ -674,19 +767,34 @@ def test_bounds_report_sections(tmp_path):
 
 
 @pytest.mark.parametrize("density, theta, value", [
-    (2.0, 0.0, None), (2.0, -1.0, None), (2.0, 1.0, 1.0), (0.5, 0.0, 1.0)])
-def test_bounds_theta_norm_of_the_poisson_family(tmp_path, density, theta,
-                                                 value):
+    (2.0, 0.0, None), (2.0, -1.0, None), (2.0, 1.0, 1.0), (0.5, 0.0, 1.0),
+    (2.0, -50.0, None), (2.0, -800.0, None)])
+def test_bounds_theta_norm_of_the_poisson_family(tmp_path, capsys, density,
+                                                 theta, value):
     # sup over every order n of (rho e^-theta)^n: 1 at n = 0 when
     # rho e^-theta <= 1, else infinite, written as null; the 17 listed
-    # orders stay as they are
+    # orders stay as they are, and one that overflows a float is null
     cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": density})
     out = tmp_path / "bounds"
     assert main(["bounds", "--config", str(cfg), "--out", str(out),
                  "--theta-norm", repr(theta)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
     report = json.loads((out / "bounds.json").read_text())["theta_norm"]
     assert report["value"] == value
-    assert report["per_order"]["16"] == density**16 * math.exp(-16 * theta)
+    for n, term in report["per_order"].items():
+        try:
+            expected = density**int(n) * math.exp(-int(n) * theta)
+        except OverflowError:
+            expected = None
+        assert term == expected, n
+
+
+def test_poisson_term_when_only_a_factor_overflows():
+    # e^720 overflows a float, 1e-300 e^720 does not
+    assert cli._poisson_term(1e-300, -720.0, 1) == pytest.approx(
+        1e-300 * math.exp(360.0) * math.exp(360.0), rel=1e-12)
+    assert cli._poisson_term(0.0, -800.0, 3) == 0.0
+    assert cli._poisson_term(2.0, -800.0, 1) == math.inf
 
 
 def test_bounds_schedule_steps_mode_and_flag_conflict(tmp_path, capsys):

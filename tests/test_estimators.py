@@ -28,6 +28,8 @@ from contpop import (
 from contpop import estimators
 from contpop.estimators import MAX_MOMENT_ORDER, _replica_stats
 
+from conftest import nested_ensemble
+
 
 def poisson_ensemble(rng, kappa, L=10.0, replicas=200, times=(0.0,)):
     """Exact Poisson(kappa) point process on the 1-d torus, iid replicas."""
@@ -39,14 +41,14 @@ def poisson_ensemble(rng, kappa, L=10.0, replicas=200, times=(0.0,)):
             n = rng.poisson(kappa * L)
             reps.append(rng.uniform(0.0, L, size=(n, 1)))
         configs.append(reps)
-    return SnapshotEnsemble(win, list(times), configs)
+    return nested_ensemble(win, list(times), configs)
 
 
 def fixed_ensemble(counts_positions, L=4.0, times=(0.0,)):
     win = Window([L])
     configs = [[np.asarray(pos, dtype=float).reshape(-1, 1) for pos in rep]
                for rep in counts_positions]
-    return SnapshotEnsemble(win, list(times), configs)
+    return nested_ensemble(win, list(times), configs)
 
 
 # ---------------------------------------------------------------- factorial
@@ -80,9 +82,30 @@ def test_ensemble_counts_and_validation():
     counts = ens.counts_in(Box([0.0], [2.0]))
     assert counts.tolist() == [[2], [0]]
     assert ens.n_replicas == 2 and ens.n_times == 1
+    with pytest.raises(ValueError):   # counts for one time, not two
+        SnapshotEnsemble(Window([4.0]), [0.0, 1.0], np.zeros((0, 1)), [[0]])
+    with pytest.raises(ValueError):   # counts that miss a row of points
+        SnapshotEnsemble(Window([4.0]), [0.0], np.zeros((2, 1)), [[1]])
     with pytest.raises(ValueError):
-        SnapshotEnsemble(Window([4.0]), [0.0, 1.0],
-                         [[np.zeros((0, 1))]])  # one config for two times
+        SnapshotEnsemble(Window([4.0]), [0.0], np.zeros((0, 1)), [[1], [-1]])
+
+
+def test_ensemble_is_one_particle_table():
+    ens = fixed_ensemble([[[0.5, 1.5], [2.5]], [[], [3.5, 0.25]]],
+                         times=(0.0, 1.0))
+    assert ens.points.ravel().tolist() == [0.5, 1.5, 2.5, 3.5, 0.25]
+    assert ens.counts.tolist() == [[2, 1], [0, 2]]
+    assert not hasattr(ens, "configurations")
+    last = ens.positions(1, -1)
+    assert last.ravel().tolist() == [3.5, 0.25]
+    assert np.shares_memory(last, ens.points) and not last.flags.owndata
+    assert ens.positions(1, 0).shape == (0, 1)
+    for k in (1, -1):
+        points, replica = ens.snapshot(k)
+        assert points.ravel().tolist() == [2.5, 3.5, 0.25]
+        assert replica.tolist() == [0, 1, 1]
+    with pytest.raises(IndexError):
+        ens.positions(2, 0)
 
 
 def test_counts_in_matches_per_configuration_counts():
@@ -92,14 +115,14 @@ def test_counts_in_matches_per_configuration_counts():
                for row in gen.integers(0, 30, size=(5, 3))]
     configs[1][2] = np.zeros((0, 2))
     configs[3][0] = np.array([[1.0, 1.0], [3.0, 2.0], [1.0, 2.0]])  # faces
-    ensemble = SnapshotEnsemble(window, [0.0, 1.0, 2.0], configs)
+    ensemble = nested_ensemble(window, [0.0, 1.0, 2.0], configs)
     for box in (Box([1.0, 1.0], [3.0, 2.0]), window.core):
         expected = [[int(np.count_nonzero(box.contains_points(pos)))
                      for pos in reps] for reps in configs]
         counts = ensemble.counts_in(box)
         assert counts.dtype == np.int64
         assert counts.tolist() == expected
-    empty = SnapshotEnsemble(window, [0.0], [[np.zeros((0, 2))]])
+    empty = nested_ensemble(window, [0.0], [[np.zeros((0, 2))]])
     assert empty.counts_in(window.core).tolist() == [[0]]
 
 
@@ -124,7 +147,7 @@ def test_partition_rejects_non_tiling():
 
 def one_replica_counts(window, cell_side, pos):
     """Cell counts of one configuration, through the ensemble's tensor."""
-    ens = SnapshotEnsemble(window, [0.0], [[np.asarray(pos, dtype=float)]])
+    ens = nested_ensemble(window, [0.0], [[np.asarray(pos, dtype=float)]])
     return estimators._cell_counts(ens, CellPartition(window, cell_side))[0, 0]
 
 
@@ -311,7 +334,7 @@ def test_blocked_pair_correlation_matches_all_pairs(window, block,
     grid_1d = np.arange(0.0, side, side / 8.0)
     reps.append([np.stack(np.meshgrid(*([grid_1d] * d), indexing="ij"),
                           axis=-1).reshape(-1, d)])
-    ensemble = SnapshotEnsemble(window, [1.0], reps)
+    ensemble = nested_ensemble(window, [1.0], reps)
     if window.boundary != "periodic":   # particles in the buffer are dropped
         assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
     _assert_pair_correlation_matches(ensemble, np.linspace(0.0, side / 2, 9))
@@ -342,7 +365,7 @@ def test_pair_correlation_memory_stays_bounded():
     n = 3000
     gen = np.random.default_rng(9)
     window = Window([48.0, 48.0])
-    ensemble = SnapshotEnsemble(window, [0.0],
+    ensemble = nested_ensemble(window, [0.0],
                                 [[gen.uniform(0.0, 48.0, size=(n, 2))]])
     edges = np.linspace(0.0, 24.0, 17)
     tracemalloc.start()
@@ -416,7 +439,7 @@ def test_one_pass_pair_correlation_matches_per_replica(window, block,
             for n in sizes]
     reps.insert(5, [lattice, np.empty((0, d))])  # separations on the edges
     reps.append([np.empty((0, d)), np.empty((0, d))])
-    ensemble = SnapshotEnsemble(window, [1.0, 2.0], reps)
+    ensemble = nested_ensemble(window, [1.0, 2.0], reps)
     if window.boundary != "periodic":   # particles in the buffer are dropped
         assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
     for edges in (np.linspace(0.0, side / 2, 9), [0.0, 0.3, 0.5, 1.25, side / 2],
@@ -562,7 +585,7 @@ def test_array_estimators_match_per_cell_reference(
     if crowd:                                      # counts with n^8 > 2^53
         configs[0][0] = np.concatenate(
             [configs[0][0], gen.uniform(0.0, h, size=(crowd, dimension))])
-    ens = SnapshotEnsemble(win, np.arange(n_times, dtype=float), configs)
+    ens = nested_ensemble(win, np.arange(n_times, dtype=float), configs)
 
     series = moment_series(ens, part, l_max=8, n_max=8)
     fact, raw = per_cell_reference(ens, part, 8, 8)
@@ -599,7 +622,7 @@ def test_blocked_cell_estimators_match_per_cell_reference(
     d = win.dimension
     configs = [[gen.uniform(0.0, sides[0], size=(gen.poisson(9), d))
                 for _ in range(3)] for _ in range(12)]
-    ens = SnapshotEnsemble(win, [0.0, 1.0, 2.0], configs)
+    ens = nested_ensemble(win, [0.0, 1.0, 2.0], configs)
     series = moment_series(ens, part, l_max=orders, n_max=orders)
     fact, raw = per_cell_reference(ens, part, orders, orders)
     for got, got_err, ref in ((series.factorial, series.factorial_stderr, fact),
@@ -620,7 +643,7 @@ def test_moment_series_memory_stays_bounded():
     # 12.5 MB; the count tensor itself is 1.4 MB
     gen = np.random.default_rng(29)
     win = Window([10.0])
-    ens = SnapshotEnsemble(win, [0.0, 1.0, 2.0, 4.0],
+    ens = nested_ensemble(win, [0.0, 1.0, 2.0, 4.0],
                            [[gen.uniform(0.0, 10.0, size=(gen.poisson(13), 1))
                              for _ in range(4)] for _ in range(450)])
     part = CellPartition(win, 0.1)

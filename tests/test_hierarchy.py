@@ -133,7 +133,8 @@ def test_rhs_matches_slow_evaluator_full_grid(closure):
           + 0.1 * np.outer(np.sin(2.0 * math.pi * x / L),
                            np.sin(2.0 * math.pi * x / L)))
     state = HierarchyState.full_grid(params, M, lambda p: np.interp(
-        p.ravel(), x, k1, period=L), k20=k2)
+        p.ravel(), x, k1, period=L))
+    state.k2 = k2
     assert np.allclose(state.k1, k1)
     slow_k1, slow_k2 = slow_rhs_full(state, closure)
     fast1 = rhs_order1(state)
@@ -351,8 +352,10 @@ def fg_state(M=16):
     x = np.arange(M) * (L / M)
     k1 = 0.6 + 0.2 * np.sin(2.0 * math.pi * x / L)
     k2 = np.outer(k1, k1) + 0.01 * np.arange(M * M).reshape(M, M) / M**2
-    return HierarchyState.full_grid(params, M, lambda p: np.interp(
-        p.ravel(), x, k1, period=L), k20=k2)
+    state = HierarchyState.full_grid(params, M, lambda p: np.interp(
+        p.ravel(), x, k1, period=L))
+    state.k2 = k2
+    return state
 
 
 def test_pack_unpack_round_trip():

@@ -149,8 +149,7 @@ def test_snapshot_at_time_zero_returns_initial():
                        initial=np.array(points))
     ensemble, stats = run_replicas(params, plan)
     for r in range(2):
-        assert np.array_equal(ensemble.configurations[r][0],
-                              np.asarray(points))
+        assert np.array_equal(ensemble.positions(r, 0), np.asarray(points))
     assert stats.events == 0
 
 
@@ -203,12 +202,9 @@ def test_reruns_are_bitwise_identical():
     first, stats1 = run_replicas(params, plan, threads=1)
     second, stats2 = run_replicas(params, plan, threads=1)
     threaded, stats4 = run_replicas(params, plan, threads=4)
-    for r in range(plan.replicas):
-        for k in range(len(plan.snapshots)):
-            assert np.array_equal(first.configurations[r][k],
-                                  second.configurations[r][k])
-            assert np.array_equal(first.configurations[r][k],
-                                  threaded.configurations[r][k])
+    for ensemble in (second, threaded):
+        assert np.array_equal(first.points, ensemble.points)
+        assert np.array_equal(first.counts, ensemble.counts)
     assert stats1 == stats2 == stats4
 
 
