@@ -55,7 +55,7 @@ from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, check_steps,
                         integrate)
 from .model import RateField
-from .simulator import CappedRunError, ReplicaPlan, run_replicas
+from .simulator import CappedRunError, ReplicaPlan, engine, run_replicas
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
                         poisson_density_flow, propagate_correlation)
 
@@ -164,6 +164,7 @@ def cmd_simulate(args) -> int:
                        snapshots=snapshots,
                        initial=build_initial(cfg, params),
                        max_events=args.max_events)
+    build = engine()   # a missing compiler is refused before the manifest
     out = _write_manifest(args)
     phase_s = {}
     t0 = time.perf_counter()
@@ -206,6 +207,7 @@ def cmd_simulate(args) -> int:
         "max_audit_residual": stats.max_audit_residual,
         "repairs": {"selection_fallbacks": stats.selection_fallbacks},
         "phase_s": phase_s,
+        "engine": build,
     }
     _write_json(out / "summary.json", _jsonable(summary))
     print(f"simulate: {plan.replicas} replicas, {stats.events} events, "
@@ -285,9 +287,7 @@ def cmd_hierarchy(args) -> int:
         write_csv(out / "k2.csv", ["t", *names, *columns],
                   _grid_blocks(traj.times, traj.k2, coords, 0.0,
                                "hierarchy"))
-    summary = {"mode": mode, "grid": grid, "closure": args.closure,
-               "nmax": args.nmax, "dt": args.dt, "t_end": args.t_end,
-               "clipped_mass": traj.clipped_mass,
+    summary = {"clipped_mass": traj.clipped_mass,
                "clip_ratio": traj.clip_ratio,
                "max_stability_margin": traj.max_stability_margin,
                "final_density": traj.final_density()}
@@ -453,6 +453,8 @@ def _load_ensemble(run: Path, params, arguments: dict) -> SnapshotEnsemble:
         missing = {"replica", *(f"x{i+1}" for i in range(d))} - set(cols)
         if missing:
             raise ConfigError(f"{path} lacks columns {sorted(missing)}")
+        if len({len(cols[name]) for name in cols}) > 1:
+            raise ConfigError(f"{path} has rows of different lengths")
         reps = np.asarray(cols["replica"], dtype=int)
         if np.any((reps < 0) | (reps >= replicas)):
             raise ConfigError(f"{path} has replica ids outside "

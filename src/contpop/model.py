@@ -13,7 +13,6 @@ they are treated as exactly zero.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 
@@ -252,35 +251,6 @@ class CompetitionKernel:
         if self.kind == "top-hat":
             return np.where(r <= self.scale, self.amplitude, 0.0)
         return np.interp(r, self._r_table, self._a_table, right=0.0)
-
-    def scalar_profile(self):
-        """`profile` as a plain-float function of one radius r >= 0.
-
-        It applies the formulas of `profile` to Python floats, so a value
-        differs from `profile`'s by rounding only; the simulator's per-event
-        path calls it on the few particles near one position.
-        """
-        amplitude, scale = self.amplitude, self.scale
-        if self.kind == "gaussian":
-            def gaussian(r):
-                q = r / scale
-                return amplitude * math.exp(-0.5 * (q * q))
-            return gaussian
-        if self.kind == "exponential":
-            return lambda r: amplitude * math.exp(-r / scale)
-        if self.kind == "top-hat":
-            return lambda r: amplitude if r <= scale else 0.0
-        r_table = self._r_table.tolist()
-        a_table = self._a_table.tolist()
-        last = len(r_table) - 1
-
-        def interp(r):   # np.interp(r, r_table, a_table, right=0.0)
-            j = bisect.bisect_right(r_table, r) - 1
-            if j >= last:
-                return a_table[last] if r == r_table[last] else 0.0
-            slope = (a_table[j + 1] - a_table[j]) / (r_table[j + 1] - r_table[j])
-            return slope * (r - r_table[j]) + a_table[j]
-        return interp
 
     def radial(self, r):
         """Truncated radial profile: zero beyond r_cut."""

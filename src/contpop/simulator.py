@@ -14,13 +14,18 @@ worst residual seen is reported.  Drift a few ulps below zero is read as
 zero where it is used; the one repair it needs, a death-selection fallback,
 is counted.
 
-The per-event path runs on plain Python floats and lists, with the scalar
-kernel and field evaluators of `model`: an event touches only the handful of
-particles near one position, where numpy's per-call cost exceeds the
-arithmetic.  The neighbour query computes minimum-image distances inline,
-with no call per candidate pair, and the event loop takes its uniforms from
-blocks of `rng.random(n)`, which holds the same doubles as n single draws,
-so the draws and the results are those of one call per uniform.
+The per-event work runs in C, in `_events.c`, over flat buffers, one
+`ctypes` call per event: the stencil neighbour scan, the rate and cell-sum
+updates of an insert or a remove, the death selection and the audit.
+Python keeps the clock, the uniforms, the choice of event, birth placement
+and the rate fields; it passes m(x) with each insert, so the C code needs no
+field code.  The C code makes the float operations of the pure-Python engine
+it replaced in the same order (that engine is kept in `tests/` as the
+reference), so results are the same to the last bit.  The library is built
+with `cc` on first use and cached in `__pycache__` (see `_build`).  The event
+loop takes its uniforms from blocks of `rng.random(n)`, which holds the same
+doubles as n single draws, so the draws and the results are those of one
+call per uniform.
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
@@ -33,16 +38,20 @@ replica order.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import math
 import os
 import time
+import weakref
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 
 from .estimators import SnapshotEnsemble
-from .model import ModelParams, RateField
+from .model import CompetitionKernel, ModelParams, RateField
 
 __all__ = [
     "AUDIT_PERIOD",
@@ -50,6 +59,7 @@ __all__ = [
     "RunStats",
     "CappedRunError",
     "SimulationState",
+    "engine",
     "sample_initial",
     "run_replicas",
 ]
@@ -103,8 +113,8 @@ class RunStats:
     """Aggregate counters across replicas.
 
     `replica_events` lists each replica's event count, in replica order.
-    `selection_fallbacks` counts the float-drift repairs of
-    `SimulationState._select_death`.
+    `selection_fallbacks` counts the float-drift repairs of the death
+    selection (see `SimulationState.step`).
     `initial_s` and `event_loop_s` sum over the replicas the wall time of
     the initial sampling and of the event loop, each timed in the process
     that ran the replica; they are diagnostics, left out of comparisons.
@@ -129,16 +139,6 @@ class RunStats:
         self.event_loop_s += other.event_loop_s
         self.max_audit_residual = max(self.max_audit_residual,
                                       other.max_audit_residual)
-
-
-def _sum_in_order(values) -> float:
-    """The float sum of `values` added left to right, as the builtin `sum`
-    adds floats before Python 3.12; from 3.12 it compensates the rounding,
-    which would change the rates, the death selections and every output."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _block_uniforms(rng: np.random.Generator):
@@ -178,216 +178,161 @@ def sample_initial(initial, params: ModelParams,
     return points
 
 
+class _State(ctypes.Structure):
+    """The leading fields of `State` in _events.c, which Python reads."""
+
+    _fields_ = [("n", ctypes.c_int64), ("d_tot", ctypes.c_double),
+                ("max_audit_residual", ctypes.c_double),
+                ("selection_fallbacks", ctypes.c_int64),
+                ("pos", ctypes.POINTER(ctypes.c_double)),
+                ("rate", ctypes.POINTER(ctypes.c_double)),
+                ("cell_of", ctypes.POINTER(ctypes.c_int64)),
+                ("slot_of", ctypes.POINTER(ctypes.c_int64)),
+                ("cell_rate", ctypes.POINTER(ctypes.c_double)),
+                ("members", ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))),
+                ("count", ctypes.POINTER(ctypes.c_int64))]
+
+
+_SOURCE = Path(__file__).with_name("_events.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _build(cache: Path) -> Path:
+    """The shared library of `_events.c`, compiled by `cc` into `cache` on
+    first use and kept there under a name keyed by the source and the
+    flags.  It is written under a temporary name and renamed into place, so
+    processes that build it at the same time each find a whole file."""
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
+    path = cache / f"_events-{key.hexdigest()[:16]}.so"
+    if not path.exists():
+        import subprocess   # here, so that loading a built library skips it
+        cache.mkdir(exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            subprocess.run(["cc", *_CFLAGS, "-o", str(tmp), str(_SOURCE),
+                            "-lm"], check=True, capture_output=True, text=True)
+        except FileNotFoundError:
+            raise OSError(f"building {_SOURCE.name} needs a C compiler, and "
+                          f"`cc` is not on PATH") from None
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"cc could not build {_SOURCE.name}: " + (
+                exc.stderr.strip().splitlines() or ["no output"])[0]) from None
+        os.replace(tmp, path)
+    return path
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__")))
+    # a state is passed as its address: a c_void_p argument converts
+    # faster than a typed pointer, on the path taken once per event
+    state = ctypes.c_void_p
+    c_int, c_int64, c_double = ctypes.c_int, ctypes.c_int64, ctypes.c_double
+    floats = np.ctypeslib.ndpointer(np.float64, flags="C")
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C")
+    for name, restype, argtypes in (
+            ("cp_new", state, [c_int, c_int, floats, floats, floats, ints,
+                               c_double, c_int, c_double, c_double, c_int64,
+                               floats, floats]),
+            ("cp_free", None, [state]),
+            ("cp_insert", c_int64, [state, c_double, c_double, c_double,
+                                    c_double]),
+            ("cp_remove", c_int, [state, c_int64]),
+            ("cp_death", c_int64, [state, c_double]),
+            ("cp_audit", c_double, [state]),
+            ("cp_neighbors", c_int64, [state, floats, c_int64, ints, floats]),
+            ("cp_compiler", ctypes.c_char_p, [])):
+        getattr(lib, name).restype = restype
+        getattr(lib, name).argtypes = argtypes
+    return lib
+
+
+def engine() -> dict:
+    """Which build runs the event step: the sha256 of `_events.c` and the
+    compiler that built it.  Builds the library if it is not cached."""
+    return {"source_sha256": hashlib.sha256(_SOURCE.read_bytes()).hexdigest(),
+            "compiler": _library().cp_compiler().decode()}
+
+
 class SimulationState:
     """One replica's mutable state: particles, rates, cell lists, clocks.
 
-    Particle rows are plain lists (positions as lists of d floats), because
-    every event touches only the few particles near one position.
+    Particles, rates and cell lists live in the buffers of the compiled
+    step (`_events.c`); `_s` holds their lengths, the death total and the
+    repair counters.  Python keeps the clock, the uniforms, the choice of
+    event, birth placement and the rate fields.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator):
         self.params = params
         self.rng = rng
+        self._lib = lib = _library()
         window = params.window
         domain = window.domain
+        kernel = params.kernel
         d = window.dimension
         self.dimension = d
         self.domain_lo = domain.lo.tolist()
         self.domain_sides = domain.sides.tolist()
-        self.periodic = window.boundary == "periodic"
-        self.r_cut = r_cut = params.kernel.r_cut
-        # pre-test on squared distance, widened so that rounding in r_cut**2
-        # never rejects a pair that the exact test r <= r_cut accepts
-        self._reach2 = r_cut * r_cut * (1.0 + 1e-9)
-        # minimum image is applied only past half a side, where it changes
-        # the displacement; never on absorbing windows
-        self._sides = window.sides.tolist()
-        self._halves = [s / 2.0 if self.periodic else math.inf
-                        for s in self._sides]
-        self._kernel = params.kernel.scalar_profile()
-        self._mortality = params.mortality.scalar()
-        self._birth = params.birth.scalar()
-        if r_cut > 0.0:
-            counts = [max(math.floor(s / r_cut), 1) for s in self.domain_sides]
+        if kernel.r_cut > 0.0:
+            counts = [max(math.floor(s / kernel.r_cut), 1)
+                      for s in self.domain_sides]
         else:
             counts = [1] * d   # no interactions: one cell
         self.n_cells = counts
         self.cell_sides = [s / n for s, n in zip(self.domain_sides, counts)]
         self.total_cells = math.prod(counts)
-        self.cells: list[list[int]] = [[] for _ in range(self.total_cells)]
-        self.cell_rate = [0.0] * self.total_cells
-        self.pos: list[list[float]] = []
-        self.rate: list[float] = []
-        self.cell_of: list[int] = []
-        self.slot_of: list[int] = []
+        self._mortality = params.mortality.scalar()
+        self._birth = params.birth.scalar()
+        self._pad = (0.0,) * (3 - d)   # cp_insert takes three coordinates
+        table = (kernel._r_table, kernel._a_table) \
+            if kernel.kind == "tabulated" else (np.empty(0), np.empty(0))
+        self._c = lib.cp_new(
+            d, window.boundary == "periodic", window.sides, domain.lo,
+            np.array(self.cell_sides), np.array(counts, dtype=np.int64),
+            kernel.r_cut, CompetitionKernel.KINDS.index(kernel.kind),
+            kernel.amplitude, kernel.scale, len(table[0]), *table)
+        if not self._c:
+            raise MemoryError("no memory for the simulation state")
+        self._s = _State.from_address(self._c)
+        weakref.finalize(self, lib.cp_free, self._c)
         self.t = 0.0
-        self.d_tot = 0.0
         self.b_tot = params.birth_total
         self.b_sup = params.birth.sup
         self.births = 0
         self.deaths = 0
         self.events = 0
-        self.selection_fallbacks = 0
-        self.max_audit_residual = 0.0
-        # neighbor cell offsets: +-1 per axis, deduplicated for tiny grids
-        offs = np.stack(np.meshgrid(*([np.array([-1, 0, 1])] * d),
-                                    indexing="ij"), axis=-1).reshape(-1, d)
-        self._offsets = offs
-        self._neighbor_cache = [self._neighbor_cells(c)
-                                for c in range(self.total_cells)]
         # the event loop's uniforms; `seed_initial` draws from `rng` itself,
         # before the first block is taken
         self._uniforms = _block_uniforms(rng)
 
     @property
     def n(self) -> int:
-        return len(self.rate)
+        return self._s.n
 
-    # -- geometry ------------------------------------------------------------
-
-    def _cell_index(self, x) -> int:
-        cell = 0
-        for xi, lo, side, n in zip(x, self.domain_lo, self.cell_sides,
-                                   self.n_cells):
-            k = math.floor((xi - lo) / side)
-            cell = cell * n + min(max(k, 0), n - 1)
-        return cell
-
-    def _neighbor_cells(self, cell: int) -> list[int]:
-        base = np.asarray(np.unravel_index(cell, self.n_cells))
-        raw = base + self._offsets
-        if self.periodic:
-            raw = np.mod(raw, self.n_cells)
-        else:
-            keep = np.all((raw >= 0) & (raw < self.n_cells), axis=1)
-            raw = raw[keep]
-        flat = np.ravel_multi_index(tuple(raw.T), self.n_cells)
-        return sorted(set(int(c) for c in flat))
-
-    def _neighbors(self, x, cell: int, exclude: int = -1):
-        """Rows and kernel values of the particles within r_cut of x, which
-        lies in `cell`.  Stencil cells are visited in `_neighbor_cache`
-        order, then their members in list order.  The displacement is
-        y - x per axis, as `Window.displacement` computes it, and the scan
-        is unrolled for d = 1, 2: it runs once per candidate pair."""
-        idx, vals = [], []
-        if self.r_cut <= 0.0:
-            return idx, vals
-        pos, cells, stencil = self.pos, self.cells, self._neighbor_cache[cell]
-        r_cut, reach2, kernel = self.r_cut, self._reach2, self._kernel
-        sqrt = math.sqrt
-        d = self.dimension
-        if d == 1:
-            (x0,), (l0,), (h0,) = x, self._sides, self._halves
-            g0 = -h0
-            for c in stencil:
-                for j in cells[c]:
-                    dx = pos[j][0] - x0
-                    if dx > h0 or dx < g0:
-                        dx -= l0 * round(dx / l0)
-                    r2 = dx * dx
-                    if r2 <= reach2 and j != exclude:
-                        r = sqrt(r2)
-                        if r <= r_cut:
-                            idx.append(j)
-                            vals.append(kernel(r))
-        elif d == 2:
-            (x0, x1), (l0, l1), (h0, h1) = x, self._sides, self._halves
-            g0, g1 = -h0, -h1
-            for c in stencil:
-                for j in cells[c]:
-                    y0, y1 = pos[j]
-                    dx = y0 - x0
-                    if dx > h0 or dx < g0:
-                        dx -= l0 * round(dx / l0)
-                    dy = y1 - x1
-                    if dy > h1 or dy < g1:
-                        dy -= l1 * round(dy / l1)
-                    r2 = dx * dx + dy * dy
-                    if r2 <= reach2 and j != exclude:
-                        r = sqrt(r2)
-                        if r <= r_cut:
-                            idx.append(j)
-                            vals.append(kernel(r))
-        else:
-            axes = list(zip(x, self._sides, self._halves))
-            for c in stencil:
-                for j in cells[c]:
-                    r2 = 0.0
-                    for yi, (xi, side, half) in zip(pos[j], axes):
-                        u = yi - xi
-                        if u > half or u < -half:
-                            u -= side * round(u / side)
-                        r2 += u * u
-                    if r2 <= reach2 and j != exclude:
-                        r = sqrt(r2)
-                        if r <= r_cut:
-                            idx.append(j)
-                            vals.append(kernel(r))
-        return idx, vals
+    @property
+    def d_tot(self) -> float:
+        """The death total D, the sum of the rates."""
+        return self._s.d_tot
 
     # -- particle bookkeeping --------------------------------------------------
 
     def insert(self, x) -> int:
-        """Add a particle at position x; returns its row."""
-        x = [float(v) for v in x]
-        cell = self._cell_index(x)
-        idx, vals = self._neighbors(x, cell)
-        rates, cell_rate, cell_of = self.rate, self.cell_rate, self.cell_of
-        d_tot, own = self.d_tot, 0.0
-        for j, a in zip(idx, vals):
-            rates[j] += a
-            cell_rate[cell_of[j]] += a
-            d_tot += a
-            own += a   # left to right, as `_sum_in_order`
-        rate = self._mortality(x) + own
-        members = self.cells[cell]
-        i = len(rates)
-        self.pos.append(x)
-        rates.append(rate)
-        cell_of.append(cell)
-        self.slot_of.append(len(members))
-        members.append(i)
-        cell_rate[cell] += rate
-        self.d_tot = d_tot + rate
+        """Add a particle at position x, a sequence of d numbers; returns
+        its row."""
+        i = self._lib.cp_insert(self._c, self._mortality(x), *x, *self._pad)
+        if i < 0:
+            raise MemoryError("no memory for another particle")
         return i
 
     def remove(self, i: int) -> None:
         """Delete the particle in row i; the last row moves into row i.
 
         Float drift can leave a rate, a cell sum or `d_tot` a few ulps below
-        zero; `_select_death` and `step` read such a value as zero.
+        zero; the death selection and `step` read such a value as zero.
         """
-        pos, rates, cell_rate = self.pos, self.rate, self.cell_rate
-        cell_of, slot_of = self.cell_of, self.slot_of
-        idx, vals = self._neighbors(pos[i], cell_of[i], exclude=i)
-        d_tot = self.d_tot
-        for j, a in zip(idx, vals):
-            rates[j] -= a
-            cell_rate[cell_of[j]] -= a
-            d_tot -= a
-        cell = cell_of[i]
-        cell_rate[cell] -= rates[i]
-        self.d_tot = d_tot - rates[i]
-        # unlink from the cell member list by swap-remove
-        members = self.cells[cell]
-        last = members.pop()
-        if last != i:
-            slot = slot_of[i]
-            members[slot] = last
-            slot_of[last] = slot
-        # move the last particle's record into row i
-        last_row = len(rates) - 1
-        if i != last_row:
-            pos[i] = pos[last_row]
-            rates[i] = rates[last_row]
-            cell_of[i] = cell_of[last_row]
-            slot_of[i] = slot_of[last_row]
-            self.cells[cell_of[i]][slot_of[i]] = i
-        pos.pop()
-        rates.pop()
-        cell_of.pop()
-        slot_of.pop()
+        if self._lib.cp_remove(self._c, i):
+            raise IndexError(f"no particle in row {i}")
 
     # -- events ----------------------------------------------------------------
 
@@ -399,38 +344,21 @@ class SimulationState:
             if next(uniforms) * self.b_sup <= self._birth(x):
                 return x
 
-    def _select_death(self) -> int:
-        """Row of the dying particle: a two-level search over cell sums and
-        member rates.  When float drift carries the target past every sum,
-        the last occupied cell or the cell's last member is taken and
-        counted in `selection_fallbacks`."""
-        target = next(self._uniforms) * self.d_tot
-        cells = self.cells
-        for c, s in enumerate(self.cell_rate):
-            if target < s and cells[c]:
-                break
-            target -= s
-        else:
-            self.selection_fallbacks += 1
-            c = max(k for k, members in enumerate(cells) if members)
-        members = cells[c]
-        rates = self.rate
-        for j in members:
-            if target < rates[j]:
-                return j
-            target -= rates[j]
-        self.selection_fallbacks += 1
-        return members[-1]
-
     def step(self, until: float = math.inf) -> str:
         """Run the next event, or set the clock to `until` and return
         'halted' when no event can happen or the event falls after `until`
         (the clock is memoryless, so the discarded wait is redrawn exactly).
         A death total a few ulps below zero halts the clock when b = 0 and
         makes the event a birth when b > 0; with b = 0 an empty window
-        halts it whatever drift leaves in the death total."""
-        total = self.b_tot + self.d_tot
-        if total <= 0.0 or not self.rate and self.b_tot <= 0.0:
+        halts it whatever drift leaves in the death total.
+
+        A death takes one uniform u and removes the particle that a
+        two-level search for u * D finds over the cell sums, then the member
+        rates; when float drift carries the target past every sum, the last
+        occupied cell or the cell's last member is taken and counted in
+        `selection_fallbacks`."""
+        total = self.b_tot + self._s.d_tot
+        if total <= 0.0 or not self._s.n and self.b_tot <= 0.0:
             self.t = until
             return "halted"
         t = self.t - math.log1p(-next(self._uniforms)) / total
@@ -443,7 +371,8 @@ class SimulationState:
             self.births += 1
             kind = "birth"
         else:
-            self.remove(self._select_death())
+            if self._lib.cp_death(self._c, next(self._uniforms)) < 0:
+                raise RuntimeError("a death was drawn in an empty window")
             self.deaths += 1
             kind = "death"
         self.events += 1
@@ -462,33 +391,22 @@ class SimulationState:
 
     def audit(self) -> float:
         """Recompute all rates from scratch; record and return the residual."""
-        fresh = [self._mortality(x)
-                 + _sum_in_order(self._neighbors(x, c, exclude=i)[1])
-                 for i, (x, c) in enumerate(zip(self.pos, self.cell_of))]
-        d_tot = _sum_in_order(fresh)
-        residual = max((abs(f - r) for f, r in zip(fresh, self.rate)),
-                       default=0.0)
-        residual = max(residual, abs(d_tot - self.d_tot))
-        self.max_audit_residual = max(self.max_audit_residual, residual)
-        self.rate = fresh
-        self.cell_rate = [0.0] * self.total_cells
-        for c, r in zip(self.cell_of, fresh):
-            self.cell_rate[c] += r
-        self.d_tot = d_tot
-        return residual
+        return self._lib.cp_audit(self._c)
 
     def seed_initial(self, initial) -> None:
         for x in sample_initial(initial, self.params, self.rng):
             self.insert(x)
 
     def snapshot(self) -> np.ndarray:
-        return np.array(self.pos, dtype=float).reshape(-1, self.dimension)
+        n, d = self._s.n, self.dimension
+        return np.ctypeslib.as_array(self._s.pos, (n * d,)).reshape(
+            n, d).copy()
 
     def stats(self) -> RunStats:
         return RunStats(births=self.births, deaths=self.deaths,
                         events=self.events,
-                        max_audit_residual=self.max_audit_residual,
-                        selection_fallbacks=self.selection_fallbacks,
+                        max_audit_residual=self._s.max_audit_residual,
+                        selection_fallbacks=self._s.selection_fallbacks,
                         replica_events=[self.events])
 
 
@@ -529,6 +447,7 @@ def run_replicas(params: ModelParams, plan: ReplicaPlan,
         # imported here, so that runs in one process never pay for the pool
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
+        _library()   # loaded before the fork: the workers share one build
         chunk = -(-plan.replicas // (4 * workers))
         with ProcessPoolExecutor(workers,
                                  mp_context=get_context("fork")) as pool:

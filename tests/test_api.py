@@ -52,6 +52,10 @@ def has_dotted(obj, name):
     ("estimators", "SnapshotEnsemble.configurations"),
     ("estimators", "_stack"),
     ("estimators", "_stacked"),
+    ("model", "CompetitionKernel.scalar_profile"),
+    ("simulator", "SimulationState._neighbors"),
+    ("simulator", "SimulationState._select_death"),
+    ("simulator", "_sum_in_order"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)

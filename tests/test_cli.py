@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import contpop.cli as cli
+import contpop.simulator as simulator
 from contpop import HierarchyState, build_params, integrate, load_config
 from contpop.cli import main
 
@@ -63,6 +64,9 @@ def test_simulate_produces_run_directory(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["replicas"] == 4
     assert summary["max_audit_residual"] <= 1e-6
+    # the build that ran the events
+    assert summary["engine"] == simulator.engine()
+    assert len(summary["engine"]["source_sha256"]) == 64
     rows = read_rows(out / "particles_0000.csv")
     assert set(r["replica"] for r in rows) <= {"0", "1", "2", "3"}
 
@@ -590,6 +594,9 @@ def test_hierarchy_outputs_tagged_csv(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["clip_ratio"] == 0.0
     assert abs(summary["final_density"] - exact) <= 1e-6
+    # the settings are the manifest's to record
+    assert set(summary) == {"clipped_mass", "clip_ratio",
+                            "max_stability_margin", "final_density"}
 
 
 def test_hierarchy_full_grid_schema(tmp_path):
@@ -1079,6 +1086,18 @@ def test_verify_rejects_foreign_replica_ids(tmp_path, capsys):
     assert "particles_0001.csv" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_short_particle_row(tmp_path, capsys):
+    # a row with fewer fields than the header leaves its columns unequal
+    cfg, out = run_free_simulation(tmp_path)
+    with open(out / "particles_0001.csv", "a") as fh:
+        fh.write("2\n")
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "particles_0001.csv has rows of different lengths" in err
+
+
 def test_verify_rejects_config_hash_mismatch(tmp_path, capsys):
     cfg, out = run_free_simulation(tmp_path)
     edited = tmp_path / "edited.json"
@@ -1166,3 +1185,24 @@ def test_verify_oracle_catches_lost_particles(tmp_path, capsys):
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
     assert code == 1
     assert "FAIL oracle-equivalence" in capsys.readouterr().out
+
+
+def test_simulate_without_a_compiler_is_one_line(tmp_path, monkeypatch,
+                                                 capsys):
+    # an unbuilt step and no `cc`: exit 2 with one line, before the manifest
+    source = tmp_path / "src" / "_events.c"
+    source.parent.mkdir()
+    shutil.copy(simulator._SOURCE, source)
+    monkeypatch.setattr(simulator, "_SOURCE", source)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    simulator._library.cache_clear()
+    try:
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1", "--replicas", "1", "--snapshots", "1.0"])
+    finally:
+        simulator._library.cache_clear()
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs a C compiler" in err

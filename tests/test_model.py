@@ -19,6 +19,7 @@ from contpop import (
     death_rates,
 )
 from conftest import gaussian_unit_kernel, make_params
+from reference_engine import scalar_profile
 
 
 # ---------------------------------------------------------------- geometry
@@ -237,7 +238,7 @@ def test_scalar_kernel_profiles_match_profile():
     radii = np.concatenate([np.linspace(0.0, 2.0, 401),
                             [0.5, 1.0, 1.5, 1.5000001]])
     for k in kernels:
-        scalar = k.scalar_profile()
+        scalar = scalar_profile(k)
         got = np.array([scalar(float(r)) for r in radii])
         np.testing.assert_allclose(got, k.profile(radii), rtol=1e-15,
                                    atol=0.0, err_msg=k.kind)

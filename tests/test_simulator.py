@@ -1,5 +1,6 @@
 """Event-driven simulator: initial sampling, event mechanics, determinism."""
 
+import functools
 import math
 import pickle
 import warnings
@@ -23,6 +24,7 @@ from contpop import (
     sample_initial,
 )
 from conftest import gaussian_unit_kernel, make_params
+from reference_engine import ReferenceState, neighbors, views
 
 L = 10.0
 
@@ -114,8 +116,7 @@ def test_pair_interaction_across_the_seam():
     state = SimulationState(params, np.random.default_rng(0))
     state.insert(np.array([0.2]))
     state.insert(np.array([9.8]))  # 0.4 apart through the boundary
-    assert state.rate[0] == pytest.approx(3.25)
-    assert state.rate[1] == pytest.approx(3.25)
+    assert views(state).rate.tolist() == pytest.approx([3.25, 3.25])
     assert state.d_tot == pytest.approx(6.5)
     state.remove(0)
     assert state.n == 1
@@ -235,31 +236,41 @@ def test_capped_run_error_crosses_worker_processes():
     assert info.value.events > 10
 
 
+@functools.cache
+def _drift_params(b):
+    return make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                       b=b, m=0.0)
+
+
 def _drifted_state(b, seed=0):
     """m = 0: a lone particle at 2.0 whose rate, cell sum and the death
     total sit a few ulps below their true value 0, as float drift leaves
     them when its competitors die, next to an interacting pair at 6.0."""
-    params = make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
-                         b=b, m=0.0)
+    params = _drift_params(b)
     state = SimulationState(params, np.random.default_rng(seed))
     lone = state.insert([2.0])
-    assert state.rate[lone] == 0.0
+    view = views(state)
+    assert view.rate[lone] == 0.0
     drift = 4 * math.ulp(1.0)   # a few ulps of a unit rate
-    state.rate[lone] -= drift
-    state.cell_rate[state.cell_of[lone]] -= drift
-    state.d_tot -= drift
+    view.rate[lone] -= drift
+    view.cell_rate[view.cell_of[lone]] -= drift
+    state._s.d_tot -= drift
     return state, lone
 
 
 def test_death_selection_skips_a_negative_rate():
-    state, lone = _drifted_state(b=1.0)
-    state.insert([6.0])
-    state.insert([6.3])
-    assert state.rate[lone] < 0.0 and state.cell_rate[state.cell_of[lone]] < 0.0
-    assert state.cells[state.cell_of[lone]] == [lone]
-    picks = {state._select_death() for _ in range(2000)}
+    picks = set()
+    for u in np.random.default_rng(8).random(2000):
+        state, lone = _drifted_state(b=1.0)
+        state.insert([6.0])
+        state.insert([6.3])
+        view = views(state)
+        assert view.rate[lone] < 0.0 and \
+            view.cell_rate[view.cell_of[lone]] < 0.0
+        assert view.cells[view.cell_of[lone]].tolist() == [lone]
+        picks.add(state._lib.cp_death(state._c, u))   # one death for u
+        assert state.stats().selection_fallbacks == 0
     assert picks == {1, 2}
-    assert state.selection_fallbacks == 0
 
 
 def test_negative_death_total_halts_without_birth():
@@ -314,12 +325,12 @@ def test_rate_sums_add_left_to_right():
                             np.random.default_rng(0))
     for _ in range(11):
         state.insert([2.0])
-    assert state.rate[-1] == left    # m = 0 plus ten values, on insert
+    assert views(state).rate[-1] == left   # m = 0 plus ten values, on insert
     total = 0.0
     for _ in range(11):
         total += left
     state.audit()   # every rate from scratch, then their total
-    assert state.rate == [left] * 11 and state.d_tot == total
+    assert views(state).rate.tolist() == [left] * 11 and state.d_tot == total
 
 
 # ------------------------------------------------------- scalar hot path
@@ -369,27 +380,27 @@ def test_scalar_rates_match_referee(label, params):
         state.remove(int(gen.integers(state.n)))
     assert state.births > 0 and state.deaths > 5 and state.n >= 5
     referee = death_rates(state.snapshot(), params)
-    np.testing.assert_allclose(state.rate[:state.n], referee, rtol=1e-12,
+    np.testing.assert_allclose(views(state).rate, referee, rtol=1e-12,
                                atol=0.0)
     assert state.d_tot == pytest.approx(float(np.sum(referee)), rel=1e-12)
     assert state.audit() <= 1e-9
 
 
-def _neighbor_reference(state, params, x, exclude=-1):
-    """All-pairs reference for `SimulationState._neighbors`: numpy
+def _neighbor_reference(state, grid, params, x, exclude=-1):
+    """All-pairs reference for the compiled neighbour scan: numpy
     minimum-image distances to every row, kept within r_cut and put in the
-    scan's order (stencil cells in cache order, then cell members).  A row
-    within r_cut outside the stencil makes `index` raise."""
-    d = params.dimension
-    pos = np.asarray(state.pos, dtype=float).reshape(-1, d)
-    r = np.sqrt(np.sum(np.square(
-        params.window.displacement(np.asarray(x, dtype=float), pos)), axis=-1))
-    rows = [j for j in range(state.n) if r[j] <= state.r_cut and j != exclude]
-    stencil = state._neighbor_cache[state._cell_index(x)]
-    rows.sort(key=lambda j: (stencil.index(state.cell_of[j]),
-                             state.slot_of[j]))
-    kernel = params.kernel.scalar_profile()
-    return rows, [kernel(float(r[j])) for j in rows]
+    scan's order (stencil cells in ascending order, then cell members).  A
+    row within r_cut outside the stencil of `grid`, the `ReferenceState` of
+    the same params, makes `index` raise."""
+    view = views(state)
+    r = np.sqrt(np.sum(np.square(params.window.displacement(
+        np.asarray(x, dtype=float), view.pos)), axis=-1))
+    rows = [j for j in range(state.n)
+            if r[j] <= params.kernel.r_cut and j != exclude]
+    stencil = grid.stencils[grid.cell_index(x)]
+    rows.sort(key=lambda j: (stencil.index(view.cell_of[j]),
+                             view.slot_of[j]))
+    return rows, [grid._kernel(float(r[j])) for j in rows]
 
 
 def _absorbing(sides, width):
@@ -436,13 +447,14 @@ def test_neighbors_match_all_pairs_reference(label, window, r_cut):
         state.insert(p)
     for _ in range(10):   # swap-removes reorder rows and cell members
         state.remove(int(gen.integers(state.n)))
-    queries = [(x, i) for i, x in enumerate(state.pos)]
+    grid = ReferenceState(params)
+    queries = [(x, i) for i, x in enumerate(views(state).pos.tolist())]
     queries += [(p.tolist(), -1) for p in edges]
     queries += [(p.tolist(), -1) for p in gen.uniform(lo, hi, size=(20, d))]
     found = 0
     for x, exclude in queries:
-        got = state._neighbors(x, state._cell_index(x), exclude=exclude)
-        expected = _neighbor_reference(state, params, x, exclude)
+        got = neighbors(state, x, exclude)
+        expected = _neighbor_reference(state, grid, params, x, exclude)
         assert got == expected, (x, exclude)
         found += len(got[0])
     assert found > len(queries)
@@ -454,8 +466,8 @@ def test_neighbors_without_interaction_are_empty():
     assert state.n_cells == [1, 1]
     for p in ([0.0, 0.0], [0.0, 0.0], [2.0, 2.0]):
         state.insert(p)
-    assert state._neighbors([0.0, 0.0], 0) == ([], [])
-    assert state.rate == [0.5, 0.5, 0.5]
+    assert neighbors(state, [0.0, 0.0]) == ([], [])
+    assert views(state).rate.tolist() == [0.5, 0.5, 0.5]
 
 
 # --------------------------------------------------------------- validation
