@@ -7,8 +7,8 @@ Data outputs are CSV/JSON with repr-formatted floats: rerunning the same
 manifest yields byte-identical CSV files regardless of the worker count
 (`--threads`).  Every CSV is written by `estimators.write_csv`, one replica,
 snapshot or grid row per block.  summary.json additionally records
-wall-clock times, per-replica spreads and repair counters and is diagnostic
-only.  `verify` reads a run's settings from its manifest, compares k1.csv
+wall-clock times, per-replica spreads, repair counters and the build of the
+compiled event step, and is diagnostic only.  `verify` reads a run's settings from its manifest, compares k1.csv
 and moments.csv with the tables their writers build (`estimators.k1_table`,
 `moments_table`), rebuilt from the particle files, and tests the analytic
 envelopes that `surgailis` and `bounds` compute.
