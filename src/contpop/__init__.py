@@ -32,7 +32,7 @@ from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
 from .model import (Box, CompetitionKernel, ModelParams, RateField, Window,
                     cell_infimum, death_rate, death_rates)
 from .simulator import (CappedRunError, ReplicaPlan, RunStats,
-                        SimulationState, run_replicas, sample_initial)
+                        SimulationState, run_replicas)
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
                         poisson_density_flow, propagate_correlation)
 
@@ -58,7 +58,7 @@ __all__ = [
     "ClipBudgetError", "DivergenceError", "rhs_order1", "rhs_order2",
     "integrate",
     "ReplicaPlan", "RunStats", "CappedRunError", "SimulationState",
-    "sample_initial", "run_replicas",
+    "run_replicas",
     "ConfigError", "load_config", "config_sha256", "build_params",
     "build_initial", "hierarchy_options",
 ]

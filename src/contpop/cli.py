@@ -155,11 +155,15 @@ def cmd_simulate(args) -> int:
     # the estimator arguments and the plan are checked before the manifest
     partition = CellPartition(params.window, args.cell_side)
     check_moment_orders(args.l_max, args.n_max)
-    k2_bins = args.k2_bins if params.window.boundary == "periodic" else 0
-    if k2_bins > 0:
+    periodic = params.window.boundary == "periodic"
+    if args.k2_bins and not periodic:
+        raise ConfigError("--k2-bins needs a periodic window")
+    if args.k2_bins is None:   # the manifest records the bins the run uses
+        args.k2_bins = 16 if periodic else 0
+    if args.k2_bins > 0:
         half = float(np.min(params.window.sides)) / 2.0
         edges = separation_edges(params.window,
-                                 np.linspace(0.0, half, k2_bins + 1))
+                                 np.linspace(0.0, half, args.k2_bins + 1))
     plan = ReplicaPlan(replicas=args.replicas, base_seed=args.seed,
                        snapshots=snapshots,
                        initial=build_initial(cfg, params),
@@ -187,7 +191,7 @@ def cmd_simulate(args) -> int:
     series = moment_series(ensemble, partition, l_max=args.l_max,
                            n_max=args.n_max)
     k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k)
-                for k in range(len(snapshots))] if k2_bins > 0 else []
+                for k in range(len(snapshots))] if args.k2_bins > 0 else []
     phase_s["estimators"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_k1_csv(out / "k1.csv", grids, snapshots, d)
@@ -574,6 +578,8 @@ def cmd_verify(args) -> int:
     if not manifest_path.is_file():
         raise ConfigError(f"no manifest.json under {run}")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path} is not a JSON object")
     if manifest.get("command") != "simulate":
         raise ConfigError(f"{run} holds a {manifest.get('command')!r} run; "
                           "verify checks simulate runs")
@@ -583,7 +589,16 @@ def cmd_verify(args) -> int:
               f"{manifest.get('config_sha256')}", file=sys.stderr)
         return EXIT_CONFIG
     params = build_params(load_config(args.config))
-    arguments = manifest["arguments"]
+    arguments = manifest.get("arguments")
+    # the settings verify reads, of the types simulate records (no booleans)
+    kinds = {"replicas": [int], "l_max": [int], "n_max": [int],
+             "cell_side": [int, float], "snapshots": [list]}
+    if not isinstance(arguments, dict) or any(
+            type(arguments.get(key)) not in kinds[key] for key in kinds) \
+            or any(type(t) not in (int, float) for t in arguments["snapshots"]):
+        raise ConfigError(f"{manifest_path}: arguments lack replicas, "
+                          "snapshots, cell_side, l_max or n_max, or hold one "
+                          "of the wrong type")
     ensemble = _load_ensemble(run, params, arguments)
     partition = CellPartition(params.window, arguments["cell_side"])
     grids = density_estimate(ensemble, partition)
@@ -635,8 +650,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="moment/density cell side (default: smallest window side)")
     p.add_argument("--lmax", dest="l_max", type=int, default=4)
     p.add_argument("--nmax", dest="n_max", type=int, default=4)
-    p.add_argument("--k2-bins", type=_number(int, 0), default=16,
-                   help="pair-correlation bins (0 writes no k2.csv)")
+    p.add_argument("--k2-bins", type=_number(int, 0), default=None,
+                   help="pair-correlation bins (default 16; 0, no k2.csv, "
+                        "on absorbing windows)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("hierarchy", help="integrate the truncated hierarchy")

@@ -62,10 +62,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x < self.hi))
-
     def contains_points(self, points) -> NDArray[np.bool_]:
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         return np.all((pts >= self.lo) & (pts < self.hi), axis=1)
@@ -322,8 +318,8 @@ class RateField:
     """Nonnegative scalar field over the habitat: birth intensity or mortality.
 
     Kinds: `constant`; `tabulated`, piecewise constant on a regular grid over
-    a box; `gaussian-bump`, A exp(-|x - c|^2 / 2w^2) with norms taken over a
-    reference box.
+    a box; `gaussian-bump`, A exp(-|x - c|^2 / 2w^2), with closed-form norms:
+    its sup over a reference box is its value at the box point nearest c.
     """
 
     def __init__(self, kind: str, dimension: int):
@@ -356,6 +352,9 @@ class RateField:
         field = cls("gaussian-bump", box.dimension)
         field.amplitude = float(amplitude)
         field.center = np.atleast_1d(np.asarray(center, dtype=float))
+        if field.center.shape != (box.dimension,):
+            raise ValueError(f"bump center must list {box.dimension} "
+                             "coordinates")
         field.width = float(width)
         field.box = box
         return field
@@ -412,11 +411,7 @@ class RateField:
             return self.value
         if self.kind == "tabulated":
             return float(np.max(self.values))
-        return self.amplitude if self.box.contains(self.center) else self._grid_max()
-
-    def _grid_max(self) -> float:
-        pts = _box_grid(self.box, 256 if self.dimension == 1 else 33)
-        return float(np.max(self(pts)))
+        return float(self(np.clip(self.center, self.box.lo, self.box.hi)))
 
     def integral_over(self, box: Box) -> float:
         """Integral of the field over `box`."""
@@ -432,19 +427,20 @@ class RateField:
                 overlap = np.maximum(hi - lo, 0.0)
                 total = np.tensordot(overlap, total, axes=(0, 0))
             return float(total)
-        # gaussian-bump: midpoint rule on a dense grid restricted to the box
-        n = 1 << 13 if self.dimension == 1 else (1 << 7 if self.dimension == 2 else 1 << 5)
-        axes = [np.linspace(box.lo[i], box.hi[i], n, endpoint=False) +
-                0.5 * box.sides[i] / n for i in range(self.dimension)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        cell = box.volume / n**self.dimension
-        return float(np.sum(self(mesh)) * cell)
-
-
-def _box_grid(box: Box, points: int) -> NDArray[np.float64]:
-    axes = [np.linspace(box.lo[i], box.hi[i], points)
-            for i in range(box.dimension)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        # gaussian-bump: a product of w sqrt(pi/2) (erf(b) - erf(a)) over the
+        # axes, a and b the box's ends less the centre over w sqrt(2); erfc
+        # on one side of the centre keeps the tail's digits
+        s = self.width * math.sqrt(2.0)
+        total = self.amplitude
+        for c, lo, hi in zip(self.center.tolist(), box.lo.tolist(),
+                             box.hi.tolist()):
+            a, b = (lo - c) / s, (hi - c) / s
+            if b < 0.0:
+                a, b = -b, -a
+            total *= 0.5 * math.sqrt(math.pi) * s * (
+                math.erfc(a) - math.erfc(b) if a > 0.0
+                else math.erf(b) - math.erf(a))
+        return total
 
 
 class ModelParams:
@@ -519,10 +515,11 @@ def death_rates(positions, params: ModelParams) -> NDArray[np.float64]:
 
 
 def cell_infimum(kernel: CompetitionKernel, box: Box) -> float:
-    """Infimum of the kernel over a box in separation space, clamped at zero.
-
-    Scans an inclusive grid of 65 points per axis (pitch side/64).  Returns
-    0.0 when the scanned infimum is nonpositive.
-    """
-    inf = float(np.min(kernel(_box_grid(box, 65))))
-    return inf if inf > 0.0 else 0.0
+    """Infimum of the kernel over a box in separation space: the least
+    truncated radial value at the ends of the box's radius interval and at
+    the knots inside it of a tabulated kernel, linear between them."""
+    near = np.sqrt(np.sum(np.square(np.clip(0.0, box.lo, box.hi))))
+    far = np.sqrt(np.sum(np.square(np.maximum(-box.lo, box.hi))))
+    knots = kernel._r_table if kernel.kind == "tabulated" else np.empty(0)
+    radii = [near, far, *knots[(knots > near) & (knots < far)]]
+    return float(np.min(kernel.radial(radii)))

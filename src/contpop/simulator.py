@@ -5,10 +5,11 @@ Each replica runs the direct stochastic simulation algorithm, one event per
 rate B + D, where B is the integral of the birth intensity over the domain
 and D the sum of all death rates; the event is a birth with probability
 B / (B + D) (exact ties resolve to birth, the first kind in the fixed
-ordering).  Birth positions are drawn by rejection against sup b.  Death
-rates are maintained incrementally under a cell list with cell side >=
-r_cut, so only neighboring cells are touched per event; per-cell rate sums
-drive a two-level search for the dying particle.  Rates are recomputed from
+ordering).  Birth positions, and the points of a Poisson start, are drawn
+by one rejection sampler against the field's sup.  Death rates are
+maintained incrementally under a cell list with cell side >= r_cut, so
+only neighboring cells are touched per event; per-cell rate sums drive a
+two-level search for the dying particle.  Rates are recomputed from
 scratch every AUDIT_PERIOD events to keep float drift in check, and the
 worst residual seen is reported.  Drift a few ulps below zero is read as
 zero where it is used; the one repair it needs, a death-selection fallback,
@@ -29,8 +30,8 @@ call per uniform.
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
-in any order, with identical results.  A replica first draws its start from
-`sample_initial`: a Poisson state of a density field, or fixed points.
+in any order, with identical results.  A replica starts from
+`SimulationState.seed_initial`: fixed points, or a Poisson state.
 `run_replicas` spreads the replicas over up to `threads` forked worker
 processes, at most one per replica and per CPU, and merges their results in
 replica order.
@@ -60,7 +61,6 @@ __all__ = [
     "CappedRunError",
     "SimulationState",
     "engine",
-    "sample_initial",
     "run_replicas",
 ]
 
@@ -84,8 +84,8 @@ class CappedRunError(RuntimeError):
 
 @dataclass
 class ReplicaPlan:
-    """What to run: replica count, seed, snapshot times, and the initial
-    state that `sample_initial` takes (by default, no points)."""
+    """What to run: replicas, seed, snapshot times, and the initial state
+    that `SimulationState.seed_initial` takes (by default, no points)."""
 
     replicas: int
     base_seed: int
@@ -152,30 +152,6 @@ def _block_uniforms(rng: np.random.Generator):
 def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
     key = np.array([base_seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_initial(initial, params: ModelParams,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw an initial configuration over the simulation domain.
-
-    `initial` is an (n, d) array of points, returned as it is, or the
-    density RateField of a Poisson start: a Poisson count of mean its
-    integral over the domain, at positions drawn by rejection against its
-    sup.  `config.build_initial` builds and checks either one.
-    """
-    if not isinstance(initial, RateField):
-        return initial
-    domain = params.window.domain
-    d = params.dimension
-    sup = initial.sup
-    points = np.empty((int(rng.poisson(initial.integral_over(domain))), d))
-    for i in range(len(points)):
-        while True:
-            x = domain.lo + rng.random(d) * domain.sides
-            if rng.random() * sup <= float(initial(x)):
-                points[i] = x
-                break
-    return points
 
 
 class _State(ctypes.Structure):
@@ -302,8 +278,8 @@ class SimulationState:
         self.births = 0
         self.deaths = 0
         self.events = 0
-        # the event loop's uniforms; `seed_initial` draws from `rng` itself,
-        # before the first block is taken
+        # the event loop's uniforms; `seed_initial` draws its Poisson count
+        # from `rng` itself, before the first block is taken
         self._uniforms = _block_uniforms(rng)
 
     @property
@@ -336,12 +312,14 @@ class SimulationState:
 
     # -- events ----------------------------------------------------------------
 
-    def _draw_birth_position(self) -> list:
+    def _draw_birth_position(self, field, sup: float) -> list:
+        """A domain point of density proportional to `field` (a `scalar()`
+        evaluator) by rejection against its sup `sup`."""
         uniforms = self._uniforms
         while True:
             x = [lo + next(uniforms) * side
                  for lo, side in zip(self.domain_lo, self.domain_sides)]
-            if next(uniforms) * self.b_sup <= self._birth(x):
+            if next(uniforms) * sup <= field(x):
                 return x
 
     def step(self, until: float = math.inf) -> str:
@@ -367,7 +345,7 @@ class SimulationState:
             return "halted"
         self.t = t
         if self.b_tot > 0.0 and next(self._uniforms) * total <= self.b_tot:
-            self.insert(self._draw_birth_position())
+            self.insert(self._draw_birth_position(self._birth, self.b_sup))
             self.births += 1
             kind = "birth"
         else:
@@ -394,7 +372,15 @@ class SimulationState:
         return self._lib.cp_audit(self._c)
 
     def seed_initial(self, initial) -> None:
-        for x in sample_initial(initial, self.params, self.rng):
+        """Insert an (n, d) array of points, or a Poisson state of a density
+        RateField, its count drawn from `rng` and its points like births."""
+        if isinstance(initial, RateField):
+            density, sup = initial.scalar(), initial.sup
+            count = self.rng.poisson(
+                initial.integral_over(self.params.window.domain))
+            initial = [self._draw_birth_position(density, sup)
+                       for _ in range(count)]
+        for x in initial:
             self.insert(x)
 
     def snapshot(self) -> np.ndarray:

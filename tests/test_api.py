@@ -56,6 +56,10 @@ def has_dotted(obj, name):
     ("simulator", "SimulationState._neighbors"),
     ("simulator", "SimulationState._select_death"),
     ("simulator", "_sum_in_order"),
+    ("simulator", "sample_initial"),
+    ("model", "Box.contains"),
+    ("model", "RateField._grid_max"),
+    ("model", "_box_grid"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)

@@ -453,12 +453,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("simulate", "theta0", "false"),
     ("simulate", "sides", "[true]"),
     ("hierarchy", "hierarchy.grid", "16.9"),
+    ("simulate", "b", '{"kind": "gaussian-bump", "amplitude": 1.0, '
+                      '"center": [5.0, 5.0], "width": 1.0}'),
 ], ids=lambda v: v if len(v) < 20 else v[:12] + "...")
 @pytest.mark.filterwarnings("error")
 def test_config_values_exit_2_before_manifest(tmp_path, capsys, command, key,
                                               literal):
     # config numbers are finite and of the right type, and explicit points
-    # are d-vectors inside the domain, all checked before the manifest
+    # and bump centres are d-vectors, the points inside the domain, all
+    # checked before the manifest
     initial = {"kind": "explicit" if key == "initial.points" else "poisson",
                "density": 0.5, "points": []}
     cfg = json.loads(write_cfg(tmp_path, initial=initial).read_text())
@@ -729,6 +732,37 @@ def test_surgailis_pair_grid_outside_1d_exit_2(tmp_path, capsys):
     assert "--pair-grid" in err
     assert not (out / "manifest.json").exists()
     assert not (out / "k2.csv").exists()
+
+
+def test_k2_bins_on_an_absorbing_window(tmp_path, capsys):
+    # an absorbing-buffer run writes no k2.csv: its manifest records 0 bins
+    # and an explicit positive count is refused before the manifest; a
+    # periodic run records the default 16
+    absorbing = write_cfg(tmp_path, initial={"kind": "poisson",
+                                             "density": 0.5},
+                          extra={"boundary": {"mode": "absorbing-buffer",
+                                              "buffer_width": 1.0}})
+    periodic = write_cfg(tmp_path, name="periodic.json")
+    argv = ["simulate", "--seed", "3", "--replicas", "2", "--snapshots",
+            "0.5"]
+    for name, cfg, flags, bins in (("default", absorbing, [], 0),
+                                   ("zero", absorbing, ["--k2-bins", "0"], 0),
+                                   ("periodic", periodic, [], 16)):
+        out = tmp_path / name
+        assert main([*argv, "--config", str(cfg), "--out", str(out),
+                     *flags]) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["k2_bins"] == bins, name
+        assert (out / "k2.csv").exists() == (bins > 0), name
+    capsys.readouterr()
+    out = tmp_path / "refused"
+    code = main([*argv, "--config", str(absorbing), "--out", str(out),
+                 "--k2-bins", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "--k2-bins" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- bounds
@@ -1096,6 +1130,45 @@ def test_verify_rejects_a_short_particle_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "particles_0001.csv has rows of different lengths" in err
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: [m],
+    lambda m: "simulate",
+    lambda m: _without(m, "arguments"),
+    lambda m: {**m, "arguments": [m["arguments"]]},
+    *(lambda m, key=key: {**m, "arguments": _without(m["arguments"], key)}
+      for key in ("replicas", "snapshots", "cell_side", "l_max", "n_max")),
+    *(lambda m, key=key, value=value: {
+        **m, "arguments": {**m["arguments"], key: value}}
+      for key, value in (("replicas", "6"), ("replicas", 6.0),
+                         ("snapshots", "0.5,1.0"), ("snapshots", [0.5, "1"]),
+                         ("cell_side", "0.1"), ("cell_side", None),
+                         ("l_max", [4]), ("n_max", True))),
+], ids=["root-list", "root-string", "no-arguments", "arguments-list",
+        *(f"no-{key}" for key in ("replicas", "snapshots", "cell_side",
+                                  "l_max", "n_max")),
+        "replicas-string", "replicas-float", "snapshots-string",
+        "snapshot-string", "cell_side-string", "cell_side-null",
+        "l_max-list", "n_max-bool"])
+def test_verify_refuses_a_malformed_manifest(golden_runs, tmp_path, capsys,
+                                              edit):
+    # a manifest verify cannot read is a configuration error, one line and
+    # exit 2, never a traceback with exit 1, the code of a failed check
+    out = tmp_path / "run"
+    shutil.copytree(golden_runs[1], out)
+    path = out / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    code = main(["verify", "--config", str(golden_runs[1].parent /
+                                           "model.json"), "--run", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_verify_rejects_config_hash_mismatch(tmp_path, capsys):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +30,9 @@ def test_box_basics():
     assert box.dimension == 2
     assert np.allclose(box.sides, [2.0, 4.0])
     assert box.volume == pytest.approx(8.0)
-    assert box.contains([1.0, 0.0])
-    assert not box.contains([2.5, 0.0])
-    inside = box.contains_points([[0.5, 0.0], [3.0, 0.0]])
-    assert inside.tolist() == [True, False]
+    inside = box.contains_points([[1.0, 0.0], [2.5, 0.0], [0.5, 0.0],
+                                  [3.0, 0.0]])
+    assert inside.tolist() == [True, False, True, False]
 
 
 def test_box_separation_box_is_centered_difference_set():
@@ -193,6 +193,41 @@ def test_cell_infimum_clamps_to_zero():
     assert cell_infimum(k, Box([-1.0], [1.0])) == 0.0
 
 
+def test_cell_infimum_finds_a_tabulated_dip_between_grid_points():
+    # a(r) is 0 at r = 0.31 only, between the points 0.297 and 0.312 of an
+    # inclusive 65-point grid over [-0.5, 0.5], which read a(0.3125) = 0.0132
+    k = CompetitionKernel.tabulated([0.0, 0.3, 0.31, 0.5], [1.0, 1.0, 0.0, 1.0],
+                                    1)
+    assert k.r_cut == 0.5
+    assert cell_infimum(k, Box([-0.5], [0.5])) == 0.0
+
+
+def test_cell_infimum_of_a_box_off_the_origin():
+    # an increasing profile takes its infimum at the box's nearest radius
+    k = CompetitionKernel.tabulated([0.0, 1.0], [0.0, 1.0], 2)
+    assert cell_infimum(k, Box([0.2, 0.1], [0.5, 0.4])) == \
+        pytest.approx(math.hypot(0.2, 0.1))
+    assert cell_infimum(k, Box([-0.3, 0.1], [0.5, 0.4])) == pytest.approx(0.1)
+
+
+def _fine_grid(box, points):
+    axes = [np.linspace(lo, hi, points) for lo, hi in zip(box.lo, box.hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+@pytest.mark.parametrize("kernel, box", [
+    (CompetitionKernel.tabulated([0.0, 0.3, 0.31, 0.5], [1.0, 1.0, 0.0, 1.0],
+                                 2), Box([-0.4, -0.4], [0.4, 0.4])),
+    (CompetitionKernel.tabulated([0.0, 0.2, 0.6], [0.5, 2.0, 1.0], 3),
+     Box([-0.3, -0.1, 0.0], [0.2, 0.3, 0.25])),
+    (CompetitionKernel.gaussian(1.0, 0.3, 2), Box([-0.5, -0.5], [0.5, 0.5])),
+    (CompetitionKernel.exponential(2.0, 0.2, 3), Box([0.1] * 3, [0.4] * 3)),
+], ids=["tabulated-dip-2d", "tabulated-3d", "gaussian-2d", "exponential-3d"])
+def test_cell_infimum_is_a_lower_bound_over_the_box(kernel, box):
+    inf = cell_infimum(kernel, box)
+    assert 0.0 <= inf <= float(np.min(kernel(_fine_grid(box, 61))))
+
+
 # ------------------------------------------------------------- rate fields
 
 def test_constant_field():
@@ -214,6 +249,68 @@ def test_gaussian_bump_field():
     assert f.sup == pytest.approx(2.0, rel=1e-6)
     exact = 2.0 * math.sqrt(2 * math.pi)  # essentially all mass inside
     assert f.integral_over(box) == pytest.approx(exact, rel=1e-4)
+
+
+def _quadrature(field, box):
+    """The field's integral over `box` by scipy's adaptive cubature, over
+    the part of the box within 40 widths of the centre (the bump underflows
+    to 0.0 beyond), with the point nearest the centre a breakpoint."""
+    lo = np.maximum(box.lo, field.center - 40.0 * field.width)
+    hi = np.minimum(box.hi, field.center + 40.0 * field.width)
+    result = scipy.integrate.cubature(
+        field, lo, hi, points=[np.clip(field.center, lo, hi)], rtol=1e-9,
+        atol=0.0, max_subdivisions=100000)
+    assert result.status == "converged"
+    return result.estimate
+
+
+# each bump is narrower than the pitch of a midpoint grid of 2**13, 2**7 or
+# 2**5 points per axis over its box
+BUMPS = {
+    "1d-off-centre": (2.0, [700.03], 0.1, Box([0.0], [2000.0])),
+    "1d-far-tail": (1.0, [0.0], 0.1, Box([1.0], [2.0])),
+    "2d-centred-outside": (1.5, [-0.05, 17.3], 0.1,
+                           Box([0.0, 0.0], [40.0, 40.0])),
+    "3d-narrow": (1.0, [5.0, 5.0, 5.0], 0.1, Box([0.0] * 3, [10.0] * 3)),
+    "3d-off-centre": (1.0, [4.13, 5.0, 9.97], 0.1, Box([0.0] * 3, [10.0] * 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUMPS))
+def test_bump_integral_matches_quadrature(name):
+    amplitude, center, width, box = BUMPS[name]
+    f = RateField.gaussian_bump(amplitude, center, width, box)
+    assert f.integral_over(box) == pytest.approx(_quadrature(f, box),
+                                                 rel=1e-8)
+
+
+def test_birth_total_of_a_narrow_bump():
+    window = Window([10.0] * 3)
+    bump = RateField.gaussian_bump(2.0, [5.0] * 3, 0.1, window.domain)
+    params = ModelParams(window, CompetitionKernel.zero(3), bump,
+                         RateField.constant(0.0, 3))
+    assert params.birth_total == pytest.approx(
+        2.0 * (0.1 * math.sqrt(2.0 * math.pi)) ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("center, box, points", [
+    ([-0.3, 0.51], Box([0.0, 0.0], [1.0, 1.0]), 401),
+    ([0.37, 1.2, -0.1], Box([0.0] * 3, [1.0] * 3), 61),
+], ids=["2d", "3d"])
+def test_bump_sup_outside_the_box_is_the_value_at_its_nearest_point(
+        center, box, points):
+    # centred outside its box, a bump peaks at the box point nearest the
+    # centre, which no grid need hold
+    f = RateField.gaussian_bump(1.0, center, 0.2, box)
+    assert f.sup == float(f(np.clip(center, box.lo, box.hi)))
+    assert f.sup >= float(np.max(f(_fine_grid(box, points))))
+
+
+def test_bump_center_needs_one_coordinate_per_axis():
+    # a 1-vector centre would broadcast over a 2-D window in __call__ but
+    # not in the simulator's scalar evaluator
+    with pytest.raises(ValueError, match="center must list 2"):
+        RateField.gaussian_bump(1.0, [5.0], 1.0, Box([0.0, 0.0], [10.0, 10.0]))
 
 
 def test_tabulated_field_integral_exact():

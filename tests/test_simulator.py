@@ -21,7 +21,6 @@ from contpop import (
     death_rates,
     mean_density,
     run_replicas,
-    sample_initial,
 )
 from conftest import gaussian_unit_kernel, make_params
 from reference_engine import ReferenceState, neighbors, views
@@ -36,10 +35,18 @@ def free_params(b=1.0, m=1.0):
 
 # ----------------------------------------------------------- initial states
 
+def seeded(initial, params, rng):
+    """The start that `SimulationState.seed_initial` inserts, drawn from
+    `rng`."""
+    state = SimulationState(params, rng)
+    state.seed_initial(initial)
+    return state.snapshot()
+
+
 def test_poisson_initial_count_distribution(rng):
     params = free_params()
     counts = np.array([
-        sample_initial(RateField.constant(0.5, 1), params, rng).shape[0]
+        seeded(RateField.constant(0.5, 1), params, rng).shape[0]
         for _ in range(3000)])
     mean = 0.5 * L
     assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / 3000)
@@ -54,7 +61,7 @@ def test_poisson_initial_count_distribution(rng):
 def test_poisson_initial_positions_uniform(rng):
     params = free_params()
     points = np.concatenate([
-        sample_initial(RateField.constant(2.0, 1), params, rng)
+        seeded(RateField.constant(2.0, 1), params, rng)
         for _ in range(200)])
     stat = scipy.stats.kstest(points.ravel() / L, "uniform")
     assert stat.pvalue > 1e-4
@@ -65,11 +72,11 @@ def test_poisson_initial_with_field_density(rng):
     bump = RateField.gaussian_bump(3.0, [5.0], 0.5, Box([0.0], [L]))
     mean = bump.integral_over(params.window.domain)
     counts = np.array([
-        sample_initial(bump, params, rng).shape[0]
+        seeded(bump, params, rng).shape[0]
         for _ in range(1500)])
     assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / 1500)
     pts = np.concatenate([
-        sample_initial(bump, params, rng) for _ in range(300)])
+        seeded(bump, params, rng) for _ in range(300)])
     # rejection sampling should concentrate points around the bump center
     assert np.mean(np.abs(pts.ravel() - 5.0)) < 1.0
 
@@ -79,7 +86,7 @@ def test_explicit_initial(rng):
     params = free_params()
     state = rng.bit_generator.state
     points = np.array([[1.0], [2.0]])
-    assert sample_initial(points, params, rng) is points
+    assert np.array_equal(seeded(points, params, rng), points)
     assert rng.bit_generator.state == state
 
 
@@ -88,8 +95,8 @@ def test_empty_initial_density_draws_no_number():
     # number, so the event loop's stream is that of a start with no points
     params = free_params()
     rngs = [np.random.Generator(np.random.Philox(key=7)) for _ in range(2)]
-    assert sample_initial(RateField.constant(0.0, 1), params,
-                          rngs[0]).shape == (0, 1)
+    assert seeded(RateField.constant(0.0, 1), params,
+                  rngs[0]).shape == (0, 1)
     assert rngs[0].random() == rngs[1].random()
 
 
