@@ -17,31 +17,29 @@ from .bounds import (EffectiveMortalityUnavailable, MomentBoundResult,
                      moment_bound_system, operator_norm_bound,
                      stationary_density_bound, surgailis_theta_growth,
                      theta_norm, unit_existence_time)
-from .combinatorics import binomial, stirling, subsets, touchard
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
 from .estimators import (CellPartition, CorrelationGrid, MomentSeries,
-                         SnapshotEnsemble, density_estimate, factorial_moment,
-                         mean_density, moment_series,
-                         pair_correlation_estimate, raw_moment_from_factorials,
-                         read_csv_columns, write_csv, write_k1_csv,
-                         write_k2_csv, write_moments_csv)
+                         SnapshotEnsemble, density_estimate, mean_density,
+                         moment_series, pair_correlation_estimate,
+                         raw_moment_from_factorials, read_csv_columns,
+                         stirling, write_csv, write_k1_csv, write_k2_csv,
+                         write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, HierarchyTrajectory, StepSizeError,
                         integrate, rhs_order1, rhs_order2)
 from .model import (Box, CompetitionKernel, ModelParams, RateField, Window,
-                    cell_infimum, death_rate, death_rates)
+                    cell_infimum)
 from .simulator import (CappedRunError, ReplicaPlan, RunStats,
                         SimulationState, run_replicas)
 from .surgailis import (SurgailisFlow, box_quadrature, expected_count,
-                        poisson_density_flow, propagate_correlation)
+                        poisson_density_flow, propagate_correlation, subsets)
 
 __all__ = [
     "__version__",
     "Box", "Window", "CompetitionKernel", "RateField", "ModelParams",
-    "death_rate", "death_rates", "cell_infimum",
-    "stirling", "touchard", "binomial", "subsets",
-    "SurgailisFlow", "propagate_correlation", "poisson_density_flow",
+    "cell_infimum",
+    "SurgailisFlow", "subsets", "propagate_correlation", "poisson_density_flow",
     "expected_count", "box_quadrature",
     "theta_norm", "OperatorNormBound", "operator_norm_bound",
     "existence_time", "unit_existence_time", "surgailis_theta_growth",
@@ -50,7 +48,7 @@ __all__ = [
     "kappa_from_factorial_moments", "EffectiveMortalityUnavailable",
     "StationaryDensityBound", "stationary_density_bound",
     "SnapshotEnsemble", "CellPartition", "CorrelationGrid", "MomentSeries",
-    "factorial_moment", "raw_moment_from_factorials", "density_estimate",
+    "stirling", "raw_moment_from_factorials", "density_estimate",
     "mean_density", "pair_correlation_estimate", "moment_series",
     "write_csv", "write_k1_csv", "write_k2_csv", "write_moments_csv",
     "read_csv_columns",

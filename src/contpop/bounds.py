@@ -227,13 +227,14 @@ class MomentBoundResult:
 
 
 def cell_rates(params: ModelParams, h: float) -> tuple[float, float]:
-    """Rates (a_cell, b_cell) of the comparison system for the cube [0, h)^d:
-    the kernel's infimum over the separations of two points in it, and the
-    birth rate integrated over it."""
+    """Rates (a_cell, b_cell) of the comparison system for a cube of side h,
+    wherever it lies: the kernel's infimum over the separations of two
+    points in it, and sup b times its volume, a bound on the birth rate into
+    every such cube (the birth rate into each one when b is constant)."""
     d = params.dimension
     cell = Box(np.zeros(d), np.full(d, h))
     return (cell_infimum(params.kernel, cell.separation_box()),
-            params.birth.integral_over(cell))
+            params.b_norm * cell.volume)
 
 
 def moment_bound_system(q0, b_cell: float, a_cell: float, t_grid,

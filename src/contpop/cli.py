@@ -150,10 +150,15 @@ def cmd_simulate(args) -> int:
     if args.seed is None:   # its range is the ReplicaPlan's to check
         raise ConfigError("no seed given: pass --seed or set CONTPOP_SEED")
     snapshots = args.snapshots
+    flag = "argument --cell-side"
     if args.cell_side is None:
         args.cell_side = float(np.min(params.window.sides))
+        flag += f" (default {args.cell_side:g}, the smallest window side)"
     # the estimator arguments and the plan are checked before the manifest
-    partition = CellPartition(params.window, args.cell_side)
+    try:
+        partition = CellPartition(params.window, args.cell_side)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
     check_moment_orders(args.l_max, args.n_max)
     periodic = params.window.boundary == "periodic"
     if args.k2_bins and not periodic:
@@ -585,9 +590,8 @@ def cmd_verify(args) -> int:
                           "verify checks simulate runs")
     actual = config_sha256(args.config)
     if actual != manifest.get("config_sha256"):
-        print(f"verify: config hash mismatch: {actual} vs manifest "
-              f"{manifest.get('config_sha256')}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config hash mismatch: {actual} vs manifest "
+                          f"{manifest.get('config_sha256')}")
     params = build_params(load_config(args.config))
     arguments = manifest.get("arguments")
     # the settings verify reads, of the types simulate records (no booleans)

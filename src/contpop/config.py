@@ -129,17 +129,14 @@ def _build_window(cfg: dict) -> Window:
 
 def _build_kernel(spec: dict, dimension: int) -> CompetitionKernel:
     kind = spec.get("kind")
-    if kind == "tabulated":
-        if "r" not in spec or "a" not in spec:
-            raise ConfigError("tabulated kernel needs 'r' and 'a' tables")
-        return CompetitionKernel.tabulated(spec["r"], spec["a"], dimension,
-                                           r_cut=spec.get("r_cut"))
-    if kind in ("gaussian", "exponential", "top-hat"):
-        if "amplitude" not in spec or "range" not in spec:
-            raise ConfigError(f"{kind} kernel needs 'amplitude' and 'range'")
-        return CompetitionKernel(kind, dimension, amplitude=spec["amplitude"],
-                                 scale=spec["range"], r_cut=spec.get("r_cut"))
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+    if kind not in CompetitionKernel.KINDS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    needs = ("r", "a") if kind == "tabulated" else ("amplitude", "range")
+    if any(key not in spec for key in needs):
+        raise ConfigError(f"{kind} kernel needs {needs[0]!r} and {needs[1]!r}")
+    return CompetitionKernel(kind, dimension, spec.get("amplitude", 0.0),
+                             spec.get("range", 1.0), spec.get("r_cut"),
+                             spec.get("r"), spec.get("a"))
 
 
 def _build_field(spec: dict, window: Window, label: str) -> RateField:

@@ -5,7 +5,7 @@ Every cell estimator reads one integer tensor counts[r, k, c], the number of
 core particles of replica r at snapshot k in cell c, built in one vectorised
 pass over that table (`_cell_counts`).  Factorial moments binom(N, l)
 and raw moments N^n are looked up in tables indexed by count, whose rows come
-from the exact integer functions (`binomial`, and the Stirling transform
+from exact integers (`math.comb`, and the Stirling transform
 N^n = sum_l l! S(n, l) binom(N, l) in `raw_moment_from_factorials`), so the
 factorial path stays the primary one and every sample equals the float of an
 exact integer.  `counts_in` counts a box the same way, with one `bincount`
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .combinatorics import binomial, stirling
 from .model import Box, Window
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
     "CellPartition",
     "CorrelationGrid",
     "MomentSeries",
-    "factorial_moment",
+    "stirling",
     "raw_moment_from_factorials",
     "density_estimate",
     "mean_density",
@@ -151,12 +150,6 @@ class CellPartition:
         for lo in self._lower_corners():
             yield Box(lo, lo + self.cell_side)
 
-    def separation_box(self) -> Box:
-        """Box of pairwise separations within one cell: [-h, h]^d."""
-        h = self.cell_side
-        d = self.window.dimension
-        return Box(-h * np.ones(d), h * np.ones(d))
-
 
 def _cell_index(partition: CellPartition,
                 positions) -> tuple[np.ndarray, np.ndarray]:
@@ -208,15 +201,27 @@ class MomentSeries:
     raw_stderr: np.ndarray
 
 
-def factorial_moment(positions, box: Box, l: int) -> int:
-    """binom(N_box, l), exact."""
-    if l < 0:
-        raise ValueError("order must be nonnegative")
-    pos = np.asarray(positions, dtype=float)
-    n = 0
-    if pos.size:
-        n = int(np.count_nonzero(box.contains_points(pos)))
-    return binomial(n, l)
+def _stirling_rows(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of the triangle, by S(n, l) = l S(n-1, l) + S(n-1, l-1)
+    with S(0, 0) = 1 and S(n, 0) = 0 for n >= 1."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [l * prev[l] + prev[l - 1] for l in range(1, n + 1)])
+    return rows
+
+
+# the Stirling triangle for n <= 64, exact integers
+_STIRLING = _stirling_rows(64)
+
+
+def stirling(n: int, l: int) -> int:
+    """S(n, l), the Stirling number of the second kind, for 0 <= n <= 64;
+    zero when l > n."""
+    if l < 0 or not 0 <= n < len(_STIRLING):
+        raise ValueError(f"S({n}, {l}) is outside the table's "
+                         f"0 <= l, 0 <= n <= {len(_STIRLING) - 1}")
+    return _STIRLING[n][l] if l <= n else 0
 
 
 def raw_moment_from_factorials(factorials, n: int):
@@ -324,9 +329,9 @@ def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
     Row i pairs with the partners[i] rows after it, read from a sliding
     window over the coordinates, stored axis by axis, in the blocks of
     `_pair_blocks`.  Each block makes two passes over its rows, in buffers
-    allocated once per call.  The first writes the separations as
-    `Window.distance` computes them: the minimum image of y - x, squares
-    added in axis order, sqrt; a block's padding columns are set to inf.
+    allocated once per call.  The first writes the separations: the
+    minimum image of y - x (`Window.minimum_image`), squares added in axis
+    order, sqrt; a block's padding columns are set to inf.
     The second bins them: the key k of separation r satisfies
     lower[k] <= r < lower[k + 1], with lower = [-inf, edges with the last
     one ulp up, nan], so the last bin is closed as in np.histogram and keys
@@ -451,7 +456,7 @@ def moment_series(ensemble: SnapshotEnsemble, partition: CellPartition,
     fact_table = np.zeros((present.size, l_max))
     raw_table = np.zeros((present.size, n_max))
     for n in np.flatnonzero(present).tolist():
-        facts = [binomial(n, l) for l in range(1, l_max + 1)]
+        facts = [math.comb(n, l) for l in range(1, l_max + 1)]
         fact_table[n] = [float(f) for f in facts]
         raw_table[n] = [float(raw_moment_from_factorials(facts, m))
                         for m in range(1, n_max + 1)]

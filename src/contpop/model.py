@@ -25,8 +25,6 @@ __all__ = [
     "CompetitionKernel",
     "RateField",
     "ModelParams",
-    "death_rate",
-    "death_rates",
     "cell_infimum",
 ]
 
@@ -138,10 +136,6 @@ class Window:
         t *= side
         return np.subtract(u, t, out=t)
 
-    def distance(self, x, y):
-        d = self.displacement(x, y)
-        return np.sqrt(np.sum(np.square(d), axis=-1))
-
 
 def _sphere_surface(r: NDArray[np.float64], dimension: int) -> NDArray[np.float64]:
     """Surface measure of the radius-r sphere, the radial quadrature weight."""
@@ -163,10 +157,12 @@ def _ball_volume(r: float, dimension: int) -> float:
 class CompetitionKernel:
     """Radial competition kernel a(x - y) >= 0, truncated at radius r_cut.
 
-    Preset shapes: gaussian A exp(-r^2 / 2s^2), exponential A exp(-r/s), and
-    top-hat A 1[r <= s]; tabulated radial profiles use linear interpolation.
-    By default r_cut is the smallest radius keeping the discarded tail mass
-    below TAIL_FRACTION of the total integral.  `integral` and `sup` are the
+    Preset shapes, of amplitude A and scale s: gaussian A exp(-r^2 / 2s^2),
+    exponential A exp(-r/s), and top-hat A 1[r <= s]; a tabulated kernel
+    interpolates a_table linearly over r_table, and A and s do not enter
+    it.  The default amplitude 0 is the non-interacting kernel.  By default
+    r_cut is the smallest radius keeping the discarded tail mass below
+    TAIL_FRACTION of the total integral.  `integral` and `sup` are the
     space integral and the maximum of the truncated kernel.
     """
 
@@ -206,34 +202,6 @@ class CompetitionKernel:
             warnings.warn("top-hat kernel is discontinuous; continuity-based "
                           "bounds do not apply", UserWarning, stacklevel=2)
         self._normalize(r_cut)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def gaussian(cls, amplitude: float, scale: float, dimension: int,
-                 r_cut: float | None = None) -> "CompetitionKernel":
-        return cls("gaussian", dimension, amplitude, scale, r_cut)
-
-    @classmethod
-    def exponential(cls, amplitude: float, scale: float, dimension: int,
-                    r_cut: float | None = None) -> "CompetitionKernel":
-        return cls("exponential", dimension, amplitude, scale, r_cut)
-
-    @classmethod
-    def top_hat(cls, amplitude: float, scale: float, dimension: int,
-                r_cut: float | None = None) -> "CompetitionKernel":
-        return cls("top-hat", dimension, amplitude, scale, r_cut)
-
-    @classmethod
-    def tabulated(cls, r_table, a_table, dimension: int,
-                  r_cut: float | None = None) -> "CompetitionKernel":
-        return cls("tabulated", dimension, amplitude=0.0, scale=1.0,
-                   r_cut=r_cut, r_table=r_table, a_table=a_table)
-
-    @classmethod
-    def zero(cls, dimension: int) -> "CompetitionKernel":
-        """The non-interacting model a == 0."""
-        return cls("gaussian", dimension, amplitude=0.0, scale=1.0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -480,38 +448,6 @@ class ModelParams:
     @property
     def dimension(self) -> int:
         return self.window.dimension
-
-
-def death_rate(x, config, params: ModelParams) -> float:
-    """Death rate of the particle at x within `config`: m(x) + sum over others.
-
-    `config` is an (n, d) array of positions and must contain x (an exact
-    coordinate match); exactly one matching entry is excluded from the kernel
-    sum, so coincident particles still count each other as competitors.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pos = np.asarray(config, dtype=float).reshape(-1, x.size)
-    matches = np.flatnonzero(np.all(pos == x, axis=1))
-    if matches.size == 0:
-        raise ValueError("x is not a member of the configuration")
-    others = np.delete(pos, matches[0], axis=0)
-    rate = float(params.mortality(x))
-    if others.size:
-        rate += float(np.sum(params.kernel(params.window.displacement(x, others))))
-    return rate
-
-
-def death_rates(positions, params: ModelParams) -> NDArray[np.float64]:
-    """Death rates of every particle in the configuration."""
-    pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
-    rates = np.asarray(params.mortality(pos), dtype=float).reshape(n) if n else np.zeros(0)
-    if n > 1 and params.kernel.r_cut > 0.0:
-        disp = params.window.displacement(pos[:, None, :], pos[None, :, :])
-        a = params.kernel(disp)
-        np.fill_diagonal(a, 0.0)
-        rates = rates + np.sum(a, axis=1)
-    return rates
 
 
 def cell_infimum(kernel: CompetitionKernel, box: Box) -> float:

@@ -17,20 +17,24 @@ interacting model, since competition only removes particles.
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import subsets
 from .model import Box, ModelParams, RateField, Window
 
 __all__ = [
     "SurgailisFlow",
+    "subsets",
     "propagate_correlation",
     "poisson_density_flow",
     "expected_count",
     "box_quadrature",
 ]
+
+# Enumerating all 2^n subsets is exponential; cap the configuration order.
+MAX_SUBSET_ORDER = 20
 
 # quadrature points per axis of `expected_count`, by dimension
 _COUNT_POINTS = {1: 1 << 10, 2: 1 << 7, 3: 1 << 5}
@@ -98,6 +102,24 @@ class SurgailisFlow:
         closed = b * (-np.expm1(-(m * self.t))) / np.where(positive, m, 1.0)
         out = np.where(positive, closed, b * self.t)
         return float(out) if out.ndim == 0 else out
+
+
+def subsets(eta: Sequence) -> Iterator[tuple[tuple, tuple]]:
+    """Yield every split of eta into (subset, complement), 2^|eta| pairs.
+
+    Elements are treated as distinct by index, so coincident points are
+    separate particles.  Orders above MAX_SUBSET_ORDER are refused.
+    """
+    items = tuple(eta)
+    n = len(items)
+    if n > MAX_SUBSET_ORDER:
+        raise ValueError(f"configuration order {n} exceeds {MAX_SUBSET_ORDER}")
+    indices = range(n)
+    for k in range(n + 1):
+        for chosen in combinations(indices, k):
+            rest = tuple(i for i in indices if i not in chosen)
+            yield (tuple(items[i] for i in chosen),
+                   tuple(items[i] for i in rest))
 
 
 def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow):

@@ -43,7 +43,7 @@ def make_params(window=None, kernel=None, b=1.0, m=1.0, theta0=0.0):
     """Constant-rate ModelParams with d taken from the window."""
     window = window if window is not None else Window([10.0])
     d = window.dimension
-    kernel = kernel if kernel is not None else CompetitionKernel.zero(d)
+    kernel = kernel if kernel is not None else CompetitionKernel("gaussian", d)
     birth = b if isinstance(b, RateField) else RateField.constant(b, d)
     death = m if isinstance(m, RateField) else RateField.constant(m, d)
     return ModelParams(window, kernel, birth, death, theta0=theta0)
@@ -60,10 +60,23 @@ def nested_ensemble(window, times, configs):
                             [[len(pos) for pos in reps] for reps in configs])
 
 
+def brute_death_rate(i, pos, params):
+    """Death rate of particle i of the (n, d) array pos, straight off the
+    generator: m(x) plus the truncated kernel at the minimum-image distance
+    to every other row, coincident ones included."""
+    x = pos[i]
+    rate = float(params.mortality(x))
+    for j, y in enumerate(pos):
+        if j != i:
+            r = np.linalg.norm(params.window.displacement(x, y))
+            rate += float(params.kernel.radial(r))
+    return rate
+
+
 def gaussian_unit_kernel(dimension: int = 1) -> CompetitionKernel:
     """Gaussian kernel with a(0) = 1 and integral 1 (scale fixed by d)."""
     scale = (2.0 * np.pi) ** (-0.5)
-    return CompetitionKernel.gaussian(1.0, scale, dimension)
+    return CompetitionKernel("gaussian", dimension, 1.0, scale)
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from contpop import (
     Window,
     cell_infimum,
     continuation_schedule,
-    factorial_moment,
     integrate,
     mean_density,
     moment_bound_system,
@@ -58,7 +57,7 @@ def long_run():
 
 
 def test_criterion_01_simulator_free_law():
-    params = constant_params(CompetitionKernel.zero(1), 1.0, 1.0)
+    params = constant_params(CompetitionKernel("gaussian", 1), 1.0, 1.0)
     snapshots = (0.5, 1.0, 2.0, 5.0)
     plan = ReplicaPlan(replicas=200, base_seed=SEED, snapshots=snapshots,
                        initial=RateField.constant(0.0, 1))
@@ -80,7 +79,7 @@ def test_criterion_01_simulator_free_law():
 
 
 def test_criterion_02_hierarchy_free_exactness():
-    params = constant_params(CompetitionKernel.zero(1), 1.0, 1.0)
+    params = constant_params(CompetitionKernel("gaussian", 1), 1.0, 1.0)
     state = HierarchyState.translation_invariant(params, 64, 0.0)
     traj = integrate(state, 2.0, 1e-3, n_max=2)
     exact = 1.0 - math.exp(-2.0)
@@ -143,7 +142,8 @@ def test_criterion_04_stationary_density_cap(long_run):
 def test_criterion_05_factorial_moment_envelope(long_run):
     params, ensemble = long_run
     partition = CellPartition(params.window, 1.0)
-    a_cell = cell_infimum(params.kernel, partition.separation_box())
+    cell = next(iter(partition))
+    a_cell = cell_infimum(params.kernel, cell.separation_box())
     cell_volume = partition.cell_side ** params.dimension
     kappa = max(cell_volume * math.exp(params.theta0), 0.5,
                 params.b_norm * cell_volume / a_cell)
@@ -198,9 +198,9 @@ def test_criterion_06_count_identities():
         n_points = int(gen.integers(0, 13))
         power = int(gen.integers(1, 9))
         pts = gen.uniform(0.0, 1.0, size=(n_points, 1))
+        inside = int(np.count_nonzero(box.contains_points(pts)))
         total = sum(math.factorial(l) * stirling(power, l)
-                    * factorial_moment(pts, box, l)
-                    for l in range(1, power + 1))
+                    * math.comb(inside, l) for l in range(1, power + 1))
         if total != n_points**power:
             identity_failures += 1
     stirling_failures = 0
@@ -220,7 +220,7 @@ def test_criterion_06_count_identities():
 
 def test_criterion_07_small_torus_occupation_law():
     with pytest.warns(UserWarning, match="discontinuous"):
-        kernel = CompetitionKernel.top_hat(40.0, 0.5, 1)
+        kernel = CompetitionKernel("top-hat", 1, 40.0, 0.5)
     params = ModelParams(Window([1.0]), kernel, RateField.constant(3.6, 1),
                          RateField.constant(0.5, 1))
     snapshots = (0.5, 2.0)
@@ -266,7 +266,7 @@ def test_criterion_08_continuation_schedule_horizon():
 
 
 def test_criterion_09_integrator_convergence_order():
-    params = constant_params(CompetitionKernel.zero(1), 1.0, 2.5)
+    params = constant_params(CompetitionKernel("gaussian", 1), 1.0, 2.5)
     exact = (1.0 - math.exp(-5.0)) / 2.5
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):

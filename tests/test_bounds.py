@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from contpop import (
+    Box,
     CompetitionKernel,
     EffectiveMortalityUnavailable,
+    RateField,
     ScheduleHorizonError,
     Window,
     continuation_schedule,
@@ -235,7 +237,8 @@ def test_kappa_from_factorial_moments():
 
 def test_cell_rates_of_a_cube():
     # the separations of two points in the cube reach its far corner,
-    # |u| = h sqrt(d), where the kernel is smallest; b is integrated over it
+    # |u| = h sqrt(d), where the kernel is smallest; b_cell is b times the
+    # cube's volume
     params = make_params(window=Window([8.0, 6.0]),
                          kernel=gaussian_unit_kernel(2), b=1.5)
     a_cell, b_cell = cell_rates(params, 0.5)
@@ -243,6 +246,20 @@ def test_cell_rates_of_a_cube():
         float(params.kernel.radial(0.5 * math.sqrt(2.0))), rel=1e-12)
     assert b_cell == pytest.approx(1.5 * 0.25, rel=1e-12)
     assert cell_rates(make_params(window=Window([8.0, 6.0])), 0.5)[0] == 0.0
+
+
+def test_cell_rates_bound_the_births_into_every_cube():
+    # a bump peaked at 5: the cube [0, 1) receives almost no births, the
+    # unit cube centred on the peak about 1.71; b_cell bounds every one
+    window = Window([10.0])
+    bump = RateField.gaussian_bump(2.0, [5.0], 0.5, window.domain)
+    params = make_params(window=window, kernel=gaussian_unit_kernel(1),
+                         b=bump)
+    _, b_cell = cell_rates(params, 1.0)
+    assert b_cell == 2.0
+    assert bump.integral_over(Box([4.5], [5.5])) > 1.7
+    for lo in np.linspace(0.0, 9.0, 37):
+        assert b_cell >= bump.integral_over(Box([lo], [lo + 1.0]))
 
 
 # --------------------------------------------------------- stationary bound

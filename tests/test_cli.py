@@ -491,6 +491,20 @@ def test_bad_cell_side_exit_2(tmp_path, capsys):
     assert "tile" in capsys.readouterr().err
 
 
+def test_default_cell_side_that_does_not_tile_names_the_flag(tmp_path,
+                                                             capsys):
+    # the default cell side is the smallest side, 6, which does not tile 8
+    cfg = write_cfg(tmp_path, extra={"dimension": 2, "sides": [8.0, 6.0]})
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "1", "--replicas", "1", "--snapshots", "1.0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: argument --cell-side (default 6, ")
+    assert "does not tile" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--schedule", "-1"],
     ["bounds", "--kappa", "0.7", "--schedule", "3"],
@@ -1177,7 +1191,9 @@ def test_verify_rejects_config_hash_mismatch(tmp_path, capsys):
     edited.write_text(cfg.read_text() + "\n")
     code = main(["verify", "--config", str(edited), "--run", str(out)])
     assert code == 2
-    assert "hash mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config hash mismatch")
+    assert err.count("\n") == 1
     missing_run = tmp_path / "nowhere"
     assert main(["verify", "--config", str(cfg),
                  "--run", str(missing_run)]) == 2

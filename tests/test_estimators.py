@@ -14,12 +14,12 @@ from contpop import (
     SnapshotEnsemble,
     Window,
     density_estimate,
-    factorial_moment,
     mean_density,
     moment_series,
     pair_correlation_estimate,
     raw_moment_from_factorials,
     read_csv_columns,
+    stirling,
     write_csv,
     write_k1_csv,
     write_k2_csv,
@@ -54,16 +54,13 @@ def fixed_ensemble(counts_positions, L=4.0, times=(0.0,)):
 # ---------------------------------------------------------------- factorial
 
 def test_factorial_moment_small_cases():
-    pos = np.array([[0.5], [1.5], [2.5]])
-    box = Box([0.0], [3.0])
-    assert factorial_moment(pos, box, 0) == 1
-    assert factorial_moment(pos, box, 1) == 3
-    assert factorial_moment(pos, box, 2) == 3
-    assert factorial_moment(pos, box, 3) == 1
-    assert factorial_moment(pos, box, 4) == 0
-    assert factorial_moment(pos, Box([10.0], [11.0]), 1) == 0
-    with pytest.raises(ValueError):
-        factorial_moment(pos, box, -1)
+    # three points in the first of four cells: binom(3, l) for l = 1..4,
+    # zero past l = 3, and zero in an empty cell
+    ens = fixed_ensemble([[[0.5, 0.6, 0.7]]], L=4.0)
+    series = moment_series(ens, CellPartition(ens.window, 1.0), l_max=4,
+                           n_max=1)
+    assert series.factorial[0, 0].tolist() == [3.0, 3.0, 1.0, 0.0]
+    assert series.factorial[0, 1].tolist() == [0.0] * 4
 
 
 def test_raw_moment_identity_exact():
@@ -132,7 +129,7 @@ def test_partition_geometry():
     part = CellPartition(Window([4.0]), 1.0)
     assert len(part) == 4
     assert part.shape == (4,)
-    sep = part.separation_box()
+    sep = next(iter(part)).separation_box()
     assert np.allclose(sep.lo, [-1.0]) and np.allclose(sep.hi, [1.0])
     part2 = CellPartition(Window([2.0, 3.0]), 1.0)
     assert len(part2) == 6
@@ -475,12 +472,12 @@ def test_moment_series_poisson_levels(rng):
                     / n_cells)
         expect = kappa**l / math.factorial(l)
         assert abs(pooled - expect) <= 4.0 * err + 1e-12, l
-    # raw moments against the Touchard values
-    from contpop import touchard
+    # raw moments against the Touchard values sum_l S(n, l) kappa^l
     for n in range(1, 5):
         pooled = float(np.mean(series.raw[0, :, n - 1]))
         err = float(np.sqrt(np.sum(series.raw_stderr[0, :, n - 1] ** 2)) / n_cells)
-        assert abs(pooled - touchard(n, kappa)) <= 4.0 * err + 1e-12, n
+        touchard = sum(stirling(n, l) * kappa**l for l in range(n + 1))
+        assert abs(pooled - touchard) <= 4.0 * err + 1e-12, n
 
 
 def test_moment_series_order_caps():
@@ -537,8 +534,8 @@ def per_cell_reference(ens, part, l_max, n_max):
             pos = ens.positions(r, k).reshape(-1, ens.window.dimension)
             pos = pos[ens.window.core.contains_points(pos)]
             for c, box in enumerate(part):
-                facts = [factorial_moment(pos, box, l)
-                         for l in range(1, l_max + 1)]
+                inside = int(np.count_nonzero(box.contains_points(pos)))
+                facts = [math.comb(inside, l) for l in range(1, l_max + 1)]
                 fact[r, k, c] = [float(f) for f in facts]
                 raw[r, k, c] = [float(raw_moment_from_factorials(facts, n))
                                 for n in range(1, n_max + 1)]

@@ -24,8 +24,9 @@ def _absorbing(sides, width):
 
 
 def _tabulated(d, r_cut=None):
-    return CompetitionKernel.tabulated([0.0, 0.5, 1.0, 1.5],
-                                       [1.0, 0.8, 0.3, 0.1], d, r_cut=r_cut)
+    return CompetitionKernel("tabulated", d, r_cut=r_cut,
+                             r_table=[0.0, 0.5, 1.0, 1.5],
+                             a_table=[1.0, 0.8, 0.3, 0.1])
 
 
 def _cases():
@@ -35,19 +36,19 @@ def _cases():
     field that varies in space."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # top-hat is flagged
-        top_hat = CompetitionKernel.top_hat(0.5, 1.0, 2)
+        top_hat = CompetitionKernel("top-hat", 2, 0.5, 1.0)
     cases = [
         ("1d-periodic-gaussian-2", Window([10.0]),
-         CompetitionKernel.gaussian(1.0, 0.7, 1, r_cut=5.0)),
+         CompetitionKernel("gaussian", 1, 1.0, 0.7, r_cut=5.0)),
         ("1d-periodic-exponential-10", Window([20.0]),
-         CompetitionKernel.exponential(0.7, 0.5, 1, r_cut=2.0)),
+         CompetitionKernel("exponential", 1, 0.7, 0.5, r_cut=2.0)),
         ("1d-absorbing-tabulated", _absorbing([3.0], 1.5), _tabulated(1)),
         ("2d-periodic-exponential-2x3", Window([4.0, 6.0]),
-         CompetitionKernel.exponential(0.7, 0.3, 2, r_cut=2.0)),
+         CompetitionKernel("exponential", 2, 0.7, 0.3, r_cut=2.0)),
         ("2d-absorbing-top-hat-2x5", _absorbing([0.5, 3.0], 1.0), top_hat),
-        ("2d-free-1x1", Window([3.0, 3.0]), CompetitionKernel.zero(2)),
+        ("2d-free-1x1", Window([3.0, 3.0]), CompetitionKernel("gaussian", 2)),
         ("3d-periodic-gaussian-2x2x3", Window([4.0, 4.0, 6.0]),
-         CompetitionKernel.gaussian(1.0, 0.5, 3, r_cut=2.0)),
+         CompetitionKernel("gaussian", 3, 1.0, 0.5, r_cut=2.0)),
         ("3d-absorbing-tabulated-3x3x3", _absorbing([1.0, 1.0, 1.0], 1.0),
          _tabulated(3, r_cut=1.0)),
     ]
@@ -175,9 +176,9 @@ def test_kernel_values_match_reference():
     table knots, the cut-off and between, for every kind."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        kernels = [CompetitionKernel.gaussian(1.3, 0.4, 1, r_cut=1.5),
-                   CompetitionKernel.exponential(0.7, 0.3, 1, r_cut=1.5),
-                   CompetitionKernel.top_hat(0.5, 1.0, 1),
+        kernels = [CompetitionKernel("gaussian", 1, 1.3, 0.4, r_cut=1.5),
+                   CompetitionKernel("exponential", 1, 0.7, 0.3, r_cut=1.5),
+                   CompetitionKernel("top-hat", 1, 0.5, 1.0),
                    _tabulated(1)]
     radii = [*np.linspace(0.0, 1.5, 61).tolist(), 0.5, 1.0, 1.4999999]
     for kernel in kernels:

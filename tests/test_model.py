@@ -14,13 +14,12 @@ from contpop import (
     CompetitionKernel,
     ModelParams,
     RateField,
+    SimulationState,
     Window,
     cell_infimum,
-    death_rate,
-    death_rates,
 )
-from conftest import gaussian_unit_kernel, make_params
-from reference_engine import scalar_profile
+from conftest import brute_death_rate, gaussian_unit_kernel, make_params
+from reference_engine import scalar_profile, views
 
 
 # ---------------------------------------------------------------- geometry
@@ -42,11 +41,16 @@ def test_box_separation_box_is_centered_difference_set():
     assert np.allclose(sep.hi, [0.5])
 
 
+def distance(window, x, y):
+    """The norm of `Window.displacement`: minimum image on a torus."""
+    return float(np.linalg.norm(window.displacement(x, y)))
+
+
 def test_window_periodic_minimum_image():
     win = Window([10.0])
     assert win.displacement(9.5, 0.5) == pytest.approx(1.0)
-    assert win.distance(9.5, 0.5) == pytest.approx(1.0)
-    assert win.distance(0.0, 5.0) == pytest.approx(5.0)
+    assert distance(win, 9.5, 0.5) == pytest.approx(1.0)
+    assert distance(win, 0.0, 5.0) == pytest.approx(5.0)
 
 
 def test_window_distance_is_torus_metric(rng):
@@ -54,9 +58,10 @@ def test_window_distance_is_torus_metric(rng):
     pts = rng.uniform(0.0, [7.0, 3.0], size=(12, 2))
     for _ in range(40):
         i, j, k = rng.integers(0, 12, size=3)
-        dij = win.distance(pts[i], pts[j])
-        assert dij == pytest.approx(win.distance(pts[j], pts[i]))
-        assert dij <= win.distance(pts[i], pts[k]) + win.distance(pts[k], pts[j]) + 1e-12
+        dij = distance(win, pts[i], pts[j])
+        assert dij == pytest.approx(distance(win, pts[j], pts[i]))
+        assert dij <= distance(win, pts[i], pts[k]) \
+            + distance(win, pts[k], pts[j]) + 1e-12
 
 
 def test_window_validation():
@@ -76,7 +81,7 @@ def test_absorbing_buffer_domain_pads_core():
     assert np.allclose(win.domain.lo, [-1.0])
     assert np.allclose(win.domain.hi, [5.0])
     # plain Euclidean distances, no wrap
-    assert win.distance(0.0, 3.9) == pytest.approx(3.9)
+    assert distance(win, 0.0, 3.9) == pytest.approx(3.9)
 
 
 # ----------------------------------------------------------------- kernels
@@ -89,7 +94,7 @@ EXP_INTEGRALS = {1: 2.0, 2: 2.0 * math.pi, 3: 8.0 * math.pi}
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_gaussian_kernel_norms(dim):
     amp, scale = 0.7, 1.3
-    k = CompetitionKernel.gaussian(amp, scale, dim)
+    k = CompetitionKernel("gaussian", dim, amp, scale)
     exact = amp * GAUSS_INTEGRALS[dim] * scale**dim
     assert k.integral == pytest.approx(exact, rel=1e-6)
     assert k.sup == pytest.approx(amp)
@@ -99,7 +104,7 @@ def test_gaussian_kernel_norms(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exponential_kernel_norms(dim):
     amp, scale = 2.0, 0.6
-    k = CompetitionKernel.exponential(amp, scale, dim)
+    k = CompetitionKernel("exponential", dim, amp, scale)
     exact = amp * EXP_INTEGRALS[dim] * scale**dim
     assert k.integral == pytest.approx(exact, rel=1e-6)
     assert k.sup == pytest.approx(amp)
@@ -108,7 +113,7 @@ def test_exponential_kernel_norms(dim):
 @pytest.mark.parametrize("dim,ball", [(1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)])
 def test_top_hat_kernel_exact_norms(dim, ball):
     with pytest.warns(UserWarning, match="discontinuous"):
-        k = CompetitionKernel.top_hat(3.0, 0.5, dim)
+        k = CompetitionKernel("top-hat", dim, 3.0, 0.5)
     assert k.discontinuous
     assert k.integral == pytest.approx(3.0 * ball * 0.5**dim)
     assert k.sup == pytest.approx(3.0)
@@ -116,7 +121,7 @@ def test_top_hat_kernel_exact_norms(dim, ball):
 
 
 def test_kernel_truncation_tail():
-    k = CompetitionKernel.gaussian(1.0, 1.0, 1)
+    k = CompetitionKernel("gaussian", 1, 1.0, 1.0)
     # the enforced cutoff really zeroes the tail
     assert k.radial(k.r_cut * 1.001) == 0.0
     assert k.profile(k.r_cut * 1.001) > 0.0
@@ -133,7 +138,7 @@ def test_kernel_symmetry_and_nonnegativity(rng):
 
 
 def test_explicit_r_cut_is_honored():
-    k = CompetitionKernel.gaussian(1.0, 1.0, 1, r_cut=2.0)
+    k = CompetitionKernel("gaussian", 1, 1.0, 1.0, r_cut=2.0)
     assert k.r_cut == 2.0
     assert k.radial(2.1) == 0.0
     # integral over [-2, 2] of exp(-r^2/2)
@@ -144,7 +149,7 @@ def test_explicit_r_cut_is_honored():
 def test_zero_kernel():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k = CompetitionKernel.zero(3)
+        k = CompetitionKernel("gaussian", 3)
     assert k.integral == 0.0
     assert k.sup == 0.0
     assert k.r_cut == 0.0
@@ -154,7 +159,7 @@ def test_zero_kernel():
 def test_tabulated_kernel():
     r = [0.0, 1.0, 2.0]
     a = [1.0, 0.5, 0.0]
-    k = CompetitionKernel.tabulated(r, a, 1)
+    k = CompetitionKernel("tabulated", 1, r_table=r, a_table=a)
     assert k.profile(0.5) == pytest.approx(0.75)
     assert k.integral == pytest.approx(2.0 * (0.75 + 0.25), rel=1e-6)
     assert k.sup == pytest.approx(1.0)
@@ -162,26 +167,29 @@ def test_tabulated_kernel():
 
 def test_tabulated_kernel_validation():
     with pytest.raises(ValueError):
-        CompetitionKernel.tabulated([0.5, 1.0], [1.0, 0.0], 1)  # must start at 0
+        CompetitionKernel("tabulated", 1, r_table=[0.5, 1.0],
+                          a_table=[1.0, 0.0])  # must start at 0
     with pytest.raises(ValueError):
-        CompetitionKernel.tabulated([0.0, 0.0], [1.0, 1.0], 1)  # not increasing
+        CompetitionKernel("tabulated", 1, r_table=[0.0, 0.0],
+                          a_table=[1.0, 1.0])  # not increasing
     with pytest.raises(ValueError):
-        CompetitionKernel.tabulated([0.0, 1.0], [1.0, -0.1], 1)
+        CompetitionKernel("tabulated", 1, r_table=[0.0, 1.0],
+                          a_table=[1.0, -0.1])
 
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        CompetitionKernel.gaussian(-1.0, 1.0, 1)
+        CompetitionKernel("gaussian", 1, -1.0, 1.0)
     with pytest.raises(ValueError):
-        CompetitionKernel.gaussian(1.0, 0.0, 1)
+        CompetitionKernel("gaussian", 1, 1.0, 0.0)
     with pytest.raises(ValueError):
         CompetitionKernel("lorentzian", 1)
     with pytest.raises(ValueError):
-        CompetitionKernel.gaussian(1.0, 1.0, 4)
+        CompetitionKernel("gaussian", 4, 1.0, 1.0)
 
 
 def test_cell_infimum_gaussian_examples():
-    k = CompetitionKernel.gaussian(1.0, 1.0, 1)
+    k = CompetitionKernel("gaussian", 1, 1.0, 1.0)
     # infimum over [0, 0.5] sits at the far corner r = 0.5
     assert cell_infimum(k, Box([0.0], [0.5])) == pytest.approx(math.exp(-0.125))
     assert cell_infimum(k, Box([-1.0], [1.0])) == pytest.approx(math.exp(-0.5))
@@ -189,22 +197,23 @@ def test_cell_infimum_gaussian_examples():
 
 def test_cell_infimum_clamps_to_zero():
     with pytest.warns(UserWarning):
-        k = CompetitionKernel.top_hat(1.0, 0.5, 1)
+        k = CompetitionKernel("top-hat", 1, 1.0, 0.5)
     assert cell_infimum(k, Box([-1.0], [1.0])) == 0.0
 
 
 def test_cell_infimum_finds_a_tabulated_dip_between_grid_points():
     # a(r) is 0 at r = 0.31 only, between the points 0.297 and 0.312 of an
     # inclusive 65-point grid over [-0.5, 0.5], which read a(0.3125) = 0.0132
-    k = CompetitionKernel.tabulated([0.0, 0.3, 0.31, 0.5], [1.0, 1.0, 0.0, 1.0],
-                                    1)
+    k = CompetitionKernel("tabulated", 1, r_table=[0.0, 0.3, 0.31, 0.5],
+                          a_table=[1.0, 1.0, 0.0, 1.0])
     assert k.r_cut == 0.5
     assert cell_infimum(k, Box([-0.5], [0.5])) == 0.0
 
 
 def test_cell_infimum_of_a_box_off_the_origin():
     # an increasing profile takes its infimum at the box's nearest radius
-    k = CompetitionKernel.tabulated([0.0, 1.0], [0.0, 1.0], 2)
+    k = CompetitionKernel("tabulated", 2, r_table=[0.0, 1.0],
+                          a_table=[0.0, 1.0])
     assert cell_infimum(k, Box([0.2, 0.1], [0.5, 0.4])) == \
         pytest.approx(math.hypot(0.2, 0.1))
     assert cell_infimum(k, Box([-0.3, 0.1], [0.5, 0.4])) == pytest.approx(0.1)
@@ -216,12 +225,15 @@ def _fine_grid(box, points):
 
 
 @pytest.mark.parametrize("kernel, box", [
-    (CompetitionKernel.tabulated([0.0, 0.3, 0.31, 0.5], [1.0, 1.0, 0.0, 1.0],
-                                 2), Box([-0.4, -0.4], [0.4, 0.4])),
-    (CompetitionKernel.tabulated([0.0, 0.2, 0.6], [0.5, 2.0, 1.0], 3),
+    (CompetitionKernel("tabulated", 2, r_table=[0.0, 0.3, 0.31, 0.5],
+                       a_table=[1.0, 1.0, 0.0, 1.0]),
+     Box([-0.4, -0.4], [0.4, 0.4])),
+    (CompetitionKernel("tabulated", 3, r_table=[0.0, 0.2, 0.6],
+                       a_table=[0.5, 2.0, 1.0]),
      Box([-0.3, -0.1, 0.0], [0.2, 0.3, 0.25])),
-    (CompetitionKernel.gaussian(1.0, 0.3, 2), Box([-0.5, -0.5], [0.5, 0.5])),
-    (CompetitionKernel.exponential(2.0, 0.2, 3), Box([0.1] * 3, [0.4] * 3)),
+    (CompetitionKernel("gaussian", 2, 1.0, 0.3),
+     Box([-0.5, -0.5], [0.5, 0.5])),
+    (CompetitionKernel("exponential", 3, 2.0, 0.2), Box([0.1] * 3, [0.4] * 3)),
 ], ids=["tabulated-dip-2d", "tabulated-3d", "gaussian-2d", "exponential-3d"])
 def test_cell_infimum_is_a_lower_bound_over_the_box(kernel, box):
     inf = cell_infimum(kernel, box)
@@ -287,7 +299,7 @@ def test_bump_integral_matches_quadrature(name):
 def test_birth_total_of_a_narrow_bump():
     window = Window([10.0] * 3)
     bump = RateField.gaussian_bump(2.0, [5.0] * 3, 0.1, window.domain)
-    params = ModelParams(window, CompetitionKernel.zero(3), bump,
+    params = ModelParams(window, CompetitionKernel("gaussian", 3), bump,
                          RateField.constant(0.0, 3))
     assert params.birth_total == pytest.approx(
         2.0 * (0.1 * math.sqrt(2.0 * math.pi)) ** 3, rel=1e-12)
@@ -327,11 +339,12 @@ def test_tabulated_field_integral_exact():
 def test_scalar_kernel_profiles_match_profile():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        kernels = [CompetitionKernel.gaussian(1.3, 0.4, 1),
-                   CompetitionKernel.exponential(0.7, 0.3, 2),
-                   CompetitionKernel.top_hat(0.5, 1.0, 3),
-                   CompetitionKernel.tabulated([0.0, 0.5, 1.0, 1.5],
-                                               [1.0, 0.8, 0.3, 0.1], 1)]
+        kernels = [CompetitionKernel("gaussian", 1, 1.3, 0.4),
+                   CompetitionKernel("exponential", 2, 0.7, 0.3),
+                   CompetitionKernel("top-hat", 3, 0.5, 1.0),
+                   CompetitionKernel("tabulated", 1,
+                                     r_table=[0.0, 0.5, 1.0, 1.5],
+                                     a_table=[1.0, 0.8, 0.3, 0.1])]
     radii = np.concatenate([np.linspace(0.0, 2.0, 401),
                             [0.5, 1.0, 1.5, 1.5000001]])
     for k in kernels:
@@ -370,64 +383,53 @@ def test_params_caches_norms(torus10):
 
 def test_params_rejects_wrap_self_interaction():
     win = Window([1.0])
-    wide = CompetitionKernel.gaussian(1.0, 1.0, 1)  # r_cut ~ 6 >> 0.5
+    wide = CompetitionKernel("gaussian", 1, 1.0, 1.0)  # r_cut ~ 6 >> 0.5
     with pytest.raises(ValueError, match="r_cut"):
         make_params(window=win, kernel=wide)
 
 
 def test_params_dimension_mismatch():
     with pytest.raises(ValueError):
-        ModelParams(Window([5.0]), CompetitionKernel.zero(2),
+        ModelParams(Window([5.0]), CompetitionKernel("gaussian", 2),
                     RateField.constant(1.0, 1), RateField.constant(1.0, 1))
     with pytest.raises(ValueError):
-        ModelParams(Window([5.0]), CompetitionKernel.zero(1),
+        ModelParams(Window([5.0]), CompetitionKernel("gaussian", 1),
                     RateField.constant(1.0, 2), RateField.constant(1.0, 1))
 
 
 def test_params_buffer_must_cover_kernel_range():
     win = Window([5.0], boundary="absorbing-buffer", buffer_width=0.5)
-    k = CompetitionKernel.gaussian(1.0, 1.0, 1)
+    k = CompetitionKernel("gaussian", 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="buffer"):
         make_params(window=win, kernel=k)
 
 
 # -------------------------------------------------------------- death rate
 
-def brute_death_rate(i, pos, params):
-    """Reference O(n) sum straight off the generator definition."""
-    x = pos[i]
-    rate = float(params.mortality(x))
-    for j, y in enumerate(pos):
-        if j != i:
-            r = params.window.distance(x, y)
-            rate += float(params.kernel.radial(r))
-    return rate
+def engine_rates(params, positions):
+    """The simulator's death rates after inserting `positions` in order."""
+    state = SimulationState(params, np.random.default_rng(0))
+    for x in positions:
+        state.insert(x)
+    return views(state).rate.copy()
 
 
 def test_death_rate_matches_brute_force(rng, torus10):
     params = make_params(window=torus10, kernel=gaussian_unit_kernel(1),
                          b=1.0, m=0.3)
     pos = rng.uniform(0.0, 10.0, size=(14, 1))
-    rates = death_rates(pos, params)
+    rates = engine_rates(params, pos)
     for i in range(len(pos)):
         expect = brute_death_rate(i, pos, params)
         assert rates[i] == pytest.approx(expect, rel=1e-12)
-        assert death_rate(pos[i], pos, params) == pytest.approx(expect, rel=1e-12)
-
-
-def test_death_rate_requires_membership(torus10):
-    params = make_params(window=torus10)
-    pos = np.array([[1.0], [2.0]])
-    with pytest.raises(ValueError, match="member"):
-        death_rate([3.0], pos, params)
 
 
 def test_coincident_particles_compete(torus10):
     k = gaussian_unit_kernel(1)
     params = make_params(window=torus10, kernel=k, m=0.0)
     pos = np.array([[4.0], [4.0]])
-    # the twin contributes a(0) = 1; only one copy of x is excluded
-    assert death_rate([4.0], pos, params) == pytest.approx(1.0)
+    # each twin sees the other's a(0) = 1, not its own
+    assert engine_rates(params, pos).tolist() == pytest.approx([1.0, 1.0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -439,30 +441,30 @@ def test_death_rates_translation_invariant(shift, n, seed):
     params = make_params(window=win, kernel=gaussian_unit_kernel(2), m=0.4)
     pos = gen.uniform(0.0, 10.0, size=(n, 2))
     moved = np.mod(pos + shift, win.sides)
-    assert np.allclose(death_rates(pos, params), death_rates(moved, params),
-                       rtol=1e-10, atol=1e-12)
+    assert np.allclose(engine_rates(params, pos),
+                       engine_rates(params, moved), rtol=1e-10, atol=1e-12)
 
 
 def test_far_particles_leave_rate_unchanged(rng, torus10):
-    k = CompetitionKernel.gaussian(1.0, 0.2, 1)  # r_cut ~ 1.2
+    k = CompetitionKernel("gaussian", 1, 1.0, 0.2)  # r_cut ~ 1.2
     params = make_params(window=torus10, kernel=k, m=0.5)
     pos = rng.uniform(0.0, 1.0, size=(5, 1))
     far = pos[0] + params.kernel.r_cut + 1.5  # beyond reach of everyone
     grown = np.vstack([pos, far])
-    base = death_rates(pos, params)
-    after = death_rates(grown, params)[:5]
+    base = engine_rates(params, pos)
+    after = engine_rates(params, grown)[:5]
     assert np.array_equal(base, after)
 
 
 def test_in_cell_pair_energy_lower_bound(rng):
     # every particle inside a common cell sees >= a_cell per competitor
     win = Window([50.0])
-    k = CompetitionKernel.gaussian(2.0, 1.0, 1)
+    k = CompetitionKernel("gaussian", 1, 2.0, 1.0)
     params = make_params(window=win, kernel=k, m=0.0)
     cell = Box([10.0], [11.0])
     a_cell = cell_infimum(k, cell.separation_box())
     assert a_cell > 0.0
     for n in (2, 3, 6):
         pos = rng.uniform(10.0, 11.0, size=(n, 1))
-        rates = death_rates(pos, params)
+        rates = engine_rates(params, pos)
         assert np.all(rates >= a_cell * (n - 1) - 1e-12)

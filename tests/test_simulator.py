@@ -18,19 +18,18 @@ from contpop import (
     ReplicaPlan,
     SimulationState,
     Window,
-    death_rates,
     mean_density,
     run_replicas,
 )
-from conftest import gaussian_unit_kernel, make_params
+from conftest import brute_death_rate, gaussian_unit_kernel, make_params
 from reference_engine import ReferenceState, neighbors, views
 
 L = 10.0
 
 
 def free_params(b=1.0, m=1.0):
-    return make_params(window=Window([L]), kernel=CompetitionKernel.zero(1),
-                       b=b, m=m)
+    return make_params(window=Window([L]),
+                       kernel=CompetitionKernel("gaussian", 1), b=b, m=m)
 
 
 # ----------------------------------------------------------- initial states
@@ -118,7 +117,7 @@ def test_single_particle_survival_is_exponential():
 
 def test_pair_interaction_across_the_seam():
     with pytest.warns(UserWarning, match="discontinuous"):
-        kernel = CompetitionKernel.top_hat(3.0, 1.0, 1)
+        kernel = CompetitionKernel("top-hat", 1, 3.0, 1.0)
     params = make_params(window=Window([L]), kernel=kernel, b=0.0, m=0.25)
     state = SimulationState(params, np.random.default_rng(0))
     state.insert(np.array([0.2]))
@@ -326,7 +325,7 @@ def test_rate_sums_add_left_to_right():
     assert left != math.fsum([0.1] * 10) == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # top-hat is flagged
-        kernel = CompetitionKernel.top_hat(0.1, 0.5, 1)
+        kernel = CompetitionKernel("top-hat", 1, 0.1, 0.5)
     state = SimulationState(make_params(window=Window([L]), kernel=kernel,
                                         b=1.0, m=0.0),
                             np.random.default_rng(0))
@@ -350,13 +349,13 @@ def _rate_cases():
     buffered = Window([L], boundary="absorbing-buffer", buffer_width=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # top-hat is flagged
-        top_hat = CompetitionKernel.top_hat(0.5, 1.0, 3)
+        top_hat = CompetitionKernel("top-hat", 3, 0.5, 1.0)
     return [
         ("gaussian-1d-periodic", ModelParams(
-            torus1, CompetitionKernel.gaussian(1.0, 0.4, 1),
+            torus1, CompetitionKernel("gaussian", 1, 1.0, 0.4),
             RateField.constant(2.0, 1), RateField.constant(0.5, 1))),
         ("exponential-2d-periodic-bump-mortality", ModelParams(
-            torus2, CompetitionKernel.exponential(0.7, 0.3, 2, r_cut=2.5),
+            torus2, CompetitionKernel("exponential", 2, 0.7, 0.3, r_cut=2.5),
             RateField.constant(0.4, 2),
             RateField.gaussian_bump(0.8, [4.0, 3.0], 2.0, torus2.domain))),
         ("top-hat-3d-periodic-tabulated-birth", ModelParams(
@@ -366,8 +365,8 @@ def _rate_cases():
             RateField.constant(0.3, 3))),
         ("tabulated-1d-absorbing-fields", ModelParams(
             buffered,
-            CompetitionKernel.tabulated([0.0, 0.5, 1.0, 1.5],
-                                        [1.0, 0.8, 0.3, 0.0], 1),
+            CompetitionKernel("tabulated", 1, r_table=[0.0, 0.5, 1.0, 1.5],
+                              a_table=[1.0, 0.8, 0.3, 0.0]),
             RateField.gaussian_bump(2.0, [5.0], 3.0, buffered.domain),
             RateField.tabulated([0.2, 0.6, 1.0, 0.4], buffered.domain))),
     ]
@@ -386,7 +385,8 @@ def test_scalar_rates_match_referee(label, params):
     for _ in range(5):
         state.remove(int(gen.integers(state.n)))
     assert state.births > 0 and state.deaths > 5 and state.n >= 5
-    referee = death_rates(state.snapshot(), params)
+    pos = state.snapshot()
+    referee = [brute_death_rate(i, pos, params) for i in range(len(pos))]
     np.testing.assert_allclose(views(state).rate, referee, rtol=1e-12,
                                atol=0.0)
     assert state.d_tot == pytest.approx(float(np.sum(referee)), rel=1e-12)
@@ -434,8 +434,8 @@ NEIGHBOR_CASES = [
 def test_neighbors_match_all_pairs_reference(label, window, r_cut):
     d = window.dimension
     params = make_params(window=window, b=1.0, m=0.5,
-                         kernel=CompetitionKernel.gaussian(1.0, 0.7, d,
-                                                           r_cut=r_cut))
+                         kernel=CompetitionKernel("gaussian", d, 1.0, 0.7,
+                                                  r_cut=r_cut))
     state = SimulationState(params, np.random.default_rng(3))
     lo, hi = window.domain.lo, window.domain.hi
     # cell edges: every corner of the simulator grid inside the domain
