@@ -1,11 +1,19 @@
-/* The per-event work of `contpop.simulator.SimulationState`, over flat
- * buffers: the stencil neighbour scan, the rate updates of an insert or a
- * remove, the two-level death selection and the audit recompute.
+/* The event loop of `contpop.simulator.SimulationState`, over flat buffers:
+ * the clock, the choice of event, the rejection sampler of birth positions
+ * and of a Poisson start's points, the three rate-field kinds, the stencil
+ * neighbour scan, the rate updates of an insert or a remove, the two-level
+ * death selection and the audit recompute.
+ *
+ * The loop takes its uniforms from a block that Python draws with
+ * `rng.random(n)`.  When the block runs out inside an event, nothing of that
+ * event is committed: the loop returns MORE with the index of the event's
+ * first uniform, and Python calls again with the rest of the block followed
+ * by a fresh one, which are the doubles that single draws would give.
  *
  * Every float operation is the one the pure-Python engine made (kept as
  * tests/reference_engine.py), in the same order, so the results are the
  * same doubles: sums run left to right, `nearbyint` rounds half to even as
- * Python's `round` does, and `sqrt`, `exp` and `floor` are the libm
+ * Python's `round` does, and `sqrt`, `exp`, `log1p` and `floor` are the libm
  * functions that `math` calls.  Build with -ffp-contract=off and without
  * fast-math, so that no multiply-add is fused and no sum is reassociated:
  *
@@ -22,11 +30,33 @@
 
 /* in the order of `CompetitionKernel.KINDS` */
 enum { GAUSSIAN, EXPONENTIAL, TOP_HAT, TABULATED };
+/* in the order of `RateField.KINDS` */
+enum { CONSTANT, BUMP, TABLE };
+/* the fields of a state */
+enum { BIRTH, MORTALITY, DENSITY, FIELDS };
+/* what `cp_advance` and `cp_place` return: the loop reached `until` or had
+ * nothing left to do, passed the event limit, or ran out of uniforms; or it
+ * failed, for want of memory or on a death drawn in an empty window */
+enum { DONE, LIMIT, MORE, NO_MEMORY = -1, EMPTY = -2 };
+
+/* A rate field, with the formulas of `RateField.__call__` */
+typedef struct {
+    int kind;
+    double scale;                /* the constant, or the bump's amplitude */
+    double width2;               /* the bump's width squared */
+    double origin[3];            /* the bump's centre, or the table's corner */
+    double side[3];              /* the table's box */
+    int64_t shape[3];
+    double *values;              /* the table, row-major */
+    double sup;
+} Field;
 
 typedef struct {
     /* mirrored in Python */
     int64_t n;                   /* particles, rows 0..n-1 */
     double d_tot;                /* the death total, the sum of `rate` */
+    double t;                    /* the clock */
+    int64_t events, births, deaths, audits;
     double max_audit_residual;
     int64_t selection_fallbacks; /* float-drift repairs of `cp_death` */
     double *pos;                 /* n x d positions */
@@ -37,16 +67,18 @@ typedef struct {
     int64_t **members;           /* the rows in each cell... */
     int64_t *count;              /* ...and their number */
     /* private */
-    double *mortality;           /* m(x) per row, as `insert` was given it */
+    double *mortality;           /* m(x) per row, as it was inserted */
     int64_t cap;                 /* rows allocated */
     int64_t *member_cap;
     int64_t cells;
     int d, periodic, kind;
-    double side[3], half[3], lo[3], cell_side[3];
+    double side[3], half[3], lo[3], domain_side[3], cell_side[3];
     int64_t n_cells[3];
     double r_cut, reach2, amplitude, scale;
     int64_t table_len;
     double *r_table, *a_table;
+    double b_tot;                /* the integral of the birth field */
+    Field field[FIELDS];
     int64_t stencil_width;       /* 3^d: cells per stencil, at most */
     int64_t *stencil;            /* cells x stencil_width, sorted, unique */
     int64_t *stencil_len;
@@ -115,6 +147,34 @@ static int64_t cell_index(const State *s, const double *x)
         cell = cell * s->n_cells[a] + (int64_t)k;
     }
     return cell;
+}
+
+/* The value of field f at x: the constant, the bump's amplitude times
+ * exp(-q / 2w^2) with q the squared distance to its centre added left to
+ * right, or the table's value in the grid cell of x, clipped to its box */
+static double field_at(const Field *f, int d, const double *x)
+{
+    switch (f->kind) {
+    case CONSTANT:
+        return f->scale;
+    case BUMP: {
+        double q = 0.0;
+        for (int a = 0; a < d; a++)
+            q += (x[a] - f->origin[a]) * (x[a] - f->origin[a]);
+        return f->scale * exp(-0.5 * q / f->width2);
+    }
+    default: {
+        int64_t k = 0;
+        for (int a = 0; a < d; a++) {
+            double i = floor((x[a] - f->origin[a]) / f->side[a]
+                             * (double)f->shape[a]);
+            double top = (double)(f->shape[a] - 1);
+            i = i < 0.0 ? 0.0 : i > top ? top : i;
+            k = k * f->shape[a] + (int64_t)i;
+        }
+        return f->values[k];
+    }
+    }
 }
 
 /* Rows and kernel values of the particles within r_cut of x, which lies in
@@ -194,6 +254,8 @@ void cp_free(State *s)
         return;
     for (int64_t c = 0; s->members != NULL && c < s->cells; c++)
         free(s->members[c]);
+    for (int f = 0; f < FIELDS; f++)
+        free(s->field[f].values);
     void *owned[] = {s->members, s->count, s->member_cap, s->cell_rate,
                      s->stencil, s->stencil_len, s->r_table, s->a_table,
                      s->pos, s->rate, s->mortality, s->cell_of, s->slot_of,
@@ -241,13 +303,16 @@ static void build_stencils(State *s)
     }
 }
 
-/* A state with no particles.  Arrays have d entries (d <= 3), the tables
- * table_len; kind is one of GAUSSIAN, EXPONENTIAL, TOP_HAT, TABULATED.
- * Returns NULL when memory runs out. */
+/* A state with no particles, at time 0, whose birth field integrates to
+ * b_tot over the domain; `cp_field` sets its fields, all constant 0 until
+ * then.  Arrays have d entries (d <= 3), the tables table_len; kind is one of
+ * GAUSSIAN, EXPONENTIAL, TOP_HAT, TABULATED.  Returns NULL when memory runs
+ * out. */
 State *cp_new(int d, int periodic, const double *side, const double *lo,
-              const double *cell_side, const int64_t *n_cells, double r_cut,
-              int kind, double amplitude, double scale, int64_t table_len,
-              const double *r_table, const double *a_table)
+              const double *domain_side, const double *cell_side,
+              const int64_t *n_cells, double r_cut, int kind,
+              double amplitude, double scale, int64_t table_len,
+              const double *r_table, const double *a_table, double b_tot)
 {
     State *s = calloc(1, sizeof(State));
     if (s == NULL)
@@ -261,12 +326,14 @@ State *cp_new(int d, int periodic, const double *side, const double *lo,
     s->reach2 = r_cut * r_cut * (1.0 + 1e-9);
     s->amplitude = amplitude;
     s->scale = scale;
+    s->b_tot = b_tot;
     s->cells = 1;
     s->stencil_width = 1;
     for (int a = 0; a < d; a++) {
         s->side[a] = side[a];
         s->half[a] = periodic ? side[a] / 2.0 : INFINITY;
         s->lo[a] = lo[a];
+        s->domain_side[a] = domain_side[a];
         s->cell_side[a] = cell_side[a];
         s->n_cells[a] = n_cells[a];
         s->cells *= n_cells[a];
@@ -295,11 +362,39 @@ State *cp_new(int d, int periodic, const double *side, const double *lo,
     return s;
 }
 
-/* Add a particle at (x0, x1, x2), its first d coordinates, with mortality
- * m(x); returns its row, or -1 when memory runs out. */
-int64_t cp_insert(State *s, double mortality, double x0, double x1, double x2)
+/* Field `slot` of the state: BIRTH, MORTALITY, or DENSITY, the density of a
+ * Poisson start.  `kind` is one of CONSTANT (scale), BUMP (scale the
+ * amplitude, origin the centre, width2 the squared width) or TABLE (origin
+ * and side its box, shape and values its grid, row-major); sup is the
+ * field's sup over the domain.  Returns -1 when memory runs out. */
+int cp_field(State *s, int slot, int kind, double scale, double width2,
+             const double *origin, const double *side, const int64_t *shape,
+             const double *values, double sup)
 {
-    const double x[3] = {x0, x1, x2};
+    Field *f = &s->field[slot];
+    int64_t size = 1;
+    for (int a = 0; a < s->d; a++)
+        size *= shape[a];
+    if (kind == TABLE && grow((void **)&f->values, size, sizeof(double)))
+        return -1;
+    if (kind == TABLE)
+        memcpy(f->values, values, (size_t)size * sizeof(double));
+    for (int a = 0; a < s->d; a++) {
+        f->origin[a] = origin[a];
+        f->side[a] = side[a];
+        f->shape[a] = shape[a];
+    }
+    f->kind = kind;
+    f->scale = scale;
+    f->width2 = width2;
+    f->sup = sup;
+    return 0;
+}
+
+/* Add a particle at x, with its mortality m(x); returns its row, or -1
+ * when memory runs out. */
+static int64_t insert(State *s, const double *x)
+{
     int64_t i = s->n;
     if (reserve_rows(s, i + 1))
         return -1;
@@ -320,6 +415,7 @@ int64_t cp_insert(State *s, double mortality, double x0, double x1, double x2)
         d_tot += a;
         own += a;
     }
+    double mortality = field_at(&s->field[MORTALITY], s->d, x);
     double rate = mortality + own;
     memcpy(s->pos + i * s->d, x, (size_t)s->d * sizeof(double));
     s->rate[i] = rate;
@@ -333,9 +429,17 @@ int64_t cp_insert(State *s, double mortality, double x0, double x1, double x2)
     return i;
 }
 
+/* Add a particle at (x0, x1, x2), its first d coordinates; returns its row,
+ * or -1 when memory runs out. */
+int64_t cp_insert(State *s, double x0, double x1, double x2)
+{
+    const double x[3] = {x0, x1, x2};
+    return insert(s, x);
+}
+
 /* Delete the particle in row i; the last row moves into row i.  Float
  * drift can leave a rate, a cell sum or d_tot a few ulps below zero; the
- * death selection and the event step read such a value as zero.  Returns
+ * death selection and the event loop read such a value as zero.  Returns
  * -1, changing nothing, when there is no row i. */
 int cp_remove(State *s, int64_t i)
 {
@@ -434,12 +538,115 @@ double cp_audit(State *s)
         residual = fabs(d_tot - s->d_tot);
     if (residual > s->max_audit_residual)
         s->max_audit_residual = residual;
+    s->audits++;
     memcpy(s->rate, s->fresh, (size_t)s->n * sizeof(double));
     memset(s->cell_rate, 0, (size_t)s->cells * sizeof(double));
     for (int64_t i = 0; i < s->n; i++)
         s->cell_rate[s->cell_of[i]] += s->rate[i];
     s->d_tot = d_tot;
     return residual;
+}
+
+/* A domain point x of density proportional to field f, by rejection
+ * against its sup: d uniforms from u[k..] place a try and one more accepts
+ * it when u * sup <= f(x).  Returns the index past the uniforms taken, or -1
+ * when the n uniforms run out first. */
+static int64_t sample(const State *s, const Field *f, double *x,
+                      const double *u, int64_t n, int64_t k)
+{
+    for (;;) {
+        if (n - k < s->d + 1)
+            return -1;
+        for (int a = 0; a < s->d; a++)
+            x[a] = s->lo[a] + u[k++] * s->domain_side[a];
+        if (u[k++] * f->sup <= field_at(f, s->d, x))
+            return k;
+    }
+}
+
+/* Insert *left points of the DENSITY field, each drawn by `sample` from
+ * the uniforms u[*at..n), counting *left down and moving *at past each
+ * point's uniforms.  Returns DONE, MORE when the uniforms run out before
+ * the next point, or NO_MEMORY. */
+int cp_place(State *s, int64_t *left, const double *u, int64_t n,
+             int64_t *at)
+{
+    double x[3];
+    while (*left > 0) {
+        int64_t k = sample(s, &s->field[DENSITY], x, u, n, *at);
+        if (k < 0)
+            return MORE;
+        if (insert(s, x) < 0)
+            return NO_MEMORY;
+        *at = k;
+        (*left)--;
+    }
+    return DONE;
+}
+
+/* Run events from the uniforms u[*at..n) until the clock passes `until`,
+ * the event count passes `limit`, or the uniforms run out.
+ *
+ * An event takes a uniform for the wait -log1p(-u) / (B + D), B = b_tot and
+ * D = d_tot; when the clock would pass `until` it is set to `until` and the
+ * loop returns DONE, having used that uniform (the clock is memoryless, so
+ * the discarded wait is redrawn exactly).  With B > 0 a second uniform u
+ * makes the event a birth when u (B + D) <= B, so exact ties go to birth
+ * and a D a few ulps below zero makes every event a birth; a birth places
+ * its particle by `sample` on the BIRTH field.  A death takes one more
+ * uniform for `cp_death`.  Every audit_period events the state is audited.
+ * No event can happen when B + D <= 0, or when the window is empty and
+ * B <= 0 (whatever drift leaves in D): then the clock is set to `until`
+ * and the loop returns DONE, having used nothing.
+ *
+ * Returns LIMIT after the event that takes the count past `limit`; MORE
+ * when the uniforms run out inside an event, none of which is committed,
+ * with *at the index of its first uniform; NO_MEMORY or EMPTY on failure,
+ * with the event uncommitted. */
+int cp_advance(State *s, double until, int64_t limit, int64_t audit_period,
+               const double *u, int64_t n, int64_t *at)
+{
+    for (;;) {
+        double total = s->b_tot + s->d_tot, x[3];
+        int64_t k = *at;
+        if (total <= 0.0 || (s->n == 0 && s->b_tot <= 0.0)) {
+            s->t = until;
+            return DONE;
+        }
+        if (k == n)
+            return MORE;
+        double t = s->t - log1p(-u[k++]) / total;
+        if (t > until) {
+            s->t = until;
+            *at = k;
+            return DONE;
+        }
+        int birth = 0;
+        if (s->b_tot > 0.0) {
+            if (k == n)
+                return MORE;
+            birth = u[k++] * total <= s->b_tot;
+        }
+        if (birth) {
+            if ((k = sample(s, &s->field[BIRTH], x, u, n, k)) < 0)
+                return MORE;
+            if (insert(s, x) < 0)
+                return NO_MEMORY;
+            s->births++;
+        } else {
+            if (k == n)
+                return MORE;
+            if (cp_death(s, u[k++]) < 0)
+                return EMPTY;
+            s->deaths++;
+        }
+        s->t = t;
+        *at = k;
+        if (++s->events % audit_period == 0)
+            cp_audit(s);
+        if (s->events > limit)
+            return LIMIT;
+    }
 }
 
 /* The neighbour scan of a position x: the rows other than `exclude` within

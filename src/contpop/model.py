@@ -290,6 +290,8 @@ class RateField:
     its sup over a reference box is its value at the box point nearest c.
     """
 
+    KINDS = ("constant", "gaussian-bump", "tabulated")
+
     def __init__(self, kind: str, dimension: int):
         self.kind = kind
         self.dimension = int(dimension)
@@ -344,34 +346,6 @@ class RateField:
         if x.ndim == 1:
             return float(self.values[tuple(idx)])
         return self.values[tuple(np.moveaxis(idx, -1, 0))]
-
-    def scalar(self):
-        """The field as a plain-float function of one position (a sequence
-        of d floats), with the arithmetic of `__call__`."""
-        if self.kind == "constant":
-            value = self.value
-            return lambda x: value
-        if self.kind == "gaussian-bump":
-            amplitude, center = self.amplitude, self.center.tolist()
-            width2 = self.width**2
-
-            def bump(x):
-                q = 0.0
-                for xi, ci in zip(x, center):
-                    q += (xi - ci) * (xi - ci)
-                return amplitude * math.exp(-0.5 * q / width2)
-            return bump
-        lo, sides = self.box.lo.tolist(), self.box.sides.tolist()
-        shape = self.values.shape
-        flat = self.values.ravel().tolist()
-
-        def lookup(x):   # nearest grid cell, clipped to the reference box
-            k = 0
-            for xi, lo_i, side, n in zip(x, lo, sides, shape):
-                i = math.floor((xi - lo_i) / side * n)
-                k = k * n + min(max(i, 0), n - 1)
-            return flat[k]
-        return lookup
 
     @property
     def sup(self) -> float:

@@ -1,32 +1,32 @@
 """Event-driven simulation of the spatial birth-death process.
 
-Each replica runs the direct stochastic simulation algorithm, one event per
-`SimulationState.step`: waiting times are exponential in the total event
-rate B + D, where B is the integral of the birth intensity over the domain
-and D the sum of all death rates; the event is a birth with probability
-B / (B + D) (exact ties resolve to birth, the first kind in the fixed
-ordering).  Birth positions, and the points of a Poisson start, are drawn
-by one rejection sampler against the field's sup.  Death rates are
-maintained incrementally under a cell list with cell side >= r_cut, so
-only neighboring cells are touched per event; per-cell rate sums drive a
-two-level search for the dying particle.  Rates are recomputed from
-scratch every AUDIT_PERIOD events to keep float drift in check, and the
+Each replica runs the direct stochastic simulation algorithm: waiting times
+are exponential in the total event rate B + D, where B is the integral of
+the birth intensity over the domain and D the sum of all death rates; the
+event is a birth with probability B / (B + D) (exact ties resolve to birth,
+the first kind in the fixed ordering).  Birth positions, and the points of a
+Poisson start, are drawn by one rejection sampler against the field's sup.
+Death rates are maintained incrementally under a cell list with cell side
+>= r_cut, so only neighboring cells are touched per event; per-cell rate
+sums drive a two-level search for the dying particle.  Rates are recomputed
+from scratch every AUDIT_PERIOD events to keep float drift in check, and the
 worst residual seen is reported.  Drift a few ulps below zero is read as
 zero where it is used; the one repair it needs, a death-selection fallback,
 is counted.
 
-The per-event work runs in C, in `_events.c`, over flat buffers, one
-`ctypes` call per event: the stencil neighbour scan, the rate and cell-sum
-updates of an insert or a remove, the death selection and the audit.
-Python keeps the clock, the uniforms, the choice of event, birth placement
-and the rate fields; it passes m(x) with each insert, so the C code needs no
-field code.  The C code makes the float operations of the pure-Python engine
-it replaced in the same order (that engine is kept in `tests/` as the
-reference), so results are the same to the last bit.  The library is built
-with `cc` on first use and cached in `__pycache__` (see `_build`).  The event
-loop takes its uniforms from blocks of `rng.random(n)`, which holds the same
-doubles as n single draws, so the draws and the results are those of one
-call per uniform.
+The whole event loop runs in C, in `_events.c`, over flat buffers: the
+clock, the choice of event, the birth sampler, the three rate-field kinds,
+the stencil neighbour scan, the rate and cell-sum updates of an insert or a
+remove, the death selection and the audit.  `SimulationState.advance` and
+`step` are one entry point, `cp_advance`, called once per block of
+uniforms; Python draws the blocks with `rng.random(n)`, which holds the same
+doubles as n single draws, and when a block runs out inside an event the
+loop hands back the event's uniforms, to be run again ahead of the next
+block, so the draws and the results are those of one call per uniform.  The
+C code makes the float operations of the pure-Python engine it replaced in
+the same order (that engine is kept in `tests/` as the reference), so
+results are the same to the last bit.  The library is built with `cc` on
+first use and cached in `__pycache__` (see `_build`).
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
@@ -65,7 +65,10 @@ __all__ = [
 ]
 
 AUDIT_PERIOD = 1 << 16
-_UNIFORM_BLOCK = 512   # doubles drawn per rng.random call of the event loop
+_UNIFORM_BLOCK = 2048   # doubles drawn per rng.random call of the event loop
+# what cp_advance and cp_place return (the enum in _events.c)
+_DONE, _LIMIT, _MORE, _NO_MEMORY, _EMPTY = 0, 1, 2, -1, -2
+_BIRTH, _MORTALITY, _DENSITY = 0, 1, 2   # the field slots of a state
 
 
 class CappedRunError(RuntimeError):
@@ -112,9 +115,10 @@ class ReplicaPlan:
 class RunStats:
     """Aggregate counters across replicas.
 
-    `replica_events` lists each replica's event count, in replica order.
-    `selection_fallbacks` counts the float-drift repairs of the death
-    selection (see `SimulationState.step`).
+    `replica_events`, `replica_audits` and `replica_residuals` list each
+    replica's event count, audit count and largest audit residual, in
+    replica order.  `selection_fallbacks` counts the float-drift repairs of
+    the death selection (see `SimulationState.step`).
     `initial_s` and `event_loop_s` sum over the replicas the wall time of
     the initial sampling and of the event loop, each timed in the process
     that ran the replica; they are diagnostics, left out of comparisons.
@@ -126,6 +130,8 @@ class RunStats:
     max_audit_residual: float = 0.0
     selection_fallbacks: int = 0
     replica_events: list = dataclass_field(default_factory=list)
+    replica_audits: list = dataclass_field(default_factory=list)
+    replica_residuals: list = dataclass_field(default_factory=list)
     initial_s: float = dataclass_field(default=0.0, compare=False)
     event_loop_s: float = dataclass_field(default=0.0, compare=False)
 
@@ -135,18 +141,12 @@ class RunStats:
         self.events += other.events
         self.selection_fallbacks += other.selection_fallbacks
         self.replica_events.extend(other.replica_events)
+        self.replica_audits.extend(other.replica_audits)
+        self.replica_residuals.extend(other.replica_residuals)
         self.initial_s += other.initial_s
         self.event_loop_s += other.event_loop_s
         self.max_audit_residual = max(self.max_audit_residual,
                                       other.max_audit_residual)
-
-
-def _block_uniforms(rng: np.random.Generator):
-    """The doubles of successive rng.random() calls, drawn a block at a
-    time: rng.random(n) returns the same doubles as n single calls.  The
-    first block is drawn at the first next(), not at creation."""
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
@@ -158,6 +158,9 @@ class _State(ctypes.Structure):
     """The leading fields of `State` in _events.c, which Python reads."""
 
     _fields_ = [("n", ctypes.c_int64), ("d_tot", ctypes.c_double),
+                ("t", ctypes.c_double), ("events", ctypes.c_int64),
+                ("births", ctypes.c_int64), ("deaths", ctypes.c_int64),
+                ("audits", ctypes.c_int64),
                 ("max_audit_residual", ctypes.c_double),
                 ("selection_fallbacks", ctypes.c_int64),
                 ("pos", ctypes.POINTER(ctypes.c_double)),
@@ -206,13 +209,18 @@ def _library() -> ctypes.CDLL:
     c_int, c_int64, c_double = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     floats = np.ctypeslib.ndpointer(np.float64, flags="C")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C")
+    count = ctypes.POINTER(c_int64)
     for name, restype, argtypes in (
-            ("cp_new", state, [c_int, c_int, floats, floats, floats, ints,
-                               c_double, c_int, c_double, c_double, c_int64,
-                               floats, floats]),
+            ("cp_new", state, [c_int, c_int, floats, floats, floats, floats,
+                               ints, c_double, c_int, c_double, c_double,
+                               c_int64, floats, floats, c_double]),
             ("cp_free", None, [state]),
-            ("cp_insert", c_int64, [state, c_double, c_double, c_double,
-                                    c_double]),
+            ("cp_field", c_int, [state, c_int, c_int, c_double, c_double,
+                                 floats, floats, ints, floats, c_double]),
+            ("cp_insert", c_int64, [state, c_double, c_double, c_double]),
+            ("cp_place", c_int, [state, count, floats, c_int64, count]),
+            ("cp_advance", c_int, [state, c_double, c_int64, c_int64, floats,
+                                   c_int64, count]),
             ("cp_remove", c_int, [state, c_int64]),
             ("cp_death", c_int64, [state, c_double]),
             ("cp_audit", c_double, [state]),
@@ -224,19 +232,23 @@ def _library() -> ctypes.CDLL:
 
 
 def engine() -> dict:
-    """Which build runs the event step: the sha256 of `_events.c` and the
+    """Which build runs the event loop: the sha256 of `_events.c` and the
     compiler that built it.  Builds the library if it is not cached."""
     return {"source_sha256": hashlib.sha256(_SOURCE.read_bytes()).hexdigest(),
             "compiler": _library().cp_compiler().decode()}
 
 
+def _mirrored(name: str, doc: str) -> property:
+    """A read-only attribute of the state, read from its mirror `_s`."""
+    return property(lambda self: getattr(self._s, name), doc=doc)
+
+
 class SimulationState:
     """One replica's mutable state: particles, rates, cell lists, clocks.
 
-    Particles, rates and cell lists live in the buffers of the compiled
-    step (`_events.c`); `_s` holds their lengths, the death total and the
-    repair counters.  Python keeps the clock, the uniforms, the choice of
-    event, birth placement and the rate fields.
+    Particles, rates, cell lists, the clock and the event counters live in
+    the compiled state (`_events.c`), which `_s` mirrors; Python keeps the
+    generator and the block of uniforms the compiled loop reads.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator):
@@ -248,55 +260,85 @@ class SimulationState:
         kernel = params.kernel
         d = window.dimension
         self.dimension = d
-        self.domain_lo = domain.lo.tolist()
-        self.domain_sides = domain.sides.tolist()
+        sides = domain.sides.tolist()
         if kernel.r_cut > 0.0:
-            counts = [max(math.floor(s / kernel.r_cut), 1)
-                      for s in self.domain_sides]
+            counts = [max(math.floor(s / kernel.r_cut), 1) for s in sides]
         else:
             counts = [1] * d   # no interactions: one cell
         self.n_cells = counts
-        self.cell_sides = [s / n for s, n in zip(self.domain_sides, counts)]
+        self.cell_sides = [s / n for s, n in zip(sides, counts)]
         self.total_cells = math.prod(counts)
-        self._mortality = params.mortality.scalar()
-        self._birth = params.birth.scalar()
         self._pad = (0.0,) * (3 - d)   # cp_insert takes three coordinates
         table = (kernel._r_table, kernel._a_table) \
             if kernel.kind == "tabulated" else (np.empty(0), np.empty(0))
         self._c = lib.cp_new(
             d, window.boundary == "periodic", window.sides, domain.lo,
-            np.array(self.cell_sides), np.array(counts, dtype=np.int64),
-            kernel.r_cut, CompetitionKernel.KINDS.index(kernel.kind),
-            kernel.amplitude, kernel.scale, len(table[0]), *table)
+            domain.sides, np.array(self.cell_sides),
+            np.array(counts, dtype=np.int64), kernel.r_cut,
+            CompetitionKernel.KINDS.index(kernel.kind), kernel.amplitude,
+            kernel.scale, len(table[0]), *table, params.birth_total)
         if not self._c:
             raise MemoryError("no memory for the simulation state")
         self._s = _State.from_address(self._c)
         weakref.finalize(self, lib.cp_free, self._c)
-        self.t = 0.0
-        self.b_tot = params.birth_total
-        self.b_sup = params.birth.sup
-        self.births = 0
-        self.deaths = 0
-        self.events = 0
-        # the event loop's uniforms; `seed_initial` draws its Poisson count
-        # from `rng` itself, before the first block is taken
-        self._uniforms = _block_uniforms(rng)
+        self._set_field(_BIRTH, params.birth)
+        self._set_field(_MORTALITY, params.mortality)
+        # the event loop's uniforms, from u[at]; the first block is drawn
+        # when the loop first needs one, after `seed_initial`'s count
+        self._u = np.empty(0)
+        self._at = ctypes.c_int64(0)
 
-    @property
-    def n(self) -> int:
-        return self._s.n
+    def _set_field(self, slot: int, field: RateField) -> None:
+        d = self.dimension
+        origin = side = np.zeros(d)
+        shape, values = np.ones(d, dtype=np.int64), np.zeros(1)
+        scale = width2 = 0.0
+        if field.kind == "constant":
+            scale = field.value
+        elif field.kind == "gaussian-bump":
+            scale, origin, width2 = field.amplitude, field.center, \
+                field.width**2
+        else:
+            origin, side = field.box.lo, field.box.sides
+            shape = np.array(field.values.shape, dtype=np.int64)
+            values = np.ascontiguousarray(field.values.ravel())
+        if self._lib.cp_field(self._c, slot, RateField.KINDS.index(field.kind),
+                              scale, width2, origin, side, shape, values,
+                              field.sup):
+            raise MemoryError("no memory for a rate field")
 
-    @property
-    def d_tot(self) -> float:
-        """The death total D, the sum of the rates."""
-        return self._s.d_tot
+    def _run(self, entry, *args) -> int:
+        """Call a compiled loop until it is done with the uniforms: each
+        time it runs out it is called again with the uniforms it left and
+        a fresh block after them.  Returns its DONE or LIMIT."""
+        while (code := entry(self._c, *args, self._u, len(self._u),
+                             self._at)) == _MORE:
+            self._u = np.concatenate((self._u[self._at.value:],
+                                      self.rng.random(_UNIFORM_BLOCK)))
+            self._at.value = 0
+        if code == _NO_MEMORY:
+            raise MemoryError("no memory for another particle")
+        if code == _EMPTY:
+            raise RuntimeError("a death was drawn in an empty window")
+        return code
+
+    n = _mirrored("n", "The number of particles.")
+    d_tot = _mirrored("d_tot", "The death total D, the sum of the rates.")
+    t = _mirrored("t", "The clock.")
+    events = _mirrored("events", "Events run so far.")
+    births = _mirrored("births", "Births among the events.")
+    deaths = _mirrored("deaths", "Deaths among the events.")
 
     # -- particle bookkeeping --------------------------------------------------
 
     def insert(self, x) -> int:
-        """Add a particle at position x, a sequence of d numbers; returns
-        its row."""
-        i = self._lib.cp_insert(self._c, self._mortality(x), *x, *self._pad)
+        """Add a particle at position x, a sequence of d finite numbers;
+        returns its row."""
+        x = [float(v) for v in x]
+        if len(x) != self.dimension or not all(map(math.isfinite, x)):
+            raise ValueError(f"a position is {self.dimension} finite "
+                             f"numbers, not {x}")
+        i = self._lib.cp_insert(self._c, *x, *self._pad)
         if i < 0:
             raise MemoryError("no memory for another particle")
         return i
@@ -312,16 +354,6 @@ class SimulationState:
 
     # -- events ----------------------------------------------------------------
 
-    def _draw_birth_position(self, field, sup: float) -> list:
-        """A domain point of density proportional to `field` (a `scalar()`
-        evaluator) by rejection against its sup `sup`."""
-        uniforms = self._uniforms
-        while True:
-            x = [lo + next(uniforms) * side
-                 for lo, side in zip(self.domain_lo, self.domain_sides)]
-            if next(uniforms) * sup <= field(x):
-                return x
-
     def step(self, until: float = math.inf) -> str:
         """Run the next event, or set the clock to `until` and return
         'halted' when no event can happen or the event falls after `until`
@@ -334,36 +366,21 @@ class SimulationState:
         two-level search for u * D finds over the cell sums, then the member
         rates; when float drift carries the target past every sum, the last
         occupied cell or the cell's last member is taken and counted in
-        `selection_fallbacks`."""
-        total = self.b_tot + self._s.d_tot
-        if total <= 0.0 or not self._s.n and self.b_tot <= 0.0:
-            self.t = until
+        `selection_fallbacks`.  This is one event of the loop `advance`
+        runs (`cp_advance` in `_events.c`)."""
+        births = self.births
+        if self._run(self._lib.cp_advance, until, self.events,
+                     AUDIT_PERIOD) == _DONE:
             return "halted"
-        t = self.t - math.log1p(-next(self._uniforms)) / total
-        if t > until:
-            self.t = until
-            return "halted"
-        self.t = t
-        if self.b_tot > 0.0 and next(self._uniforms) * total <= self.b_tot:
-            self.insert(self._draw_birth_position(self._birth, self.b_sup))
-            self.births += 1
-            kind = "birth"
-        else:
-            if self._lib.cp_death(self._c, next(self._uniforms)) < 0:
-                raise RuntimeError("a death was drawn in an empty window")
-            self.deaths += 1
-            kind = "death"
-        self.events += 1
-        if self.events % AUDIT_PERIOD == 0:
-            self.audit()
-        return kind
+        return "birth" if self.births > births else "death"
 
     def advance(self, until: float, max_events: int = 10**8,
                 replica: int = 0) -> None:
-        """Run events up to time `until`."""
-        while self.step(until) != "halted":
-            if self.events > max_events:
-                raise CappedRunError(replica, self.events, self.t)
+        """Run events up to time `until`; more than `max_events` events in
+        all raise CappedRunError."""
+        if self._run(self._lib.cp_advance, until, max_events,
+                     AUDIT_PERIOD) == _LIMIT:
+            raise CappedRunError(replica, self.events, self.t)
 
     # -- integrity ---------------------------------------------------------------
 
@@ -375,11 +392,11 @@ class SimulationState:
         """Insert an (n, d) array of points, or a Poisson state of a density
         RateField, its count drawn from `rng` and its points like births."""
         if isinstance(initial, RateField):
-            density, sup = initial.scalar(), initial.sup
-            count = self.rng.poisson(
-                initial.integral_over(self.params.window.domain))
-            initial = [self._draw_birth_position(density, sup)
-                       for _ in range(count)]
+            left = ctypes.c_int64(self.rng.poisson(
+                initial.integral_over(self.params.window.domain)))
+            self._set_field(_DENSITY, initial)
+            self._run(self._lib.cp_place, left)
+            return
         for x in initial:
             self.insert(x)
 
@@ -389,11 +406,12 @@ class SimulationState:
             n, d).copy()
 
     def stats(self) -> RunStats:
-        return RunStats(births=self.births, deaths=self.deaths,
-                        events=self.events,
-                        max_audit_residual=self._s.max_audit_residual,
-                        selection_fallbacks=self._s.selection_fallbacks,
-                        replica_events=[self.events])
+        s = self._s
+        return RunStats(births=s.births, deaths=s.deaths, events=s.events,
+                        max_audit_residual=s.max_audit_residual,
+                        selection_fallbacks=s.selection_fallbacks,
+                        replica_events=[s.events], replica_audits=[s.audits],
+                        replica_residuals=[s.max_audit_residual])
 
 
 def _run_one(params: ModelParams, plan: ReplicaPlan,

@@ -1,11 +1,15 @@
 """The pure-Python event engine, kept as the reference for `_events.c`.
 
 `ReferenceState` holds a replica's particles, rates and cell lists in plain
-Python lists and runs the per-event work that `SimulationState` hands to its
-compiled step: the stencil neighbour scan, the rate updates of `insert` and
-`remove`, the two-level death selection and the audit recompute.  It makes
-the same float operations in the same order, so the two engines agree to the
-last bit; `tests/test_events.py` drives both and compares them with `==`.
+Python lists and runs the event loop that `SimulationState` hands to its
+compiled code: the clock, the choice of event and the birth sampler
+(`step`, drawing one uniform per `rng.random()` call), the rate fields
+(`scalar_field`), the stencil neighbour scan, the rate updates of `insert`
+and `remove`, the two-level death selection and the audit recompute.  It
+makes the same float operations in the same order, so the two engines agree
+to the last bit; `tests/test_events.py` drives both an operation at a time
+and `tests/test_trajectories.py` a whole replica at a time, and both compare
+them with `==`.
 
 `views(state)` reads the buffers of a `SimulationState` as numpy views, for
 the tests that look inside the compiled state.
@@ -18,6 +22,8 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+
+from contpop import CappedRunError, RateField, simulator
 
 
 def scalar_profile(kernel):
@@ -46,6 +52,35 @@ def scalar_profile(kernel):
     return interp
 
 
+def scalar_field(field):
+    """A `RateField` as a plain-float function of one position (a sequence
+    of d floats), with the arithmetic of `field.__call__`."""
+    if field.kind == "constant":
+        value = field.value
+        return lambda x: value
+    if field.kind == "gaussian-bump":
+        amplitude, center = field.amplitude, field.center.tolist()
+        width2 = field.width**2
+
+        def bump(x):
+            q = 0.0
+            for xi, ci in zip(x, center):
+                q += (xi - ci) * (xi - ci)
+            return amplitude * math.exp(-0.5 * q / width2)
+        return bump
+    lo, sides = field.box.lo.tolist(), field.box.sides.tolist()
+    shape = field.values.shape
+    flat = field.values.ravel().tolist()
+
+    def lookup(x):   # nearest grid cell, clipped to the reference box
+        k = 0
+        for xi, lo_i, side, n in zip(x, lo, sides, shape):
+            i = math.floor((xi - lo_i) / side * n)
+            k = k * n + min(max(i, 0), n - 1)
+        return flat[k]
+    return lookup
+
+
 def _sum_in_order(values) -> float:
     """The float sum of `values` added left to right (the builtin `sum`
     compensates the rounding from Python 3.12)."""
@@ -57,14 +92,17 @@ def _sum_in_order(values) -> float:
 
 class ReferenceState:
     """Particles, rates and cell lists of one replica, in Python lists,
-    on the cell grid of `SimulationState`."""
+    on the cell grid of `SimulationState`; its events draw from `rng`."""
 
-    def __init__(self, params):
+    def __init__(self, params, rng=None):
         window = params.window
         domain = window.domain
         d = window.dimension
+        self.params = params
+        self.rng = rng
         self.dimension = d
         self.domain_lo = domain.lo.tolist()
+        self.domain_sides = domain.sides.tolist()
         self.periodic = window.boundary == "periodic"
         self.r_cut = r_cut = params.kernel.r_cut
         self._reach2 = r_cut * r_cut * (1.0 + 1e-9)
@@ -72,7 +110,13 @@ class ReferenceState:
         self._halves = [s / 2.0 if self.periodic else math.inf
                         for s in self._sides]
         self._kernel = scalar_profile(params.kernel)
-        self._mortality = params.mortality.scalar()
+        self._mortality = scalar_field(params.mortality)
+        self._birth = scalar_field(params.birth)
+        self.b_tot = params.birth_total
+        self.b_sup = params.birth.sup
+        self.t = 0.0
+        self.births = self.deaths = self.events = self.audits = 0
+        self.rejections = 0   # birth-sampler tries turned down
         sides = domain.sides.tolist()
         counts = [max(math.floor(s / r_cut), 1) for s in sides] \
             if r_cut > 0.0 else [1] * d
@@ -212,12 +256,66 @@ class ReferenceState:
                        default=0.0)
         residual = max(residual, abs(d_tot - self.d_tot))
         self.max_audit_residual = max(self.max_audit_residual, residual)
+        self.audits += 1
         self.rate = fresh
         self.cell_rate = [0.0] * self.total_cells
         for c, r in zip(self.cell_of, fresh):
             self.cell_rate[c] += r
         self.d_tot = d_tot
         return residual
+
+    # -- the event loop, as `SimulationState` ran it in Python ---------------
+
+    def _draw_birth_position(self, field, sup: float) -> list:
+        """A domain point of density proportional to `field` (a
+        `scalar_field`) by rejection against its sup `sup`."""
+        while True:
+            x = [lo + self.rng.random() * side
+                 for lo, side in zip(self.domain_lo, self.domain_sides)]
+            if self.rng.random() * sup <= field(x):
+                return x
+            self.rejections += 1
+
+    def step(self, until: float = math.inf) -> str:
+        """The next event, or 'halted' with the clock at `until`; the audit
+        runs every `simulator.AUDIT_PERIOD` events."""
+        total = self.b_tot + self.d_tot
+        if total <= 0.0 or not self.rate and self.b_tot <= 0.0:
+            self.t = until
+            return "halted"
+        t = self.t - math.log1p(-self.rng.random()) / total
+        if t > until:
+            self.t = until
+            return "halted"
+        self.t = t
+        if self.b_tot > 0.0 and self.rng.random() * total <= self.b_tot:
+            self.insert(self._draw_birth_position(self._birth, self.b_sup))
+            self.births += 1
+            kind = "birth"
+        else:
+            self.remove(self.select_death(self.rng.random()))
+            self.deaths += 1
+            kind = "death"
+        self.events += 1
+        if self.events % simulator.AUDIT_PERIOD == 0:
+            self.audit()
+        return kind
+
+    def advance(self, until: float, max_events: int = 10**8,
+                replica: int = 0) -> None:
+        while self.step(until) != "halted":
+            if self.events > max_events:
+                raise CappedRunError(replica, self.events, self.t)
+
+    def seed_initial(self, initial) -> None:
+        if isinstance(initial, RateField):
+            density, sup = scalar_field(initial), initial.sup
+            count = self.rng.poisson(
+                initial.integral_over(self.params.window.domain))
+            initial = [self._draw_birth_position(density, sup)
+                       for _ in range(count)]
+        for x in initial:
+            self.insert(x)
 
 
 def views(state) -> SimpleNamespace:

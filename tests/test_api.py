@@ -77,6 +77,9 @@ def has_dotted(obj, name):
     ("model", "CompetitionKernel.top_hat"),
     ("model", "CompetitionKernel.tabulated"),
     ("model", "CompetitionKernel.zero"),
+    ("model", "RateField.scalar"),
+    ("simulator", "_block_uniforms"),
+    ("simulator", "SimulationState._draw_birth_position"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)

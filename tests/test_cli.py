@@ -382,6 +382,27 @@ def test_summary_records_per_replica_spreads(golden_interacting_runs):
                       .read_text())["per_replica"] == spread
 
 
+def test_summary_records_per_replica_audits(tmp_path, monkeypatch):
+    # replica r is audited every AUDIT_PERIOD of its events; the top-level
+    # residual is the largest per-replica one
+    monkeypatch.setattr("contpop.simulator.AUDIT_PERIOD", 64)
+    cfg = write_cfg(tmp_path, b=2.0, m=0.5,
+                    initial={"kind": "poisson", "density": 1.0})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "5", "--replicas", "5", "--snapshots", "4.0",
+                 "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    spread = summary["per_replica"]
+    assert {k: v // 64 for k, v in spread["events"].items()
+            if k != "median"} == {k: v for k, v in spread["audits"].items()
+                                  if k != "median"}
+    assert spread["audits"]["min"] > 0
+    residual = spread["max_audit_residual"]
+    assert 0.0 <= residual["min"] <= residual["median"] <= residual["max"]
+    assert residual["max"] == summary["max_audit_residual"]
+
+
 def test_seed_comes_from_environment_when_flag_is_absent(tmp_path,
                                                          monkeypatch):
     cfg = write_cfg(tmp_path, initial={"kind": "poisson", "density": 0.3})

@@ -19,7 +19,7 @@ from contpop import (
     cell_infimum,
 )
 from conftest import brute_death_rate, gaussian_unit_kernel, make_params
-from reference_engine import scalar_profile, views
+from reference_engine import scalar_field, scalar_profile, views
 
 
 # ---------------------------------------------------------------- geometry
@@ -361,7 +361,7 @@ def test_scalar_fields_match_vectorised(rng):
               RateField.tabulated(rng.random((3, 5)), box)]
     points = rng.uniform([-1.0, -2.0], [5.0, 3.0], size=(300, 2))
     for field in fields:
-        scalar = field.scalar()
+        scalar = scalar_field(field)
         got = np.array([scalar(p.tolist()) for p in points])
         np.testing.assert_allclose(got, field(points), rtol=1e-15,
                                    atol=0.0, err_msg=field.kind)

@@ -140,6 +140,25 @@ def test_insert_grows_storage_and_audit_agrees():
     assert state.audit() <= 1e-9
 
 
+def test_insert_refuses_a_non_finite_position():
+    # a nan coordinate would take cell 0 and no neighbours, an infinite one
+    # the last cell: either leaves the rates wrong
+    state = SimulationState(free_params(), np.random.default_rng(0))
+    for x in ([math.nan], [math.inf], np.array([-math.inf])):
+        with pytest.raises(ValueError, match="finite numbers"):
+            state.insert(x)
+    assert state.n == 0 and state.d_tot == 0.0
+
+
+def test_insert_refuses_a_position_of_the_wrong_length():
+    state = SimulationState(make_params(window=Window([4.0, 4.0])),
+                            np.random.default_rng(0))
+    for x in ([], [1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="2 finite numbers"):
+            state.insert(x)
+    assert state.n == 0 and state.insert([1.0, 2.0]) == 0
+
+
 def test_empty_system_without_birth_halts():
     params = free_params(b=0.0, m=1.0)
     plan = ReplicaPlan(replicas=5, base_seed=3, snapshots=(0.0, 1.0, 2.0))
@@ -440,7 +459,7 @@ def test_neighbors_match_all_pairs_reference(label, window, r_cut):
     lo, hi = window.domain.lo, window.domain.hi
     # cell edges: every corner of the simulator grid inside the domain
     edges = np.stack(np.meshgrid(*[
-        np.asarray(state.domain_lo[a]) + state.cell_sides[a] *
+        lo[a] + state.cell_sides[a] *
         np.arange(state.n_cells[a]) for a in range(d)], indexing="ij"),
         axis=-1).reshape(-1, d)
     gen = np.random.default_rng(11)
