@@ -362,6 +362,19 @@ State *cp_new(int d, int periodic, const double *side, const double *lo,
     return s;
 }
 
+/* Empty the state for a new replica: no particles, empty cells with rate
+ * sums 0, the clock, the death total and every counter 0.  The geometry,
+ * the stencils, the kernel, the fields and the buffers stay as they are. */
+void cp_reset(State *s)
+{
+    s->n = 0;
+    s->d_tot = s->t = s->max_audit_residual = 0.0;
+    s->events = s->births = s->deaths = s->audits = 0;
+    s->selection_fallbacks = 0;
+    memset(s->count, 0, (size_t)s->cells * sizeof(int64_t));
+    memset(s->cell_rate, 0, (size_t)s->cells * sizeof(double));
+}
+
 /* Field `slot` of the state: BIRTH, MORTALITY, or DENSITY, the density of a
  * Poisson start.  `kind` is one of CONSTANT (scale), BUMP (scale the
  * amplitude, origin the centre, width2 the squared width) or TABLE (origin

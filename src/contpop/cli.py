@@ -645,9 +645,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=os.environ.get("CONTPOP_SEED"),
                            help="base seed (fallback: CONTPOP_SEED)")
             p.add_argument("--threads", type=_number(int, 1), default=1,
-                           help="worker processes for the replicas, at most "
-                                "one per replica and per CPU (default 1: "
-                                "run in this process)")
+                           help="processes for the replicas, this one and "
+                                "forked workers, at most one per replica and "
+                                "per CPU (default 1: run in this process)")
 
     p = sub.add_parser("simulate", help="run stochastic replicas")
     common(p, seed=True)

@@ -32,18 +32,21 @@ Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
 in any order, with identical results.  A replica starts from
 `SimulationState.seed_initial`: fixed points, or a Poisson state.
-`run_replicas` spreads the replicas over up to `threads` forked worker
-processes, at most one per replica and per CPU, and merges their results in
-replica order.
+`run_replicas` cuts the replicas into contiguous ranges, runs the first in
+this process and the others in forked workers, each process on one state
+reset between its replicas, and merges the results in replica order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
 import math
 import os
+import pickle
+import signal
 import time
 import weakref
 from dataclasses import dataclass, field as dataclass_field
@@ -121,7 +124,9 @@ class RunStats:
     the death selection (see `SimulationState.step`).
     `initial_s` and `event_loop_s` sum over the replicas the wall time of
     the initial sampling and of the event loop, each timed in the process
-    that ran the replica; they are diagnostics, left out of comparisons.
+    that ran the replica (a process builds its state in its first replica's
+    initial sampling and resets it in the others'); they are diagnostics,
+    left out of comparisons.
     """
 
     births: int = 0
@@ -203,9 +208,10 @@ def _build(cache: Path) -> Path:
 @functools.cache
 def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__")))
-    # a state is passed as its address: a c_void_p argument converts
-    # faster than a typed pointer, on the path taken once per event
-    state = ctypes.c_void_p
+    # a state and a block of uniforms are passed as addresses: a c_void_p
+    # argument converts faster than a typed pointer or an ndpointer, on the
+    # paths taken once per event or per block
+    state = block = ctypes.c_void_p
     c_int, c_int64, c_double = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     floats = np.ctypeslib.ndpointer(np.float64, flags="C")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C")
@@ -215,11 +221,12 @@ def _library() -> ctypes.CDLL:
                                ints, c_double, c_int, c_double, c_double,
                                c_int64, floats, floats, c_double]),
             ("cp_free", None, [state]),
+            ("cp_reset", None, [state]),
             ("cp_field", c_int, [state, c_int, c_int, c_double, c_double,
                                  floats, floats, ints, floats, c_double]),
             ("cp_insert", c_int64, [state, c_double, c_double, c_double]),
-            ("cp_place", c_int, [state, count, floats, c_int64, count]),
-            ("cp_advance", c_int, [state, c_double, c_int64, c_int64, floats,
+            ("cp_place", c_int, [state, count, block, c_int64, count]),
+            ("cp_advance", c_int, [state, c_double, c_int64, c_int64, block,
                                    c_int64, count]),
             ("cp_remove", c_int, [state, c_int64]),
             ("cp_death", c_int64, [state, c_double]),
@@ -248,18 +255,19 @@ class SimulationState:
 
     Particles, rates, cell lists, the clock and the event counters live in
     the compiled state (`_events.c`), which `_s` mirrors; Python keeps the
-    generator and the block of uniforms the compiled loop reads.
+    generator and the block of uniforms the compiled loop reads.  `reset`
+    empties the state for the next replica of the same model.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator):
         self.params = params
-        self.rng = rng
         self._lib = lib = _library()
         window = params.window
         domain = window.domain
         kernel = params.kernel
         d = window.dimension
         self.dimension = d
+        self._domain = domain
         sides = domain.sides.tolist()
         if kernel.r_cut > 0.0:
             counts = [max(math.floor(s / kernel.r_cut), 1) for s in sides]
@@ -283,10 +291,22 @@ class SimulationState:
         weakref.finalize(self, lib.cp_free, self._c)
         self._set_field(_BIRTH, params.birth)
         self._set_field(_MORTALITY, params.mortality)
+        # the start density that `seed_initial` last set, and its mean count
+        self._density, self._density_mean = None, 0.0
+        self._at = ctypes.c_int64(0)
+        self.reset(rng)
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Empty the state for a new replica that draws from `rng`: no
+        particles, the clock and every counter at 0.  The geometry, the
+        kernel, the fields and the allocated buffers are kept."""
+        self._lib.cp_reset(self._c)
+        self.rng = rng
         # the event loop's uniforms, from u[at]; the first block is drawn
         # when the loop first needs one, after `seed_initial`'s count
         self._u = np.empty(0)
-        self._at = ctypes.c_int64(0)
+        self._u_address = self._u.ctypes.data
+        self._at.value = 0
 
     def _set_field(self, slot: int, field: RateField) -> None:
         d = self.dimension
@@ -311,10 +331,11 @@ class SimulationState:
         """Call a compiled loop until it is done with the uniforms: each
         time it runs out it is called again with the uniforms it left and
         a fresh block after them.  Returns its DONE or LIMIT."""
-        while (code := entry(self._c, *args, self._u, len(self._u),
+        while (code := entry(self._c, *args, self._u_address, len(self._u),
                              self._at)) == _MORE:
             self._u = np.concatenate((self._u[self._at.value:],
                                       self.rng.random(_UNIFORM_BLOCK)))
+            self._u_address = self._u.ctypes.data
             self._at.value = 0
         if code == _NO_MEMORY:
             raise MemoryError("no memory for another particle")
@@ -332,12 +353,15 @@ class SimulationState:
     # -- particle bookkeeping --------------------------------------------------
 
     def insert(self, x) -> int:
-        """Add a particle at position x, a sequence of d finite numbers;
-        returns its row."""
+        """Add a particle at position x, a sequence of d finite numbers
+        inside the simulation domain; returns its row."""
         x = [float(v) for v in x]
         if len(x) != self.dimension or not all(map(math.isfinite, x)):
             raise ValueError(f"a position is {self.dimension} finite "
                              f"numbers, not {x}")
+        if not self._domain.contains_points(x).all():
+            raise ValueError(f"position {x} lies outside the simulation "
+                             f"domain {self._domain}")
         i = self._lib.cp_insert(self._c, *x, *self._pad)
         if i < 0:
             raise MemoryError("no memory for another particle")
@@ -392,9 +416,11 @@ class SimulationState:
         """Insert an (n, d) array of points, or a Poisson state of a density
         RateField, its count drawn from `rng` and its points like births."""
         if isinstance(initial, RateField):
-            left = ctypes.c_int64(self.rng.poisson(
-                initial.integral_over(self.params.window.domain)))
-            self._set_field(_DENSITY, initial)
+            if initial is not self._density:
+                self._set_field(_DENSITY, initial)
+                self._density = initial
+                self._density_mean = initial.integral_over(self._domain)
+            left = ctypes.c_int64(self.rng.poisson(self._density_mean))
             self._run(self._lib.cp_place, left)
             return
         for x in initial:
@@ -414,20 +440,60 @@ class SimulationState:
                         replica_residuals=[s.max_audit_residual])
 
 
-def _run_one(params: ModelParams, plan: ReplicaPlan,
-             replica: int) -> tuple[list[np.ndarray], RunStats]:
-    t0 = time.perf_counter()
-    state = SimulationState(params, _replica_rng(plan.base_seed, replica))
-    state.seed_initial(plan.initial)
-    t1 = time.perf_counter()
-    configs = []
-    for t_snap in plan.snapshots:
-        state.advance(t_snap, max_events=plan.max_events, replica=replica)
-        configs.append(state.snapshot())
-    stats = state.stats()
-    stats.initial_s = t1 - t0
-    stats.event_loop_s = time.perf_counter() - t1
-    return configs, stats
+def _run_range(params: ModelParams, plan: ReplicaPlan,
+               replicas: range) -> tuple[np.ndarray, list, RunStats]:
+    """Run `replicas` in order on one state, reset between them; returns
+    their snapshots as one particle table, its counts per replica and
+    snapshot, and their merged stats.  The first failing replica raises."""
+    state, configs, counts, stats = None, [], [], RunStats()
+    for replica in replicas:
+        t0 = time.perf_counter()
+        rng = _replica_rng(plan.base_seed, replica)
+        if state is None:
+            state = SimulationState(params, rng)
+        else:
+            state.reset(rng)
+        state.seed_initial(plan.initial)
+        t1 = time.perf_counter()
+        shots = []
+        for t_snap in plan.snapshots:
+            state.advance(t_snap, max_events=plan.max_events, replica=replica)
+            shots.append(state.snapshot())
+        replica_stats = state.stats()
+        replica_stats.initial_s = t1 - t0
+        replica_stats.event_loop_s = time.perf_counter() - t1
+        stats.merge(replica_stats)
+        configs += shots
+        counts.append([len(pos) for pos in shots])
+    return np.concatenate(configs), counts, stats
+
+
+def _fork(params: ModelParams, plan: ReplicaPlan, replicas: range):
+    """Fork a worker that runs `replicas` and sends what `_run_range`
+    returns, or what it raised, pickled down a pipe; returns the worker's
+    pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:   # the worker: never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = _run_range(params, plan, replicas)
+            except BaseException as exc:
+                result = exc
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
 
 def run_replicas(params: ModelParams, plan: ReplicaPlan,
@@ -435,32 +501,53 @@ def run_replicas(params: ModelParams, plan: ReplicaPlan,
     """Run all replicas and collect their snapshots, in replica order, into
     one particle table.
 
-    `threads` is the number of worker processes, capped by the replica count
-    and `os.cpu_count()`; with one worker the replicas run in this process.
-    Workers are forked, so a caller that runs other threads should pass 1.
-    Results are a function of (params, plan) only: replica streams are
-    independent by construction and the merge order is fixed, so the worker
-    count never changes the output.
+    With W = min(threads, replicas, os.cpu_count()), the R replicas are
+    cut into the ranges [R k / W, R (k + 1) / W).  This process runs range
+    0 and forks a worker for each other range; the workers' pipes are read
+    in range order, so a worker's exception, raised here, is that of the
+    lowest failing replica, as with W = 1.  On any exception here the
+    workers still running are killed and reaped first.  Workers are forked,
+    so a caller that runs other threads should pass 1.  Results are a
+    function of (params, plan) only: replica streams are independent by
+    construction and the merge order is fixed, so W never changes them.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
     workers = min(threads, plan.replicas, os.cpu_count() or 1)
-    if workers == 1:
-        results = [_run_one(params, plan, r) for r in range(plan.replicas)]
-    else:
-        # imported here, so that runs in one process never pay for the pool
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        _library()   # loaded before the fork: the workers share one build
-        chunk = -(-plan.replicas // (4 * workers))
-        with ProcessPoolExecutor(workers,
-                                 mp_context=get_context("fork")) as pool:
-            results = list(pool.map(functools.partial(_run_one, params, plan),
-                                    range(plan.replicas), chunksize=chunk))
+    cuts = [plan.replicas * k // workers for k in range(workers + 1)]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    _library()   # loaded before any fork: the workers share one build
+    running = []   # (replicas, pid, pipe) of the workers not yet reaped
+    try:
+        for replicas in ranges[1:]:
+            running.append((replicas, *_fork(params, plan, replicas)))
+        parts = [_run_range(params, plan, ranges[0])]
+        while running:
+            replicas, pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[0]
+            if status != 0:
+                raise RuntimeError(
+                    f"the worker running replicas {replicas.start} to "
+                    f"{replicas.stop - 1} ended with status {status} before "
+                    f"sending its results")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            parts.append(result)
+    finally:
+        for _, pid, pipe in running:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
     stats = RunStats()
-    for _, replica_stats in results:
-        stats.merge(replica_stats)
-    points = np.concatenate([pos for configs, _ in results for pos in configs])
-    counts = [[len(pos) for pos in configs] for configs, _ in results]
-    return SnapshotEnsemble(params.window, plan.snapshots, points,
-                            counts), stats
+    for _, _, part_stats in parts:
+        stats.merge(part_stats)
+    return SnapshotEnsemble(
+        params.window, plan.snapshots,
+        np.concatenate([points for points, _, _ in parts]),
+        [counts for _, part_counts, _ in parts for counts in part_counts]
+    ), stats

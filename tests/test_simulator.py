@@ -1,8 +1,12 @@
 """Event-driven simulator: initial sampling, event mechanics, determinism."""
 
+import contextlib
 import functools
 import math
+import os
 import pickle
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -20,6 +24,7 @@ from contpop import (
     Window,
     mean_density,
     run_replicas,
+    simulator,
 )
 from conftest import brute_death_rate, gaussian_unit_kernel, make_params
 from reference_engine import ReferenceState, neighbors, views
@@ -159,6 +164,34 @@ def test_insert_refuses_a_position_of_the_wrong_length():
     assert state.n == 0 and state.insert([1.0, 2.0]) == 0
 
 
+def test_insert_refuses_a_position_outside_the_domain():
+    # 15.2 would be filed in the edge cell at 10, whose stencil misses the
+    # particle at 5.0 that its periodic image at 5.2 competes with
+    params = make_params(window=Window([L]), kernel=CompetitionKernel(
+        "gaussian", 1, 1.0, 0.5, r_cut=2.0), m=0.5)
+    state = SimulationState(params, np.random.default_rng(0))
+    state.insert([5.0])
+    for x in ([15.2], [L], [-0.1]):
+        with pytest.raises(ValueError, match=r"outside the simulation "
+                           r"domain Box\(lo=\[0.0\], hi=\[10.0\]\)"):
+            state.insert(x)
+    assert views(state).rate.tolist() == [0.5]
+    state.insert([5.2])
+    pos = np.array([[5.0], [5.2]])
+    assert views(state).rate.tolist() == pytest.approx(
+        [brute_death_rate(i, pos, params) for i in range(2)])
+    assert brute_death_rate(0, pos, params) == pytest.approx(1.423, abs=1e-3)
+    # an absorbing window's domain is the core and its buffer, [-1, 5)
+    state = SimulationState(make_params(window=Window(
+        [4.0], boundary="absorbing-buffer", buffer_width=1.0)),
+        np.random.default_rng(0))
+    assert state.insert([-1.0]) == 0 and state.insert([4.9]) == 1
+    for x in ([-1.01], [5.0]):
+        with pytest.raises(ValueError, match="outside the simulation domain"):
+            state.insert(x)
+    assert state.n == 2
+
+
 def test_empty_system_without_birth_halts():
     params = free_params(b=0.0, m=1.0)
     plan = ReplicaPlan(replicas=5, base_seed=3, snapshots=(0.0, 1.0, 2.0))
@@ -259,6 +292,118 @@ def test_capped_run_error_crosses_worker_processes():
         run_replicas(params, plan, threads=2)
     assert info.value.replica in range(3)
     assert info.value.events > 10
+
+
+# ------------------------------------------------------- worker dispatch
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail with TimeoutError if the block runs longer than `seconds`
+    (the alarm is this process's; forked workers do not inherit it)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def twelve_cpus(monkeypatch):
+    """Worker counts up to 12 on any host: run_replicas caps the workers
+    at os.cpu_count()."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 12)
+
+
+def _dispatch_plan(max_events=10**8):
+    return ReplicaPlan(replicas=7, base_seed=32, snapshots=(1.0, 3.0),
+                       initial=RateField.constant(0.8, 1),
+                       max_events=max_events)
+
+
+def _dispatch_params():
+    return make_params(window=Window([L]), kernel=gaussian_unit_kernel(1),
+                       b=1.5, m=0.3)
+
+
+def test_worker_counts_give_the_same_ensemble(twelve_cpus):
+    # 7 replicas in 1, 2, 3 and 7 ranges; 12 threads is 7 workers
+    params, plan = _dispatch_params(), _dispatch_plan()
+    first, stats = run_replicas(params, plan, threads=1)
+    assert stats.events > 0 and len(stats.replica_events) == 7
+    for threads in (2, 3, 7, 12):
+        ensemble, other = run_replicas(params, plan, threads=threads)
+        assert np.array_equal(ensemble.points, first.points)
+        assert np.array_equal(ensemble.counts, first.counts)
+        assert other == stats
+        _assert_no_children()
+
+
+def test_capped_run_error_names_the_lowest_replica(twelve_cpus):
+    # the event budget admits replicas 0 and 1 (the parent's range at 3
+    # workers) and caps at least two later ones, in different ranges
+    params = _dispatch_params()
+    events = run_replicas(params, _dispatch_plan())[1].replica_events
+    budget = max(events[:2])
+    capped = [r for r, n in enumerate(events) if n > budget]
+    assert len(capped) >= 2 and capped[0] >= 2 and capped[-1] >= 4
+    plan = _dispatch_plan(max_events=budget)
+    for threads in (1, 2, 3, 7):
+        with pytest.raises(CappedRunError) as info:
+            run_replicas(params, plan, threads=threads)
+        assert info.value.replica == capped[0]
+        _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [CappedRunError, KeyboardInterrupt])
+def test_an_error_in_the_first_range_kills_the_workers(error, monkeypatch,
+                                                       twelve_cpus):
+    # the workers would run for a minute; the parent's range fails first,
+    # on the event budget or on an interrupt
+    run_range = simulator._run_range
+
+    def stalled(params, plan, replicas):
+        if replicas.start > 0:
+            time.sleep(60)
+        elif error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return run_range(params, plan, replicas)
+
+    monkeypatch.setattr(simulator, "_run_range", stalled)
+    plan = ReplicaPlan(replicas=6, base_seed=1, snapshots=(50.0,),
+                       max_events=10)
+    with _within(30), pytest.raises(error):
+        run_replicas(free_params(b=5.0, m=0.1), plan, threads=3)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_worker_that_dies_without_results_raises(death, monkeypatch,
+                                                   twelve_cpus):
+    run_range = simulator._run_range
+
+    def dying(params, plan, replicas):
+        if replicas.start == 4:   # the last of the three ranges
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_range(params, plan, replicas)
+
+    monkeypatch.setattr(simulator, "_run_range", dying)
+    status = 3 if death == "exit" else -signal.SIGKILL
+    with _within(30), pytest.raises(
+            RuntimeError, match=f"replicas 4 to 6 ended with status "
+            f"{status} before sending its results"):
+        run_replicas(_dispatch_params(), _dispatch_plan(), threads=3)
+    _assert_no_children()
 
 
 @functools.cache

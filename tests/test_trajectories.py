@@ -7,7 +7,8 @@ same key.  At every snapshot the positions, the clock, the event, birth,
 death and audit counts, the death total, the rates and the largest audit
 residual must be equal with `==`.  Blocks of 1, 2, 3 and 7 uniforms make the
 compiled loop run out inside the waits, the choices and the birth sampler's
-rejection loop, and resume there.
+rejection loop, and resume there.  Replicas run back to back on one state,
+reset between them, must each equal a reference replica on a fresh state.
 """
 
 import functools
@@ -109,10 +110,14 @@ def assert_same(state, ref):
     assert _record(state) == _record(ref)
 
 
-def _replica(engine, params, initial, seed=3):
-    """Start `engine` from `initial` and advance it through the snapshots,
-    yielding it at each."""
-    state = engine(params, _rng(seed))
+def _replica(engine, params, initial, seed=3, state=None):
+    """Start `engine`, or reset `state`, on the stream of `seed`, seed it
+    from `initial` and advance it through the snapshots, yielding it at
+    each."""
+    if state is None:
+        state = engine(params, _rng(seed))
+    else:
+        state.reset(_rng(seed))
     state.seed_initial(initial)
     for t in SNAPSHOTS:
         state.advance(t, replica=seed)
@@ -120,12 +125,12 @@ def _replica(engine, params, initial, seed=3):
 
 
 @functools.cache
-def _reference_run(label):
+def _reference_run(label, seed=3):
     """The reference's records at each snapshot, and the count of birth
     sampler tries it turned down."""
     params, initial = next((p, i) for name, p, i in CASES if name == label)
     records = []
-    for ref in _replica(ReferenceState, params, initial):
+    for ref in _replica(ReferenceState, params, initial, seed):
         records.append(_record(ref))
     return records, ref.rejections
 
@@ -168,19 +173,32 @@ def test_halting_without_birth_matches_reference(block, monkeypatch):
         assert_same(state, ref)
 
 
-def _drifted(engine, b, seed):
-    """m = 0: a lone particle at 2.0 whose rate, cell sum and the death
+@functools.cache
+def _drift_params(b):
+    return make_params(window=Window([10.0]), kernel=gaussian_unit_kernel(1),
+                       b=b, m=0.0)
+
+
+def _totals(state):
+    """Where an engine keeps its death total."""
+    return state._s if isinstance(state, SimulationState) else state
+
+
+def _drift(state):
+    """m = 0: add a lone particle at 2.0 whose rate, cell sum and the death
     total sit a few ulps below their true value 0, as float drift leaves
     them when its competitors die (the cases of test_simulator.py)."""
-    params = make_params(window=Window([10.0]), kernel=gaussian_unit_kernel(1),
-                         b=b, m=0.0)
-    state = engine(params, _rng(seed))
     lone = state.insert([2.0])
     drift = 4 * math.ulp(1.0)
-    target = views(state) if engine is SimulationState else state
+    target = views(state) if isinstance(state, SimulationState) else state
     target.rate[lone] -= drift
     target.cell_rate[target.cell_of[lone]] -= drift
-    (state._s if engine is SimulationState else state).d_tot -= drift
+    _totals(state).d_tot -= drift
+
+
+def _drifted(engine, b, seed):
+    state = engine(_drift_params(b), _rng(seed))
+    _drift(state)
     return state
 
 
@@ -257,3 +275,52 @@ def test_event_times_match_reference():
     for _ in range(300):
         assert (state.step(), state.t) == (ref.step(), ref.t)
     assert_same(state, ref)
+
+
+@pytest.mark.parametrize("label,params,initial", CASES,
+                         ids=[c[0] for c in CASES])
+def test_replicas_on_one_reset_state_match_reference(label, params, initial):
+    """Three replicas back to back on one state, reset between them, each
+    past several audits: each equals the reference's replica of its seed
+    on a fresh state, so nothing of one replica reaches the next."""
+    state = SimulationState(params, _rng(0))
+    for seed in (4, 3, 5):
+        records = [_record(s) for s in _replica(
+            SimulationState, params, initial, seed, state)]
+        assert records == _reference_run(label, seed)[0]
+        t, events, *_, audits, _, _ = records[-1]
+        assert audits == [events // AUDIT_PERIOD] != [0]
+
+
+def _overshoot(state):
+    """A death total pushed 1.0 above the sum of the rates: until the next
+    audit, a death whose target lands in the gap falls past every cell sum
+    and takes the fallback (the case of test_events.py)."""
+    _totals(state).d_tot += 1.0
+
+
+def test_drifted_replicas_on_one_reset_state_match_reference():
+    """Replicas of the drift model back to back on one reset state: a
+    Poisson start, the drifted lone particle, a Poisson start whose death
+    total overshoots and whose deaths take a fallback, and a Poisson start
+    after it.  Each equals the reference's replica of its seed on a fresh
+    state, fallback and audit counts included."""
+    params, density = _drift_params(1.0), RateField.constant(1.0, 1)
+    starts = [(0, density, None), (1, np.empty((0, 1)), _drift),
+              (2, density, _overshoot), (3, density, None)]
+    state = SimulationState(params, _rng(0))
+    fallbacks = []
+    for seed, initial, change in starts:
+        state.reset(_rng(seed))
+        ref = ReferenceState(params, _rng(seed))
+        for engine in (state, ref):
+            engine.seed_initial(initial)
+            if change is not None:
+                change(engine)
+        for t in SNAPSHOTS:
+            state.advance(t)
+            ref.advance(t)
+            assert_same(state, ref)
+        assert ref.audits > 0
+        fallbacks.append(ref.selection_fallbacks)
+    assert fallbacks[2] > 0 and fallbacks[3] == 0
