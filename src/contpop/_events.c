@@ -2,7 +2,10 @@
  * the clock, the choice of event, the rejection sampler of birth positions
  * and of a Poisson start's points, the three rate-field kinds, the stencil
  * neighbour scan, the rate updates of an insert or a remove, the two-level
- * death selection and the audit recompute.
+ * death selection and the audit recompute.  Beside it, `cp_pairs` counts
+ * the pair histograms of `estimators.pair_correlation_estimate` over one
+ * range of rows; Python calls it once per range, each range in its own
+ * thread, and ctypes releases the GIL for the whole call.
  *
  * The loop takes its uniforms from a block that Python draws with
  * `rng.random(n)`.  When the block runs out inside an event, nothing of that
@@ -11,9 +14,10 @@
  * by a fresh one, which are the doubles that single draws would give.
  *
  * Every float operation is the one the pure-Python engine made (kept as
- * tests/reference_engine.py), in the same order, so the results are the
- * same doubles: sums run left to right, `nearbyint` rounds half to even as
- * Python's `round` does, and `sqrt`, `exp`, `log1p` and `floor` are the libm
+ * tests/reference_engine.py), in the same order, and `cp_pairs` makes the
+ * separations numpy made, so the results are the same doubles: sums run
+ * left to right, `nearbyint` rounds half to even as Python's `round` and
+ * numpy's `rint` do, and `sqrt`, `exp`, `log1p` and `floor` are the libm
  * functions that `math` calls.  Build with -ffp-contract=off and without
  * fast-math, so that no multiply-add is fused and no sum is reassociated:
  *
@@ -672,4 +676,61 @@ int64_t cp_neighbors(State *s, const double *x, int64_t exclude,
     memcpy(idx, s->nb_idx, (size_t)found * sizeof(int64_t));
     memcpy(val, s->nb_val, (size_t)found * sizeof(double));
     return found;
+}
+
+/* The pair histograms of `estimators._pair_histograms`, for rows [i0, i1)
+ * of the n x d table `pos`, which holds the replicas one after another:
+ * row i pairs with the rows after it up to end[replica[i]], the end of its
+ * replica.  A pair's separation is the float numpy makes: per axis u = y -
+ * x, folded on a periodic window to u - side nearbyint(u / side) as in
+ * `Window.minimum_image`, squares added in axis order, sqrt.  Its key k
+ * satisfies lower[k] <= r < lower[k + 1] over the bins + 3 entries of
+ * lower, [-inf, edges, nan]: the guess from the edges' mean spacing,
+ * `scale`, is clamped to [-1, bins] in double before it is cast (a nan
+ * guess counts as -1, and bins / span may be inf), then moved one key at a
+ * time.  Adds 1 to hist[replica[i] * (bins + 2) + k] for each pair; keys 0
+ * and bins + 1 hold the separations outside the edges.  Reads the tables
+ * and writes only `hist`, so calls on disjoint ranges, each with its own
+ * `hist`, can run at once. */
+void cp_pairs(const double *pos, int d, int periodic, const double *side,
+              const int64_t *replica, const int64_t *end, int64_t i0,
+              int64_t i1, const double *lower, int64_t bins, double scale,
+              int64_t *hist)
+{
+    for (int64_t i = i0; i < i1; i++) {
+        const double *x = pos + i * d;
+        int64_t *row = hist + replica[i] * (bins + 2);
+        int64_t stop = end[replica[i]];
+        for (int64_t j = i + 1; j < stop; j++) {
+            const double *y = pos + j * d;
+            double r2 = 0.0;
+            for (int a = 0; a < d; a++) {
+                double u = y[a] - x[a];
+                if (periodic) {
+                    /* below a side, nearbyint(u / side) is 0 within half a
+                     * side and the sign of u past it, with no division: a
+                     * double u > side / 2 has u / side > 1/2 + 2^-54, which
+                     * rounds above 1/2 */
+                    double half = side[a] / 2.0;
+                    double q = fabs(u) < side[a]
+                        ? (double)((u > half) - (u < -half))
+                        : nearbyint(u / side[a]);
+                    u -= side[a] * q;
+                }
+                r2 += u * u;
+            }
+            double r = sqrt(r2);
+            /* clamps as selects, which compile without a branch: on a
+             * torus about one pair in five lies past the last edge */
+            double guess = (r - lower[1]) * scale;
+            guess = guess > -1.0 ? guess : -1.0;
+            guess = guess < (double)bins ? guess : (double)bins;
+            int64_t k = (int64_t)(guess + 1.0);
+            while (r < lower[k])
+                k--;
+            while (r >= lower[k + 1])
+                k++;
+            row[k]++;
+        }
+    }
 }

@@ -4,9 +4,9 @@ Every run writes a manifest.json (command, config hash, seed, and every
 parsed flag as the command resolved it) into the output directory before any
 computation starts, so a finished or failed run can always be reproduced.
 Data outputs are CSV/JSON with repr-formatted floats: rerunning the same
-manifest yields byte-identical CSV files regardless of the worker count
-(`--threads`).  Every CSV is written by `estimators.write_csv`, one replica,
-snapshot or grid row per block.  summary.json additionally records
+manifest yields byte-identical CSV files regardless of the worker and
+thread counts (`--threads`).  Every CSV is written by
+`estimators.write_csv`, one replica, snapshot or grid row per block.  summary.json additionally records
 wall-clock times, per-replica spreads, repair counters and the build of the
 compiled event loop, and is diagnostic only.  `verify` reads a run's settings from its manifest, compares k1.csv
 and moments.csv with the tables their writers build (`estimators.k1_table`,
@@ -198,8 +198,11 @@ def cmd_simulate(args) -> int:
     grids = density_estimate(ensemble, partition)
     series = moment_series(ensemble, partition, l_max=args.l_max,
                            n_max=args.n_max)
-    k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k)
+    t1 = time.perf_counter()
+    k2_grids = [pair_correlation_estimate(ensemble, edges, time_index=k,
+                                          threads=args.threads)
                 for k in range(len(snapshots))] if args.k2_bins > 0 else []
+    phase_s["pair_correlation"] = time.perf_counter() - t1
     phase_s["estimators"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_k1_csv(out / "k1.csv", grids, snapshots, d)
@@ -647,7 +650,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=_number(int, 1), default=1,
                            help="processes for the replicas, this one and "
                                 "forked workers, at most one per replica and "
-                                "per CPU (default 1: run in this process)")
+                                "per CPU; then threads for the k2 pair count, "
+                                "at most one per CPU (default 1: run in this "
+                                "process and thread)")
 
     p = sub.add_parser("simulate", help="run stochastic replicas")
     common(p, seed=True)

@@ -12,15 +12,16 @@ exact integer.  `counts_in` counts a box the same way, with one `bincount`
 over the replica-snapshot slots.  Densities and pair correlations are simple
 bin estimators with replica-level standard errors.
 
-The estimators work in blocks bounded by one budget, _PAIR_BLOCK elements.
 `moment_series` and `density_estimate` reduce over the replicas in column
 blocks of the flattened (snapshot x cell) count matrix, so besides the
 integer counts they hold about _PAIR_BLOCK floats at a time, never a
-replicas x snapshots x cells x orders tensor.  `pair_correlation_estimate`
-counts the pairs of all replicas of a snapshot in one pass over blocks of
-about _PAIR_BLOCK pairs, never an n x n array.  The blocks change no
-result: pair counts are integers, and numpy adds the replicas of each
-element in order whatever the block.
+replicas x snapshots x cells x orders tensor; numpy adds the replicas of
+each element in order whatever the block.  `pair_correlation_estimate`
+counts the pairs of all replicas of a snapshot in compiled code
+(`cp_pairs` in `_events.c`), with numpy's floats and no per-pair array:
+the rows are cut into up to `threads` ranges of about equal pair counts,
+each counted in its own thread into its own integer histograms, so the sum
+does not depend on the number of ranges.
 
 `write_csv` is the package's one CSV writer: every CSV of every command
 goes through it, as blocks of columns with floats written by repr.
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import Box, Window
 
@@ -297,108 +299,61 @@ def _shell_volumes(edges: np.ndarray, dimension: int) -> np.ndarray:
     return 4.0 / 3.0 * math.pi * np.diff(edges**3)
 
 
-def _pair_blocks(partners: np.ndarray):
-    """Blocks (start, stop, lo, hi) of at most _PAIR_BLOCK pairs: rows
-    [start, stop) against their partner columns [lo, hi).  A run of rows
-    whose widest row times their number fits the budget is one block, its
-    narrower rows padded to the widest; a row wider than the budget is cut
-    into pieces of _PAIR_BLOCK columns.  Blocks without pairs are skipped."""
-    start = 0
-    while start < partners.size:
-        head = int(partners[start])
-        if head > _PAIR_BLOCK:
-            for lo in range(0, head, _PAIR_BLOCK):
-                yield start, start + 1, lo, min(lo + _PAIR_BLOCK, head)
-            start += 1
-            continue
-        widest = np.maximum.accumulate(
-            partners[start:start + _PAIR_BLOCK // max(head, 1)])
-        rows = int(np.count_nonzero(
-            widest * np.arange(1, widest.size + 1) <= _PAIR_BLOCK))
-        if widest[rows - 1]:
-            yield start, start + rows, 0, int(widest[rows - 1])
-        start += rows
-
-
 def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,
-                     n_replicas: int, r_edges: np.ndarray) -> np.ndarray:
+                     n_replicas: int, r_edges: np.ndarray,
+                     threads: int = 1) -> np.ndarray:
     """(n_replicas, bins) histograms of |displacement(pos[i], pos[j])| over
     the pairs i < j of each replica; pos holds the replicas one after
     another, replica[i] being that of row i.
 
-    Row i pairs with the partners[i] rows after it, read from a sliding
-    window over the coordinates, stored axis by axis, in the blocks of
-    `_pair_blocks`.  Each block makes two passes over its rows, in buffers
-    allocated once per call.  The first writes the separations: the
-    minimum image of y - x (`Window.minimum_image`), squares added in axis
-    order, sqrt; a block's padding columns are set to inf.
-    The second bins them: the key k of separation r satisfies
+    The pairs are counted by `cp_pairs` in `_events.c`, which makes numpy's
+    floats: the minimum image of y - x (`Window.minimum_image`), squares
+    added in axis order, sqrt.  Separation r falls in key k where
     lower[k] <= r < lower[k + 1], with lower = [-inf, edges with the last
     one ulp up, nan], so the last bin is closed as in np.histogram and keys
-    0 and bins + 1 hold the separations outside.  The key is guessed from
-    the edges' mean spacing, exact or one off on equally spaced edges, and
-    moved one bin at a time until no separation moves, which makes it exact
-    for any increasing edges.  One bincount per block takes the keys
-    replica * (bins + 2) + k.
+    0 and bins + 1 hold the separations outside.  With W = min(threads,
+    os.cpu_count(), rows), the rows are cut into W ranges of about equal
+    pair counts, each counted into its own histograms by one call in its
+    own thread; the call releases the GIL, so the ranges run at once.  The
+    counts are integers, so their sum does not depend on W.
     """
+    from .simulator import _library   # simulator imports this module
     n, d = pos.shape
     bins = r_edges.size - 1
     lower = np.concatenate(([-np.inf], r_edges, [np.nan]))
     lower[-2] = np.nextafter(lower[-2], np.inf)
-    above = lower[1:]   # above[k] = lower[k + 1]
-    with np.errstate(over="ignore"):   # inf: see the fmax, fmin below
+    with np.errstate(over="ignore"):   # inf: cp_pairs clamps the guess
         scale = bins / (r_edges[-1] - r_edges[0])
+    pos = np.ascontiguousarray(pos, dtype=float)
+    replica = np.ascontiguousarray(replica, dtype=np.int64)
+    if n and (replica[0] < 0 or replica[-1] >= n_replicas
+              or np.any(np.diff(replica) < 0)):   # cp_pairs indexes by it
+        raise ValueError("rows must come in replica order, below n_replicas")
     ends = np.cumsum(np.bincount(replica, minlength=n_replicas))
-    partners = ends[replica] - np.arange(n) - 1
-    offset = replica * (bins + 2)
-    width = max(int(partners.max(initial=0)), 1)
-    coords = np.zeros((d, n + width))   # zero padding, always masked
-    coords[:, :n] = pos.T
-    columns = sliding_window_view(coords, width, axis=1)  # coords[:, i:i+width]
-    size = min(_PAIR_BLOCK, n * width)
-    buffers = (np.empty(size), np.empty(size), np.empty(size),
-               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool))
-    hist = np.zeros((n_replicas, bins + 2), dtype=np.int64)
-    for start, stop, lo, hi in _pair_blocks(partners):
-        shape = (stop - start, hi - lo)
-        sep, u, t, key, flag = (b[:shape[0] * shape[1]].reshape(shape)
-                                for b in buffers)
-        for axis in range(d):
-            np.subtract(columns[axis, start + 1:stop + 1, lo:hi],
-                        coords[axis, start:stop, None], out=u)
-            fold = window.minimum_image(u, axis, out=t)
-            if axis:
-                sep += np.multiply(fold, fold, out=t)
-            else:
-                np.multiply(fold, fold, out=sep)
-        np.sqrt(sep, out=sep)
-        if shape[0] > 1:   # the columns past each row's partners
-            np.greater_equal(np.arange(lo, hi), partners[start:stop, None],
-                             out=flag)
-            np.copyto(sep, np.inf, where=flag)
-        np.subtract(sep, r_edges[0], out=t)
-        t *= scale
-        # fmax, fmin: a nan guess (0 * inf, where bins / span overflows)
-        # becomes key 0 and is moved up like any other
-        np.fmax(t, -1.0, out=t)
-        np.fmin(t, bins, out=t)
-        t += 1.0
-        np.copyto(key, t, casting="unsafe")
-        while True:
-            lower.take(key, out=t, mode="clip")
-            down = np.less(sep, t, out=flag).any()
-            if down:
-                key -= flag
-            above.take(key, out=t, mode="clip")
-            up = np.greater_equal(sep, t, out=flag).any()
-            if up:
-                key += flag
-            if not (down or up):
-                break
-        key += offset[start:stop, None]
-        hist += np.bincount(key.ravel(),
-                            minlength=hist.size).reshape(hist.shape)
-    return hist[:, 1:-1]
+    before = np.zeros(n + 1, dtype=np.int64)   # pairs of the rows before i
+    np.cumsum(ends[replica] - np.arange(n) - 1, out=before[1:])
+    workers = max(min(threads, os.cpu_count() or 1, n), 1)
+    cuts = np.searchsorted(before, before[-1] * np.arange(workers + 1)
+                           // workers)   # the last cut passes every pair
+    # each range's histograms, then 16 counts (128 bytes) that stay 0, so
+    # that no two threads write to one cache line
+    size = n_replicas * (bins + 2)
+    hist = np.zeros((workers, size + 16), dtype=np.int64)
+    lib = _library()
+
+    def count(k: int) -> None:
+        lib.cp_pairs(pos, d, window.boundary == "periodic", window.sides,
+                     replica, ends, cuts[k], cuts[k + 1], lower, bins, scale,
+                     hist[k])
+
+    ranges = [threading.Thread(target=count, args=(k,))
+              for k in range(1, workers)]
+    for thread in ranges:
+        thread.start()
+    count(0)
+    for thread in ranges:
+        thread.join()
+    return hist[:, :size].sum(axis=0).reshape(n_replicas, bins + 2)[:, 1:-1]
 
 
 def separation_edges(window: Window, r_edges) -> np.ndarray:
@@ -416,14 +371,18 @@ def separation_edges(window: Window, r_edges) -> np.ndarray:
 
 
 def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
-                              time_index: int = -1) -> CorrelationGrid:
+                              time_index: int = -1,
+                              threads: int = 1) -> CorrelationGrid:
     """Radial second correlation at one snapshot time.
 
     Ordered pairs with minimum-image separation in [r, r+dr) are counted per
     replica and divided by V * shell volume, an unbiased estimator of
     k^(2)(r) on the torus; mean and stderr are taken across replicas.  The
-    pairs of every replica are counted in one pass (`_pair_histograms`).
+    pairs of every replica are counted in one pass (`_pair_histograms`),
+    split over up to `threads` threads; the result does not depend on it.
     """
+    if threads < 1:
+        raise ValueError("threads must be positive")
     window = ensemble.window
     r_edges = separation_edges(window, r_edges)
     shells = _shell_volumes(r_edges, window.dimension)
@@ -431,7 +390,8 @@ def pair_correlation_estimate(ensemble: SnapshotEnsemble, r_edges,
     if window.boundary != "periodic":
         core = window.core.contains_points(pos)
         pos, replica = pos[core], replica[core]
-    hist = _pair_histograms(window, pos, replica, ensemble.n_replicas, r_edges)
+    hist = _pair_histograms(window, pos, replica, ensemble.n_replicas, r_edges,
+                            threads)
     per_replica = 2.0 * hist / (window.volume * shells)   # ordered pairs
     centers = 0.5 * (r_edges[:-1] + r_edges[1:])
     value, err = _replica_stats(per_replica)

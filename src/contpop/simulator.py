@@ -232,6 +232,9 @@ def _library() -> ctypes.CDLL:
             ("cp_death", c_int64, [state, c_double]),
             ("cp_audit", c_double, [state]),
             ("cp_neighbors", c_int64, [state, floats, c_int64, ints, floats]),
+            ("cp_pairs", None, [floats, c_int, c_int, floats, ints, ints,
+                                c_int64, c_int64, floats, c_int64, c_double,
+                                ints]),
             ("cp_compiler", ctypes.c_char_p, [])):
         getattr(lib, name).restype = restype
         getattr(lib, name).argtypes = argtypes

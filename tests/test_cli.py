@@ -356,7 +356,8 @@ def test_summary_records_phase_times(golden_runs):
         phases = json.loads((out / "summary.json").read_text())["phase_s"]
         assert set(phases) == {"replicas", "replicas_initial",
                                "replicas_event_loop", "particle_csv",
-                               "estimators", "estimator_csv"}
+                               "estimators", "pair_correlation",
+                               "estimator_csv"}
         assert all(v >= 0.0 for v in phases.values())
         # summed over the replicas in the processes that ran them
         assert phases["replicas_initial"] + phases["replicas_event_loop"] > 0.0

@@ -299,18 +299,22 @@ def all_pairs_pair_correlation(ensemble, r_edges, time_index=-1):
     return _replica_stats(per_replica)
 
 
-def _assert_pair_correlation_matches(ensemble, edges, time_index=-1):
-    grid = pair_correlation_estimate(ensemble, edges, time_index=time_index)
-    value, err = all_pairs_pair_correlation(ensemble, edges, time_index)
-    assert grid.values.tobytes() == value.tobytes()
-    assert grid.stderr.tobytes() == err.tobytes()
+# one row range, two, three, and 64, more than the rows of most replicas
+# below; os.cpu_count is patched to 64, so that the CPUs of the machine that
+# runs the tests do not cap the ranges
+THREADS = (1, 2, 3, 64)
 
 
-# the budget and a larger one, whose blocks span more rows; 16 splits the
-# first rows of 17 partners, and 5 cuts every row wider than 5 into pieces,
-# with remainders of width 1 to 4, and pads multi-row blocks of shorter
-# rows.  A budget of 1, one block per pair, runs in the one-pass test
-# below; here it took about a minute for block shapes 5 already covers
+def _assert_pair_correlation_matches(ensemble, edges):
+    value, err = all_pairs_pair_correlation(ensemble, edges)
+    for threads in THREADS:
+        grid = pair_correlation_estimate(ensemble, edges, threads=threads)
+        assert grid.values.tobytes() == value.tobytes()
+        assert grid.stderr.tobytes() == err.tobytes()
+
+
+# the pair count is compiled and reads no block budget: the budgets of the
+# cell estimators, as before, must leave it as it is at every thread count
 @pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 5])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
@@ -319,11 +323,12 @@ def _assert_pair_correlation_matches(ensemble, edges, time_index=-1):
 def test_blocked_pair_correlation_matches_all_pairs(window, block,
                                                     monkeypatch):
     monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
     gen = np.random.default_rng(5)
     d = window.dimension
     dom = window.domain
-    # n = 0, 1, 2; first rows of 14 to 17 pairs, around a 16-pair block;
-    # then larger n, whose blocks span many rows at the default size
+    # n = 0, 1, 2, a few around 16, then larger n, whose rows are cut into
+    # ranges inside one replica
     sizes = [0, 1, 2, 15, 16, 17, 18, 40, 333]
     reps = [[gen.uniform(dom.lo, dom.hi, size=(n, d))] for n in sizes]
     # a lattice with separations on the bin edges and at exactly L/2
@@ -337,28 +342,33 @@ def test_blocked_pair_correlation_matches_all_pairs(window, block,
     _assert_pair_correlation_matches(ensemble, np.linspace(0.0, side / 2, 9))
     _assert_pair_correlation_matches(ensemble, [0.0, 0.3, 0.5, 1.25, side / 2])
     # far from equal spacing: the guessed bin of most separations is one to
-    # several bins off and corrected
+    # several bins off and corrected, up with the first edges, down with
+    # the second
     _assert_pair_correlation_matches(ensemble, [0.0, 1e-3, 2e-3, side / 2])
+    _assert_pair_correlation_matches(
+        ensemble, [0.0, side / 2 - 2e-3, side / 2 - 1e-3, side / 2])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.filterwarnings("error")
 def test_pair_bins_when_the_edges_span_almost_nothing():
-    # bins / span overflows to inf, so the guessed bin of a separation of 0
-    # is 0 * inf = nan; it must still land in the first bin
-    edges = np.array([0.0, 1e-323, 2e-323])
-    hist = estimators._pair_histograms(Window([10.0]),
-                                       np.array([[1.0], [1.0], [3.0]]),
-                                       np.zeros(3, dtype=np.intp), 1, edges)
-    assert hist.tolist() == [[1, 0]]
+    # with the first edges, bins / span overflows to inf, so the guessed
+    # bin of a separation of 0 is 0 * inf = nan: it must still land in the
+    # first bin.  The two separations of 2 guess bin inf, or 2e300 with the
+    # second edges, far above 2**63: clamped before the cast to an integer,
+    # they must land past the last bin
+    for edges in ([0.0, 1e-323, 2e-323], [0.0, 1e-300, 2e-300]):
+        hist = estimators._pair_histograms(Window([10.0]),
+                                           np.array([[1.0], [1.0], [3.0]]),
+                                           np.zeros(3, dtype=np.intp), 1,
+                                           np.array(edges))
+        assert hist.tolist() == [[1, 0]]
 
 
 def test_pair_correlation_memory_stays_bounded():
     # all pairs at n = 3000 in 2-D take n^2 * 2 * 8 bytes for the
-    # displacements alone (144 MB), and more than 300 MB in all.  The block
-    # buffers take 33 bytes a pair of the budget (three floats, a key and a
-    # flag); allow twice that, and 256 bytes a particle for the arrays of
-    # length n: about 1.85 MB at the 2**14 budget
+    # displacements alone (144 MB), and more than 300 MB in all.  The
+    # compiled count holds nothing per pair; allow 256 bytes a particle for
+    # the arrays of length n, 768 kB (about 170 kB measured)
     n = 3000
     gen = np.random.default_rng(9)
     window = Window([48.0, 48.0])
@@ -371,7 +381,7 @@ def test_pair_correlation_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 66 * estimators._PAIR_BLOCK + 256 * n
+    assert peak < 256 * n
     assert np.all(grid.values > 0.0)
 
 
@@ -410,6 +420,7 @@ def per_replica_pair_correlation(ensemble, r_edges, time_index):
     return _replica_stats(per_replica)
 
 
+# as above, the block budgets must not reach the pair count
 @pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 1])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
@@ -421,6 +432,7 @@ def per_replica_pair_correlation(ensemble, r_edges, time_index):
 def test_one_pass_pair_correlation_matches_per_replica(window, block,
                                                        monkeypatch):
     monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
     gen = np.random.default_rng(17)
     d = window.dimension
     dom = window.domain
@@ -428,8 +440,8 @@ def test_one_pass_pair_correlation_matches_per_replica(window, block,
     lattice = np.arange(0.0, side, side / 4.0)
     lattice = np.stack(np.meshgrid(*([lattice] * d), indexing="ij"),
                        axis=-1).reshape(-1, d)
-    # empty and one-particle replicas between larger ones, so that blocks
-    # start, end and skip inside and across replicas; two snapshots
+    # empty and one-particle replicas between larger ones, so that row
+    # ranges start, end and skip inside and across replicas; two snapshots
     sizes = [0, 1, 7, 0, 1, 1, 2, 30, 0, 12, 1, 90, 3, 0]
     reps = [[gen.uniform(dom.lo, dom.hi, size=(n, d)),
              gen.uniform(dom.lo, dom.hi, size=(gen.integers(0, 25), d))]
@@ -440,12 +452,15 @@ def test_one_pass_pair_correlation_matches_per_replica(window, block,
     if window.boundary != "periodic":   # particles in the buffer are dropped
         assert any(not np.all(window.core.contains_points(r[0])) for r in reps)
     for edges in (np.linspace(0.0, side / 2, 9), [0.0, 0.3, 0.5, 1.25, side / 2],
-                  [0.5, 1.0], [0.0, 1e-3, 2e-3, side / 2]):
+                  [0.5, 1.0], [0.0, 1e-3, 2e-3, side / 2],
+                  [0.0, side / 2 - 2e-3, side / 2 - 1e-3, side / 2]):
         for k in (0, -1):
-            grid = pair_correlation_estimate(ensemble, edges, time_index=k)
             value, err = per_replica_pair_correlation(ensemble, edges, k)
-            assert grid.values.tobytes() == value.tobytes()
-            assert grid.stderr.tobytes() == err.tobytes()
+            for threads in THREADS:
+                grid = pair_correlation_estimate(ensemble, edges, time_index=k,
+                                                 threads=threads)
+                assert grid.values.tobytes() == value.tobytes()
+                assert grid.stderr.tobytes() == err.tobytes()
 
 
 # ------------------------------------------------------------- cell moments
