@@ -7,11 +7,12 @@
  * range of rows; Python calls it once per range, each range in its own
  * thread, and ctypes releases the GIL for the whole call.
  *
- * The loop takes its uniforms from a block that Python draws with
- * `rng.random(n)`.  When the block runs out inside an event, nothing of that
- * event is committed: the loop returns MORE with the index of the event's
- * first uniform, and Python calls again with the rest of the block followed
- * by a fresh one, which are the doubles that single draws would give.
+ * The loop draws each uniform when it needs it from the replica's numpy bit
+ * generator, by the `next_double` that `BitGenerator.ctypes` exposes: the
+ * double that one `rng.random()` call returns, so the stream is consumed
+ * as the reference consumes it and is left where the reference leaves it.
+ * No lock is held on the generator, so nothing else may draw from it while
+ * a call runs.
  *
  * Every float operation is the one the pure-Python engine made (kept as
  * tests/reference_engine.py), in the same order, and `cp_pairs` makes the
@@ -39,9 +40,9 @@ enum { CONSTANT, BUMP, TABLE };
 /* the fields of a state */
 enum { BIRTH, MORTALITY, DENSITY, FIELDS };
 /* what `cp_advance` and `cp_place` return: the loop reached `until` or had
- * nothing left to do, passed the event limit, or ran out of uniforms; or it
- * failed, for want of memory or on a death drawn in an empty window */
-enum { DONE, LIMIT, MORE, NO_MEMORY = -1, EMPTY = -2 };
+ * nothing left to do, or passed the event limit; or it failed, for want of
+ * memory or on a death drawn in an empty window */
+enum { DONE, LIMIT, NO_MEMORY = -1, EMPTY = -2 };
 
 /* A rate field, with the formulas of `RateField.__call__` */
 typedef struct {
@@ -71,6 +72,8 @@ typedef struct {
     int64_t **members;           /* the rows in each cell... */
     int64_t *count;              /* ...and their number */
     /* private */
+    void *rng;                   /* the replica's bit generator state... */
+    double (*next_double)(void *);   /* ...and its uniform draw */
     double *mortality;           /* m(x) per row, as it was inserted */
     int64_t cap;                 /* rows allocated */
     int64_t *member_cap;
@@ -366,11 +369,14 @@ State *cp_new(int d, int periodic, const double *side, const double *lo,
     return s;
 }
 
-/* Empty the state for a new replica: no particles, empty cells with rate
- * sums 0, the clock, the death total and every counter 0.  The geometry,
- * the stencils, the kernel, the fields and the buffers stay as they are. */
-void cp_reset(State *s)
+/* Empty the state for a new replica, which draws its uniforms by
+ * next_double(rng): no particles, empty cells with rate sums 0, the clock,
+ * the death total and every counter 0.  The geometry, the stencils, the
+ * kernel, the fields and the buffers stay as they are. */
+void cp_reset(State *s, void *rng, double (*next_double)(void *))
 {
+    s->rng = rng;
+    s->next_double = next_double;
     s->n = 0;
     s->d_tot = s->t = s->max_audit_residual = 0.0;
     s->events = s->births = s->deaths = s->audits = 0;
@@ -565,44 +571,33 @@ double cp_audit(State *s)
 }
 
 /* A domain point x of density proportional to field f, by rejection
- * against its sup: d uniforms from u[k..] place a try and one more accepts
- * it when u * sup <= f(x).  Returns the index past the uniforms taken, or -1
- * when the n uniforms run out first. */
-static int64_t sample(const State *s, const Field *f, double *x,
-                      const double *u, int64_t n, int64_t k)
+ * against its sup: d uniforms place a try and one more accepts it when
+ * u * sup <= f(x). */
+static void sample(const State *s, const Field *f, double *x)
 {
     for (;;) {
-        if (n - k < s->d + 1)
-            return -1;
         for (int a = 0; a < s->d; a++)
-            x[a] = s->lo[a] + u[k++] * s->domain_side[a];
-        if (u[k++] * f->sup <= field_at(f, s->d, x))
-            return k;
+            x[a] = s->lo[a] + s->next_double(s->rng) * s->domain_side[a];
+        if (s->next_double(s->rng) * f->sup <= field_at(f, s->d, x))
+            return;
     }
 }
 
-/* Insert *left points of the DENSITY field, each drawn by `sample` from
- * the uniforms u[*at..n), counting *left down and moving *at past each
- * point's uniforms.  Returns DONE, MORE when the uniforms run out before
- * the next point, or NO_MEMORY. */
-int cp_place(State *s, int64_t *left, const double *u, int64_t n,
-             int64_t *at)
+/* Insert `count` points of the DENSITY field, each drawn by `sample`.
+ * Returns DONE, or NO_MEMORY. */
+int cp_place(State *s, int64_t count)
 {
     double x[3];
-    while (*left > 0) {
-        int64_t k = sample(s, &s->field[DENSITY], x, u, n, *at);
-        if (k < 0)
-            return MORE;
+    for (; count > 0; count--) {
+        sample(s, &s->field[DENSITY], x);
         if (insert(s, x) < 0)
             return NO_MEMORY;
-        *at = k;
-        (*left)--;
     }
     return DONE;
 }
 
-/* Run events from the uniforms u[*at..n) until the clock passes `until`,
- * the event count passes `limit`, or the uniforms run out.
+/* Run events until the clock passes `until` or the event count passes
+ * `limit`.
  *
  * An event takes a uniform for the wait -log1p(-u) / (B + D), B = b_tot and
  * D = d_tot; when the clock would pass `until` it is set to `until` and the
@@ -616,49 +611,33 @@ int cp_place(State *s, int64_t *left, const double *u, int64_t n,
  * B <= 0 (whatever drift leaves in D): then the clock is set to `until`
  * and the loop returns DONE, having used nothing.
  *
- * Returns LIMIT after the event that takes the count past `limit`; MORE
- * when the uniforms run out inside an event, none of which is committed,
- * with *at the index of its first uniform; NO_MEMORY or EMPTY on failure,
- * with the event uncommitted. */
-int cp_advance(State *s, double until, int64_t limit, int64_t audit_period,
-               const double *u, int64_t n, int64_t *at)
+ * Returns LIMIT after the event that takes the count past `limit`;
+ * NO_MEMORY or EMPTY on failure, with the event's uniforms drawn but
+ * nothing of it committed. */
+int cp_advance(State *s, double until, int64_t limit, int64_t audit_period)
 {
     for (;;) {
         double total = s->b_tot + s->d_tot, x[3];
-        int64_t k = *at;
         if (total <= 0.0 || (s->n == 0 && s->b_tot <= 0.0)) {
             s->t = until;
             return DONE;
         }
-        if (k == n)
-            return MORE;
-        double t = s->t - log1p(-u[k++]) / total;
+        double t = s->t - log1p(-s->next_double(s->rng)) / total;
         if (t > until) {
             s->t = until;
-            *at = k;
             return DONE;
         }
-        int birth = 0;
-        if (s->b_tot > 0.0) {
-            if (k == n)
-                return MORE;
-            birth = u[k++] * total <= s->b_tot;
-        }
-        if (birth) {
-            if ((k = sample(s, &s->field[BIRTH], x, u, n, k)) < 0)
-                return MORE;
+        if (s->b_tot > 0.0 && s->next_double(s->rng) * total <= s->b_tot) {
+            sample(s, &s->field[BIRTH], x);
             if (insert(s, x) < 0)
                 return NO_MEMORY;
             s->births++;
         } else {
-            if (k == n)
-                return MORE;
-            if (cp_death(s, u[k++]) < 0)
+            if (cp_death(s, s->next_double(s->rng)) < 0)
                 return EMPTY;
             s->deaths++;
         }
         s->t = t;
-        *at = k;
         if (++s->events % audit_period == 0)
             cp_audit(s);
         if (s->events > limit)

@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 8
-# the one block budget: pairs per block of the pair histogram, and looked-up
-# floats per column block of the cell-moment and density reductions
+# the column-block budget of `moment_series` and `density_estimate`: looked-up
+# floats per column block of their reductions over the replicas
 _PAIR_BLOCK = 1 << 14
 
 
@@ -296,7 +296,10 @@ def _shell_volumes(edges: np.ndarray, dimension: int) -> np.ndarray:
         return 2.0 * np.diff(edges)
     if dimension == 2:
         return math.pi * np.diff(edges**2)
-    return 4.0 / 3.0 * math.pi * np.diff(edges**3)
+    if dimension == 3:
+        return 4.0 / 3.0 * math.pi * np.diff(edges**3)
+    unit_ball = math.pi**(dimension / 2) / math.gamma(dimension / 2 + 1)
+    return unit_ball * np.diff(edges**dimension)
 
 
 def _pair_histograms(window: Window, pos: np.ndarray, replica: np.ndarray,

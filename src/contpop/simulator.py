@@ -18,15 +18,14 @@ The whole event loop runs in C, in `_events.c`, over flat buffers: the
 clock, the choice of event, the birth sampler, the three rate-field kinds,
 the stencil neighbour scan, the rate and cell-sum updates of an insert or a
 remove, the death selection and the audit.  `SimulationState.advance` and
-`step` are one entry point, `cp_advance`, called once per block of
-uniforms; Python draws the blocks with `rng.random(n)`, which holds the same
-doubles as n single draws, and when a block runs out inside an event the
-loop hands back the event's uniforms, to be run again ahead of the next
-block, so the draws and the results are those of one call per uniform.  The
-C code makes the float operations of the pure-Python engine it replaced in
-the same order (that engine is kept in `tests/` as the reference), so
-results are the same to the last bit.  The library is built with `cc` on
-first use and cached in `__pycache__` (see `_build`).
+`step` are one entry point, `cp_advance`.  The loop draws each uniform from
+the replica's generator through numpy's `BitGenerator.ctypes.next_double`,
+which returns the double that one `rng.random()` call would, so the draws
+and the results are those of one call per uniform.  The C code makes the
+float operations of the pure-Python engine it replaced in the same order
+(that engine is kept in `tests/` as the reference), so results are the same
+to the last bit.  The library is built with `cc` on first use and cached in
+`__pycache__` (see `_build`).
 
 Replica streams come from counter-based Philox generators keyed by
 (base_seed, replica_index), so any subset of replicas can run concurrently,
@@ -68,9 +67,8 @@ __all__ = [
 ]
 
 AUDIT_PERIOD = 1 << 16
-_UNIFORM_BLOCK = 2048   # doubles drawn per rng.random call of the event loop
 # what cp_advance and cp_place return (the enum in _events.c)
-_DONE, _LIMIT, _MORE, _NO_MEMORY, _EMPTY = 0, 1, 2, -1, -2
+_DONE, _LIMIT, _NO_MEMORY, _EMPTY = 0, 1, -1, -2
 _BIRTH, _MORTALITY, _DENSITY = 0, 1, 2   # the field slots of a state
 
 
@@ -208,26 +206,23 @@ def _build(cache: Path) -> Path:
 @functools.cache
 def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__")))
-    # a state and a block of uniforms are passed as addresses: a c_void_p
-    # argument converts faster than a typed pointer or an ndpointer, on the
-    # paths taken once per event or per block
-    state = block = ctypes.c_void_p
+    # a state is passed as an address: a c_void_p argument converts faster
+    # than a typed pointer or an ndpointer, on the paths taken once per event
+    state = address = ctypes.c_void_p
     c_int, c_int64, c_double = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     floats = np.ctypeslib.ndpointer(np.float64, flags="C")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C")
-    count = ctypes.POINTER(c_int64)
     for name, restype, argtypes in (
             ("cp_new", state, [c_int, c_int, floats, floats, floats, floats,
                                ints, c_double, c_int, c_double, c_double,
                                c_int64, floats, floats, c_double]),
             ("cp_free", None, [state]),
-            ("cp_reset", None, [state]),
+            ("cp_reset", None, [state, address, address]),
             ("cp_field", c_int, [state, c_int, c_int, c_double, c_double,
                                  floats, floats, ints, floats, c_double]),
             ("cp_insert", c_int64, [state, c_double, c_double, c_double]),
-            ("cp_place", c_int, [state, count, block, c_int64, count]),
-            ("cp_advance", c_int, [state, c_double, c_int64, c_int64, block,
-                                   c_int64, count]),
+            ("cp_place", c_int, [state, c_int64]),
+            ("cp_advance", c_int, [state, c_double, c_int64, c_int64]),
             ("cp_remove", c_int, [state, c_int64]),
             ("cp_death", c_int64, [state, c_double]),
             ("cp_audit", c_double, [state]),
@@ -258,8 +253,12 @@ class SimulationState:
 
     Particles, rates, cell lists, the clock and the event counters live in
     the compiled state (`_events.c`), which `_s` mirrors; Python keeps the
-    generator and the block of uniforms the compiled loop reads.  `reset`
-    empties the state for the next replica of the same model.
+    generator `rng`, set by `reset`, which also empties the state for the
+    next replica of the same model.  The compiled loop draws each uniform
+    from `rng` when it needs it, so after any call `rng` stands where one
+    `rng.random()` call per uniform leaves it.  During a call the loop
+    draws without numpy's lock on the generator, so no other thread may
+    draw from `rng` at the same time.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator):
@@ -296,20 +295,16 @@ class SimulationState:
         self._set_field(_MORTALITY, params.mortality)
         # the start density that `seed_initial` last set, and its mean count
         self._density, self._density_mean = None, 0.0
-        self._at = ctypes.c_int64(0)
         self.reset(rng)
 
     def reset(self, rng: np.random.Generator) -> None:
         """Empty the state for a new replica that draws from `rng`: no
         particles, the clock and every counter at 0.  The geometry, the
         kernel, the fields and the allocated buffers are kept."""
-        self._lib.cp_reset(self._c)
+        bits = rng.bit_generator.ctypes
+        self._lib.cp_reset(self._c, bits.state_address,
+                           ctypes.cast(bits.next_double, ctypes.c_void_p))
         self.rng = rng
-        # the event loop's uniforms, from u[at]; the first block is drawn
-        # when the loop first needs one, after `seed_initial`'s count
-        self._u = np.empty(0)
-        self._u_address = self._u.ctypes.data
-        self._at.value = 0
 
     def _set_field(self, slot: int, field: RateField) -> None:
         d = self.dimension
@@ -331,15 +326,8 @@ class SimulationState:
             raise MemoryError("no memory for a rate field")
 
     def _run(self, entry, *args) -> int:
-        """Call a compiled loop until it is done with the uniforms: each
-        time it runs out it is called again with the uniforms it left and
-        a fresh block after them.  Returns its DONE or LIMIT."""
-        while (code := entry(self._c, *args, self._u_address, len(self._u),
-                             self._at)) == _MORE:
-            self._u = np.concatenate((self._u[self._at.value:],
-                                      self.rng.random(_UNIFORM_BLOCK)))
-            self._u_address = self._u.ctypes.data
-            self._at.value = 0
+        """Call a compiled loop; returns its DONE or LIMIT."""
+        code = entry(self._c, *args)
         if code == _NO_MEMORY:
             raise MemoryError("no memory for another particle")
         if code == _EMPTY:
@@ -423,8 +411,8 @@ class SimulationState:
                 self._set_field(_DENSITY, initial)
                 self._density = initial
                 self._density_mean = initial.integral_over(self._domain)
-            left = ctypes.c_int64(self.rng.poisson(self._density_mean))
-            self._run(self._lib.cp_place, left)
+            self._run(self._lib.cp_place,
+                      self.rng.poisson(self._density_mean))
             return
         for x in initial:
             self.insert(x)

@@ -80,6 +80,7 @@ def has_dotted(obj, name):
     ("model", "RateField.scalar"),
     ("simulator", "_block_uniforms"),
     ("simulator", "SimulationState._draw_birth_position"),
+    ("simulator", "_UNIFORM_BLOCK"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not has_dotted(contpop, name)

@@ -246,6 +246,18 @@ def test_pair_correlation_poisson_is_squared_density(rng):
     assert abs(pooled - kappa**2) <= 3.5 * pooled_err
 
 
+def test_pair_correlation_poisson_in_4d(rng):
+    """Past three dimensions a shell is the unit ball's volume times
+    the step of r^d: Poisson(1) replicas on a 4-D torus read k2 = 1."""
+    window = Window([4.0] * 4)
+    counts = rng.poisson(window.volume, size=200)
+    points = rng.uniform(window.domain.lo, window.domain.hi,
+                         size=(counts.sum(), 4))
+    ens = SnapshotEnsemble(window, [0.0], points, counts[:, None])
+    grid = pair_correlation_estimate(ens, [0.5, 1.0, 1.5, 2.0])
+    assert np.all(np.abs(grid.values - 1.0) <= 4.0 * grid.stderr)
+
+
 def test_pair_correlation_exact_two_particles():
     # one replica, two particles at distance 1: a single ordered pair
     ens = fixed_ensemble([[[1.0, 2.0]]], L=10.0)

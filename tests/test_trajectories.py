@@ -1,14 +1,14 @@
 """Whole replicas of the compiled event loop against the pure-Python reference.
 
-A `SimulationState` (the loop of `_events.c`, reading blocks of
-`rng.random(n)`) and a `ReferenceState` (the engine it replaced, one
-`rng.random()` call per uniform) run the same replica from generators of the
-same key.  At every snapshot the positions, the clock, the event, birth,
-death and audit counts, the death total, the rates and the largest audit
-residual must be equal with `==`.  Blocks of 1, 2, 3 and 7 uniforms make the
-compiled loop run out inside the waits, the choices and the birth sampler's
-rejection loop, and resume there.  Replicas run back to back on one state,
-reset between them, must each equal a reference replica on a fresh state.
+A `SimulationState` (the loop of `_events.c`, drawing each uniform from the
+generator's `next_double`) and a `ReferenceState` (the engine it replaced,
+one `rng.random()` call per uniform) run the same replica from generators of
+the same key.  At every snapshot the positions, the clock, the event, birth,
+death and audit counts, the death total, the rates, the largest audit
+residual and the state of the generator must be equal with `==`, so the
+compiled loop draws exactly the uniforms the reference draws.  Replicas run
+back to back on one state, reset between them, must each equal a reference
+replica on a fresh state.
 """
 
 import functools
@@ -20,12 +20,10 @@ import pytest
 
 from contpop import (Box, CappedRunError, CompetitionKernel, ModelParams,
                      RateField, SimulationState, Window)
-from contpop.simulator import _UNIFORM_BLOCK
 from conftest import gaussian_unit_kernel, make_params
 from reference_engine import ReferenceState, views
 
 AUDIT_PERIOD = 29   # several audits per replica
-BLOCKS = (1, 2, 3, 7, _UNIFORM_BLOCK)   # the last one, the default
 
 
 def _absorbing(sides, width):
@@ -91,19 +89,26 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _stream(rng) -> str:
+    """Where a generator stands: its bit generator's state, whose arrays
+    `repr` writes out in full, so that two states compare with `==`."""
+    return repr(rng.bit_generator.state)
+
+
 def _record(state) -> tuple:
     """What the two engines must agree on: the clock, the event counts, the
-    positions, the rates, the death total and the audit results."""
+    positions, the rates, the death total, the audit results and where the
+    generator stands."""
     if isinstance(state, SimulationState):
         stats = state.stats()
         return (state.t, state.events, state.births, state.deaths,
                 state.snapshot().tolist(), views(state).rate.tolist(),
                 state.d_tot, stats.replica_audits, stats.max_audit_residual,
-                stats.selection_fallbacks)
+                stats.selection_fallbacks, _stream(state.rng))
     return (state.t, state.events, state.births, state.deaths,
             [list(x) for x in state.pos], list(state.rate), state.d_tot,
             [state.audits], state.max_audit_residual,
-            state.selection_fallbacks)
+            state.selection_fallbacks, _stream(state.rng))
 
 
 def assert_same(state, ref):
@@ -140,25 +145,20 @@ def short_audit_period(monkeypatch):
     monkeypatch.setattr("contpop.simulator.AUDIT_PERIOD", AUDIT_PERIOD)
 
 
-@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("label,params,initial", CASES,
                          ids=[c[0] for c in CASES])
-def test_replica_matches_reference(label, params, initial, block,
-                                   monkeypatch):
-    monkeypatch.setattr("contpop.simulator._UNIFORM_BLOCK", block)
+def test_replica_matches_reference(label, params, initial):
     expected, rejections = _reference_run(label)
     assert [_record(state) for state in
             _replica(SimulationState, params, initial)] == expected
-    t, events, births, deaths, *_, audits, _, _ = expected[-1]
+    t, events, births, deaths, *_, audits, _, _, _ = expected[-1]
     assert births > 20 and deaths > 20 and rejections > 0
     assert audits == [events // AUDIT_PERIOD] and events > 3 * AUDIT_PERIOD
 
 
-@pytest.mark.parametrize("block", (1, 3, _UNIFORM_BLOCK))
-def test_halting_without_birth_matches_reference(block, monkeypatch):
+def test_halting_without_birth_matches_reference():
     """b = 0 from a Poisson start: every particle dies and both clocks halt
     at t = inf after the same events."""
-    monkeypatch.setattr("contpop.simulator._UNIFORM_BLOCK", block)
     params = make_params(window=Window([10.0]), kernel=gaussian_unit_kernel(1),
                          b=0.0, m=0.1)
     for seed in range(4):
@@ -223,11 +223,9 @@ def test_drifted_death_total_matches_reference():
         assert state.deaths > 0
 
 
-@pytest.mark.parametrize("block", (1, 7, _UNIFORM_BLOCK))
-def test_capped_run_matches_reference(block, monkeypatch):
+def test_capped_run_matches_reference():
     """The event budget stops both engines after the same event, with the
     same count and clock in the error."""
-    monkeypatch.setattr("contpop.simulator._UNIFORM_BLOCK", block)
     _, params, initial = CASES[2]
     errors = []
     for engine in (SimulationState, ReferenceState):
@@ -288,7 +286,7 @@ def test_replicas_on_one_reset_state_match_reference(label, params, initial):
         records = [_record(s) for s in _replica(
             SimulationState, params, initial, seed, state)]
         assert records == _reference_run(label, seed)[0]
-        t, events, *_, audits, _, _ = records[-1]
+        t, events, *_, audits, _, _, _ = records[-1]
         assert audits == [events // AUDIT_PERIOD] != [0]
 
 
