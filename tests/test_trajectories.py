@@ -8,7 +8,10 @@ death and audit counts, the death total, the rates, the largest audit
 residual and the state of the generator must be equal with `==`, so the
 compiled loop draws exactly the uniforms the reference draws.  Replicas run
 back to back on one state, reset between them, must each equal a reference
-replica on a fresh state.
+replica on a fresh state.  A run cut into 1, 2, 3, 7 or 2,048 `advance`
+calls per snapshot interval leaves and re-enters the compiled loop at every
+cut, where the clock halts and the next call draws a fresh wait from the
+generator where the last call left it.
 """
 
 import functools
@@ -24,6 +27,7 @@ from conftest import gaussian_unit_kernel, make_params
 from reference_engine import ReferenceState, views
 
 AUDIT_PERIOD = 29   # several audits per replica
+CALLS = (1, 2, 3, 7, 2048)   # `advance` calls per snapshot interval
 
 
 def _absorbing(sides, width):
@@ -115,27 +119,35 @@ def assert_same(state, ref):
     assert _record(state) == _record(ref)
 
 
-def _replica(engine, params, initial, seed=3, state=None):
+def _stops(start, end, calls):
+    """`calls` equally spaced times after `start`, the last one `end`."""
+    return [start + (end - start) * k / calls for k in range(1, calls)] + [end]
+
+
+def _replica(engine, params, initial, seed=3, state=None, calls=1):
     """Start `engine`, or reset `state`, on the stream of `seed`, seed it
-    from `initial` and advance it through the snapshots, yielding it at
-    each."""
+    from `initial` and advance it through the snapshots, in `calls` calls
+    from each to the next, yielding it at each."""
     if state is None:
         state = engine(params, _rng(seed))
     else:
         state.reset(_rng(seed))
     state.seed_initial(initial)
+    last = 0.0
     for t in SNAPSHOTS:
-        state.advance(t, replica=seed)
+        for stop in _stops(last, t, calls):
+            state.advance(stop, replica=seed)
+        last = t
         yield state
 
 
 @functools.cache
-def _reference_run(label, seed=3):
+def _reference_run(label, seed=3, calls=1):
     """The reference's records at each snapshot, and the count of birth
     sampler tries it turned down."""
     params, initial = next((p, i) for name, p, i in CASES if name == label)
     records = []
-    for ref in _replica(ReferenceState, params, initial, seed):
+    for ref in _replica(ReferenceState, params, initial, seed, calls=calls):
         records.append(_record(ref))
     return records, ref.rejections
 
@@ -145,20 +157,23 @@ def short_audit_period(monkeypatch):
     monkeypatch.setattr("contpop.simulator.AUDIT_PERIOD", AUDIT_PERIOD)
 
 
+@pytest.mark.parametrize("calls", CALLS)
 @pytest.mark.parametrize("label,params,initial", CASES,
                          ids=[c[0] for c in CASES])
-def test_replica_matches_reference(label, params, initial):
-    expected, rejections = _reference_run(label)
-    assert [_record(state) for state in
-            _replica(SimulationState, params, initial)] == expected
+def test_replica_matches_reference(label, params, initial, calls):
+    expected, rejections = _reference_run(label, calls=calls)
+    assert [_record(state) for state in _replica(
+        SimulationState, params, initial, calls=calls)] == expected
     t, events, births, deaths, *_, audits, _, _, _ = expected[-1]
     assert births > 20 and deaths > 20 and rejections > 0
     assert audits == [events // AUDIT_PERIOD] and events > 3 * AUDIT_PERIOD
 
 
-def test_halting_without_birth_matches_reference():
+@pytest.mark.parametrize("calls", (1, 3, 2048))
+def test_halting_without_birth_matches_reference(calls):
     """b = 0 from a Poisson start: every particle dies and both clocks halt
-    at t = inf after the same events."""
+    at t = inf after the same events, the run cut into `calls` calls, the
+    last to t = inf."""
     params = make_params(window=Window([10.0]), kernel=gaussian_unit_kernel(1),
                          b=0.0, m=0.1)
     for seed in range(4):
@@ -166,7 +181,8 @@ def test_halting_without_birth_matches_reference():
                    for engine in (SimulationState, ReferenceState)]
         for engine in engines:
             engine.seed_initial(RateField.constant(3.0, 1))
-            engine.advance(math.inf)
+            for stop in _stops(0.0, 40.0, calls)[:-1] + [math.inf]:
+                engine.advance(stop)
         state, ref = engines
         assert state.t == ref.t == math.inf and state.n == 0
         assert state.deaths == ref.deaths > 0
@@ -223,16 +239,18 @@ def test_drifted_death_total_matches_reference():
         assert state.deaths > 0
 
 
-def test_capped_run_matches_reference():
-    """The event budget stops both engines after the same event, with the
-    same count and clock in the error."""
+@pytest.mark.parametrize("calls", (1, 7, 2048))
+def test_capped_run_matches_reference(calls):
+    """The event budget, counted over all calls, stops both engines after
+    the same event, with the same count and clock in the error."""
     _, params, initial = CASES[2]
     errors = []
     for engine in (SimulationState, ReferenceState):
         state = engine(params, _rng(8))
         state.seed_initial(initial)
         with pytest.raises(CappedRunError) as info:
-            state.advance(50.0, max_events=75, replica=4)
+            for stop in _stops(0.0, 50.0, calls):
+                state.advance(stop, max_events=75, replica=4)
         errors.append((info.value.replica, info.value.events, info.value.t))
         if engine is SimulationState:
             compiled = state
