@@ -414,9 +414,10 @@ int cp_field(State *s, int slot, int kind, double scale, double width2,
     return 0;
 }
 
-/* Add a particle at x, with its mortality m(x); returns its row, or -1
- * when memory runs out. */
-static int64_t insert(State *s, const double *x)
+/* Add a particle at x, its d coordinates, with its mortality m(x); returns
+ * its row, or -1 when memory runs out.  A birth in cp_advance, a point of
+ * cp_place and SimulationState.insert all add their particle here. */
+int64_t cp_insert(State *s, const double *x)
 {
     int64_t i = s->n;
     if (reserve_rows(s, i + 1))
@@ -450,14 +451,6 @@ static int64_t insert(State *s, const double *x)
     s->d_tot = d_tot + rate;
     s->n = i + 1;
     return i;
-}
-
-/* Add a particle at (x0, x1, x2), its first d coordinates; returns its row,
- * or -1 when memory runs out. */
-int64_t cp_insert(State *s, double x0, double x1, double x2)
-{
-    const double x[3] = {x0, x1, x2};
-    return insert(s, x);
 }
 
 /* Delete the particle in row i; the last row moves into row i.  Float
@@ -590,7 +583,7 @@ int cp_place(State *s, int64_t count)
     double x[3];
     for (; count > 0; count--) {
         sample(s, &s->field[DENSITY], x);
-        if (insert(s, x) < 0)
+        if (cp_insert(s, x) < 0)
             return NO_MEMORY;
     }
     return DONE;
@@ -629,7 +622,7 @@ int cp_advance(State *s, double until, int64_t limit, int64_t audit_period)
         }
         if (s->b_tot > 0.0 && s->next_double(s->rng) * total <= s->b_tot) {
             sample(s, &s->field[BIRTH], x);
-            if (insert(s, x) < 0)
+            if (cp_insert(s, x) < 0)
                 return NO_MEMORY;
             s->births++;
         } else {

@@ -14,7 +14,7 @@ bin estimators with replica-level standard errors.
 
 `moment_series` and `density_estimate` reduce over the replicas in column
 blocks of the flattened (snapshot x cell) count matrix, so besides the
-integer counts they hold about _PAIR_BLOCK floats at a time, never a
+integer counts they hold about _COLUMN_BLOCK floats at a time, never a
 replicas x snapshots x cells x orders tensor; numpy adds the replicas of
 each element in order whatever the block.  `pair_correlation_estimate`
 counts the pairs of all replicas of a snapshot in compiled code
@@ -64,9 +64,9 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 8
-# the column-block budget of `moment_series` and `density_estimate`: looked-up
-# floats per column block of their reductions over the replicas
-_PAIR_BLOCK = 1 << 14
+# the budget of one column block of the reductions over the replicas in
+# `moment_series` and `density_estimate`: looked-up floats per block
+_COLUMN_BLOCK = 1 << 14
 
 
 class SnapshotEnsemble:
@@ -251,12 +251,12 @@ def _replica_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _column_stats(counts: np.ndarray,
                   table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_replica_stats` of table[counts], for a (replicas, columns) count
-    matrix, in column blocks of about _PAIR_BLOCK looked-up values.  A block
+    matrix, in column blocks of about _COLUMN_BLOCK looked-up values.  A block
     keeps at least two columns: numpy sums a reduction to a single value
     pairwise, not in replica order, so one column alone could round
     differently."""
     replicas, columns = counts.shape
-    width = max(_PAIR_BLOCK // max(replicas * table.shape[1], 1), 2)
+    width = max(_COLUMN_BLOCK // max(replicas * table.shape[1], 1), 2)
     blocks = max(columns // width, 1)
     mean = np.empty((columns, table.shape[1]))
     err = np.empty_like(mean)

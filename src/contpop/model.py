@@ -121,20 +121,13 @@ class Window:
         return self.minimum_image(
             np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
-    def minimum_image(self, u, axis: int | None = None, out=None):
-        """Displacements u folded to their minimum image, u - L round(u / L),
-        on a periodic window; u itself on an absorbing one.  L is the side
-        of `axis`, or each side along u's last axis when axis is None.  The
-        result is written into `out` when given (an array other than u, of
-        the broadcast shape), so a caller can fold one axis of many pairs in
-        preallocated buffers."""
+    def minimum_image(self, u):
+        """Displacements u folded to their minimum image, u - L round(u / L)
+        with L each side along u's last axis, on a periodic window; u itself
+        on an absorbing one.  `np.rint` rounds ties to even, as np.round."""
         if self.boundary != "periodic":
             return u
-        side = self.sides if axis is None else self.sides[axis]
-        t = np.divide(u, side, out=out)
-        np.rint(t, out=t)   # ties to even, as np.round
-        t *= side
-        return np.subtract(u, t, out=t)
+        return u - np.rint(u / self.sides) * self.sides
 
 
 def _sphere_surface(r: NDArray[np.float64], dimension: int) -> NDArray[np.float64]:
@@ -293,6 +286,8 @@ class RateField:
     KINDS = ("constant", "gaussian-bump", "tabulated")
 
     def __init__(self, kind: str, dimension: int):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown rate field kind {kind!r}")
         self.kind = kind
         self.dimension = int(dimension)
 

@@ -206,8 +206,8 @@ def _build(cache: Path) -> Path:
 @functools.cache
 def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(_SOURCE.parent / "__pycache__")))
-    # a state is passed as an address: a c_void_p argument converts faster
-    # than a typed pointer or an ndpointer, on the paths taken once per event
+    # a state travels as its address, a plain c_void_p: `cp_new` returns it,
+    # `_State.from_address` mirrors it and every entry point takes it back
     state = address = ctypes.c_void_p
     c_int, c_int64, c_double = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     floats = np.ctypeslib.ndpointer(np.float64, flags="C")
@@ -220,7 +220,7 @@ def _library() -> ctypes.CDLL:
             ("cp_reset", None, [state, address, address]),
             ("cp_field", c_int, [state, c_int, c_int, c_double, c_double,
                                  floats, floats, ints, floats, c_double]),
-            ("cp_insert", c_int64, [state, c_double, c_double, c_double]),
+            ("cp_insert", c_int64, [state, floats]),
             ("cp_place", c_int, [state, c_int64]),
             ("cp_advance", c_int, [state, c_double, c_int64, c_int64]),
             ("cp_remove", c_int, [state, c_int64]),
@@ -278,7 +278,6 @@ class SimulationState:
         self.n_cells = counts
         self.cell_sides = [s / n for s, n in zip(sides, counts)]
         self.total_cells = math.prod(counts)
-        self._pad = (0.0,) * (3 - d)   # cp_insert takes three coordinates
         table = (kernel._r_table, kernel._a_table) \
             if kernel.kind == "tabulated" else (np.empty(0), np.empty(0))
         self._c = lib.cp_new(
@@ -353,7 +352,7 @@ class SimulationState:
         if not self._domain.contains_points(x).all():
             raise ValueError(f"position {x} lies outside the simulation "
                              f"domain {self._domain}")
-        i = self._lib.cp_insert(self._c, *x, *self._pad)
+        i = self._lib.cp_insert(self._c, np.array(x))
         if i < 0:
             raise MemoryError("no memory for another particle")
         return i

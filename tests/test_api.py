@@ -22,6 +22,15 @@ def test_every_exported_name_resolves(module):
             if not hasattr(mod, name)] == []
 
 
+def test_package_exports_exactly_the_module_export_lists():
+    # `cli`, the command line, keeps no export list and is not re-exported
+    exported = [name for module in MODULES[1:]
+                for name in getattr(importlib.import_module(module),
+                                    "__all__", ())]
+    assert len(exported) == len(set(exported))
+    assert sorted(contpop.__all__) == sorted(["__version__", *exported])
+
+
 # modules deleted whole; their names are gone with them
 REMOVED_MODULES = {"combinatorics"}
 
@@ -99,6 +108,8 @@ def test_removed_names_are_gone(module, name):
     ("model", "cell_infimum", "divisions"),
     ("hierarchy", "HierarchyState.translation_invariant", "k20"),
     ("hierarchy", "HierarchyState.full_grid", "k20"),
+    ("model", "Window.minimum_image", "axis"),
+    ("model", "Window.minimum_image", "out"),
 ])
 def test_removed_parameters_are_gone(module, name, parameter):
     obj = importlib.import_module(f"contpop.{module}")

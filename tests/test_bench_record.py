@@ -57,3 +57,13 @@ def test_mismatched_runs_are_rejected(tmp_path, capsys):
     (tmp_path / "bad.txt").write_text("no json here\n")
     assert bench_record.main(["--pr", "1", "--parent", str(tmp_path / "bad.txt"),
                               "--change", *change]) == 2
+
+
+def test_a_run_without_its_workload_line_names_the_line(tmp_path, capsys):
+    whole = Path(fake_run(tmp_path / "whole.txt", "deterministic", 1.0))
+    last = tmp_path / "last.txt"   # what `| tail -n 1` keeps
+    last.write_text(whole.read_text().splitlines()[-1] + "\n")
+    assert bench_record.main(["--pr", "1", "--parent", str(last), "--change",
+                              str(whole), "--out", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err
+    assert '{"workload": ...} line' in err and "whole stdout" in err

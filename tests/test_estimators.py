@@ -327,14 +327,14 @@ def _assert_pair_correlation_matches(ensemble, edges):
 
 # the pair count is compiled and reads no block budget: the budgets of the
 # cell estimators, as before, must leave it as it is at every thread count
-@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 5])
+@pytest.mark.parametrize("block", [estimators._COLUMN_BLOCK, 1 << 16, 16, 5])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
     Window([6.0, 5.0], boundary="absorbing-buffer", buffer_width=1.5)],
     ids=["periodic-1d", "periodic-2d", "periodic-3d", "absorbing-2d"])
 def test_blocked_pair_correlation_matches_all_pairs(window, block,
                                                     monkeypatch):
-    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(estimators, "_COLUMN_BLOCK", block)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
     gen = np.random.default_rng(5)
     d = window.dimension
@@ -433,7 +433,7 @@ def per_replica_pair_correlation(ensemble, r_edges, time_index):
 
 
 # as above, the block budgets must not reach the pair count
-@pytest.mark.parametrize("block", [estimators._PAIR_BLOCK, 1 << 16, 16, 1])
+@pytest.mark.parametrize("block", [estimators._COLUMN_BLOCK, 1 << 16, 16, 1])
 @pytest.mark.parametrize("window", [
     Window([10.0]), Window([8.0, 6.0]), Window([4.0, 5.0, 6.0]),
     Window([6.0], boundary="absorbing-buffer", buffer_width=1.0),
@@ -443,7 +443,7 @@ def per_replica_pair_correlation(ensemble, r_edges, time_index):
          "absorbing-2d", "absorbing-3d"])
 def test_one_pass_pair_correlation_matches_per_replica(window, block,
                                                        monkeypatch):
-    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(estimators, "_COLUMN_BLOCK", block)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
     gen = np.random.default_rng(17)
     d = window.dimension
@@ -629,7 +629,7 @@ def test_array_estimators_match_per_cell_reference(
         fact[..., 0].astype(int).tolist()
 
 
-@pytest.mark.parametrize("block", [1, 97, estimators._PAIR_BLOCK, 1 << 16])
+@pytest.mark.parametrize("block", [1, 97, estimators._COLUMN_BLOCK, 1 << 16])
 @pytest.mark.parametrize("sides,cell_side", [([2.0], 0.25), ([2.0], 2.0),
                                              ([1.0, 1.0], 0.5)],
                          ids=["1d-8-cells", "1d-one-cell", "2d-4-cells"])
@@ -639,7 +639,7 @@ def test_blocked_cell_estimators_match_per_cell_reference(
     # 12 replicas: numpy sums 8 or more values pairwise when a reduction
     # keeps one value, so a one-column block would round differently from
     # the whole tensor
-    monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(estimators, "_COLUMN_BLOCK", block)
     gen = np.random.default_rng(23)
     win = Window(sides)
     part = CellPartition(win, cell_side)

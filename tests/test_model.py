@@ -254,6 +254,11 @@ def test_constant_field_rejects_negative():
         RateField.constant(-0.1, 1)
 
 
+def test_rate_field_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown rate field kind 'bogus'"):
+        RateField("bogus", 1)
+
+
 def test_gaussian_bump_field():
     box = Box([0.0], [10.0])
     f = RateField.gaussian_bump(2.0, [5.0], 1.0, box)

@@ -5,15 +5,16 @@ Usage, from the root of a checkout:
     python tools/bench_record.py --pr N --parent P1.txt P2.txt ... \
         --change C1.txt C2.txt ...
 
-Each file is the saved stdout of one untraced `perfbench/run.py` run.  Its
-`{"workload": ...}` line names the workload and its last line, one JSON
-object, holds `correct` and the metrics.  The files are grouped by
-workload; the i-th parent and i-th change file of a workload form pair i,
-so list them in the order they ran.  For every end-to-end metric that
-BENCHMARK.json names, the output gives each side's median and quartiles,
-the change/parent ratio of the medians, and the number of pairs the change
-won (ties count for neither side).  The result is written to
-BENCH_<pr>.json at the root of the checkout, or to --out.
+Each file is the whole saved stdout of one untraced `perfbench/run.py` run
+(`> run.txt`, not `| tail -n 1`): its `{"workload": ...}` line names the
+workload and its last line, one JSON object, holds `correct` and the
+metrics.  The files are grouped by workload; the i-th parent and i-th
+change file of a workload form pair i, so list them in the order they
+ran.  For every end-to-end metric that BENCHMARK.json names, the output
+gives each side's median and quartiles, the change/parent ratio of the
+medians, and the number of pairs the change won (ties count for neither
+side).  The result is written to BENCH_<pr>.json at the root of the
+checkout, or to --out.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ def read_run(path: Path) -> tuple:
     """(workload, final JSON object) of one saved run.py output."""
     objects = [json.loads(line) for line in path.read_text().splitlines()
                if line.startswith("{")]
-    workload = next((o["workload"] for o in objects if "workload" in o), None)
-    if workload is None or "metrics" not in objects[-1]:
+    if not objects or "metrics" not in objects[-1]:
         raise ValueError(f"{path}: not the output of a perfbench/run.py run")
+    workload = next((o["workload"] for o in objects if "workload" in o), None)
+    if workload is None:
+        raise ValueError(f'{path}: no {{"workload": ...}} line; save the '
+                         'whole stdout of perfbench/run.py, not its last '
+                         'line only')
     return workload, objects[-1]
 
 
