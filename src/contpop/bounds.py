@@ -9,7 +9,7 @@ the evolution is global in time.
 
 The second half of the module bounds cell counts: a closed triangular system
 for factorial moments of the count in a cell where the kernel has a positive
-infimum and the cell rates it runs on, and the stationary density cap.
+infimum and the cell rates it runs on, and a self-regulation level.
 """
 
 from __future__ import annotations
@@ -316,13 +316,13 @@ class StationaryDensityBound:
 
 def stationary_density_bound(params: ModelParams,
                              rho0_sup: float) -> StationaryDensityBound:
-    """Density bound max(sup rho0, sup b/a(0)) from the kernel's self-interaction;
-    `rho0_sup` is the sup of the initial density.
-
-    A particle suppresses newcomers in its own neighborhood at least at rate
-    a(0) per neighbor, which caps the density at b/a(0) up to the initial
-    transient.  Raises EffectiveMortalityUnavailable when a(0) = 0 (the
-    non-interacting regime; use surgailis_theta_growth there instead).
+    """The self-regulation level max(sup rho0, sup b/a(0)), no proven cap;
+    `rho0_sup` is the sup of the initial density.  At b/a(0) the competition
+    a(0) of every neighbour balances births, but a particle alone feels
+    none: the four known-red tests (README "Testing", ROADMAP item 2) find
+    the stationary density near 1.27, above a level of 1.  Raises
+    EffectiveMortalityUnavailable when a(0) = 0 (the non-interacting
+    regime; use surgailis_theta_growth there instead).
     """
     a_zero = float(params.kernel.radial(0.0))
     if a_zero <= 0.0:

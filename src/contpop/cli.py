@@ -5,13 +5,13 @@ parsed flag as the command resolved it) into the output directory before any
 computation starts, so a finished or failed run can always be reproduced.
 Data outputs are CSV/JSON with repr-formatted floats: rerunning the same
 manifest yields byte-identical CSV files regardless of the worker and
-thread counts (`--threads`).  Every CSV is written by
-`estimators.write_csv`, one replica, snapshot or grid row per block.  summary.json additionally records
-wall-clock times, per-replica spreads, repair counters and the build of the
-compiled event loop, and is diagnostic only.  `verify` reads a run's settings from its manifest, compares k1.csv
-and moments.csv with the tables their writers build (`estimators.k1_table`,
-`moments_table`), rebuilt from the particle files, and tests the analytic
-envelopes that `surgailis` and `bounds` compute.
+thread counts (`--threads`).  Every CSV is written by `estimators.write_csv`,
+one replica, snapshot or grid row per block.  summary.json additionally
+records wall-clock times, per-replica spreads, repair counters and the build
+of the compiled event loop, and is diagnostic only.  `verify` reads a run's
+settings from its manifest, writes k1.csv and moments.csv again from the
+particle files with simulate's writers and asks for the same bytes, and
+tests the cell counts against the free flow's exact law.
 
 Exit codes: 0 success, 1 failed verification checks, 3 numerical failures
 (event-budget cap, step-size guard, clipping budget, divergence, schedule
@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -40,17 +41,17 @@ import numpy as np
 from . import __version__
 from .bounds import (EffectiveMortalityUnavailable, ScheduleHorizonError,
                      cell_rates, continuation_schedule, existence_time,
-                     kappa_from_factorial_moments, moment_bound_system,
-                     operator_norm_bound, stationary_density_bound,
-                     surgailis_theta_growth, unit_existence_time)
+                     moment_bound_system, operator_norm_bound,
+                     stationary_density_bound, surgailis_theta_growth,
+                     unit_existence_time)
 from .config import (ConfigError, build_initial, build_params, config_sha256,
                      hierarchy_options, load_config)
-from .estimators import (CellPartition, SnapshotEnsemble,
-                         check_moment_orders, density_estimate, k1_table,
-                         moment_series, moments_table,
-                         pair_correlation_estimate, raw_moment_from_factorials,
-                         read_csv_columns, separation_edges, write_csv,
-                         write_k1_csv, write_k2_csv, write_moments_csv)
+from .estimators import (CellPartition, SnapshotEnsemble, _cell_counts,
+                         _cell_index, check_moment_orders, density_estimate,
+                         moment_series, pair_correlation_estimate,
+                         raw_moment_from_factorials, read_csv_columns,
+                         separation_edges, write_csv, write_k1_csv,
+                         write_k2_csv, write_moments_csv)
 from .hierarchy import (CLOSURES, ClipBudgetError, DivergenceError,
                         HierarchyState, StepSizeError, check_steps,
                         integrate)
@@ -65,6 +66,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 # the particle file of snapshot k, which simulate writes and verify reads
 _PARTICLE_FILE = "particles_{:04d}.csv"
+# the false-alarm rate of each of verify's exact-law checks
+ALPHA = 0.01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -460,9 +463,8 @@ def cmd_bounds(args) -> int:
 def _load_ensemble(run: Path, params, arguments: dict) -> SnapshotEnsemble:
     """A simulate run's particle table: one stable sort by slot of every
     particle file's rows keeps each slot's rows in file order."""
-    times = arguments["snapshots"]
-    replicas = arguments["replicas"]
-    d = params.dimension
+    times, replicas, d = (arguments["snapshots"], arguments["replicas"],
+                          params.dimension)
     points, slots = [], []
     for k in range(len(times)):
         path = run / _PARTICLE_FILE.format(k)
@@ -485,104 +487,101 @@ def _load_ensemble(run: Path, params, arguments: dict) -> SnapshotEnsemble:
         np.argsort(slot, kind="stable")], counts.reshape(replicas, -1))
 
 
-def _recompute(name: str, path: Path, table) -> tuple:
-    """Check a stored estimator CSV against its writer's (header, blocks)
-    rebuilt from the reloaded particles: the same header, row count and
-    text in str-written columns, and float columns within 1e-9.  Returns
-    the check and the stored columns, or None for them if the rows differ
-    or a float column holds a cell that is not a number."""
-    header, blocks = table
-    fresh = dict(zip(header, map(np.concatenate, zip(*blocks))))
-    text = {column: list(map(str, col.tolist()))
-            for column, col in fresh.items() if col.dtype.kind != "f"}
-    stored = read_csv_columns(path)
-    rows = sorted({len(col) for col in stored.values()})
-    if list(stored) != header or rows != [fresh[header[0]].size] \
-            or any(stored[column] != t for column, t in text.items()):
-        return (name, "FAIL", f"header, row counts {rows} or text differ "
-                f"from the {fresh[header[0]].size} recomputed rows"), None
-    try:
-        floats = [(np.asarray(stored[column], dtype=float), col)
-                  for column, col in fresh.items() if column not in text]
-    except ValueError as exc:
-        return (name, "FAIL", f"non-numeric cell: {exc}"), None
-    worst = float(np.max([np.max(np.abs(got - want), initial=0.0)
-                          for got, want in floats]))
-    return (name, "PASS" if worst <= 1e-9 else "FAIL",
-            f"max deviation {worst:.3g}"), stored
-
-
-def _moment_identity(stored, series) -> tuple:
-    """Stored raw moments against the Stirling transform of the stored
-    factorial ones, a row of both per time and cell."""
-    if stored is None:
-        return "moment-identity", "SKIP", "moments.csv rows do not match"
-    table = np.asarray(stored["value"], dtype=float).reshape(
-        -1, series.orders + series.raw_orders)
-    facts = table[:, :series.orders].T
+def _moment_identity(series) -> tuple:
+    """Raw moments against the Stirling transform of the factorial ones."""
+    facts = series.factorial.reshape(-1, series.orders).T
     expect = np.stack([raw_moment_from_factorials(facts, n)
                        for n in range(1, series.raw_orders + 1)], axis=1)
-    worst = float(np.max(np.abs(table[:, series.orders:] - expect)
+    worst = float(np.max(np.abs(series.raw.reshape(expect.shape) - expect)
                          / np.maximum(1.0, np.abs(expect)), initial=0.0))
     return ("moment-identity", "PASS" if worst <= 1e-9 else "FAIL",
             f"max relative residual {worst:.3g}")
 
 
-def _envelope(name: str, detail: str, value, bound, stderr) -> tuple:
-    """PASS when max(value - bound - 3 stderr), put into `detail`, is <= 0."""
-    worst = float(np.max(value - bound - 3.0 * stderr))
-    return name, "PASS" if worst <= 0 else "FAIL", detail.format(worst)
+def _count_tails(x, n, psi, mu) -> tuple:
+    """Flat P(X <= x) and P(X >= x), X = Binomial(n, psi) + Poisson(mu), on
+    arrays that broadcast together.  Each pmf is a row per element over its
+    mean +- (12 sd + 12), all but 1e-20 of its mass: the binomial's from
+    `math.lgamma`, the Poisson's from ratios mu / k, scaled to sum to 1."""
+    x, n, psi, mu = (a.ravel() for a in np.broadcast_arrays(x, n, psi, mu))
+
+    def rows(mean, sd):   # each element's first value, and one width
+        lo = np.maximum(np.floor(mean - 12.0 * sd - 12.0), 0).astype(np.int64)
+        return lo, int(np.max(mean + 12 * sd - lo)) + 14
+
+    k, w = rows(mu, np.sqrt(mu))   # each Poisson row runs k, k + 1, ...
+    j, width = rows(n * psi, np.sqrt(n * psi * (1.0 - psi)))
+    j, m = j[:, None] + np.arange(width), n[:, None]
+    lf = np.array([math.lgamma(i + 1.0) for i in range(n.max() + 1)])
+    i, pois = np.minimum(j, m), np.zeros((x.size, w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def xlogy(a, y):   # a log y, and 0 where a = 0
+            return np.where(a == 0, 0.0, a * np.log(y)[:, None])
+        binom = np.where(j <= m, np.exp(lf[m] - lf[i] - lf[m - i] + xlogy(
+            i, psi) + xlogy(m - i, 1.0 - psi)), 0.0)
+        np.log(k[:, None] + np.arange(1.0, w), out=pois[:, 1:])
+        np.subtract(np.log(mu)[:, None], pois[:, 1:], out=pois[:, 1:])
+    np.exp(np.cumsum(pois, axis=1, out=pois), out=pois)
+    pois /= np.sum(pois, axis=1, keepdims=True)
+    at = x[:, None] - j - k[:, None]   # x less each binomial value's column
+    inside = np.clip(at, 0, w - 1)
+    below = np.where(at < 0, 0.0, np.take_along_axis(
+        np.cumsum(pois, axis=1), inside, axis=1))
+    np.cumsum(pois[:, ::-1], axis=1, out=pois[:, ::-1])   # upper tails
+    above = np.where(at >= w, 0.0, np.take_along_axis(pois, inside, axis=1))
+    return np.sum(binom * below, axis=1), np.sum(binom * above, axis=1)
 
 
-def _envelope_checks(params, partition, series):
-    """domination, oracle-equivalence, moment-envelope and density-cap."""
-    volume = partition.volume
-    dens = series.factorial[:, :, 0] / volume
-    err = series.factorial_stderr[:, :, 0] / volume
-    constant_rates = {params.birth.kind, params.mortality.kind} == {"constant"}
-    if not constant_rates or series.times.size < 2:
-        reason = "needs two snapshots" if constant_rates \
-            else "needs constant b and m"
-        yield "domination", "SKIP", reason
-        yield "oracle-equivalence", "SKIP", reason
+def _law_checks(params, partition, ensemble, initial):
+    """domination (the upper tail: competition only removes particles) and
+    oracle-equivalence (both tails): each core cell's count and the core's,
+    summed over the R replicas, at each snapshot t, against the free law
+    from the config's start, Binomial(R n(0), psi) + Poisson(R (psi int rho0
+    + phi |C|)), n(0) the explicit start points in the cell.  Each check
+    spends ALPHA, half on the cell-times, half on the totals."""
+    if {params.birth.kind, params.mortality.kind} != {"constant"}:
+        return [(name, "SKIP", "needs constant b and m")
+                for name in ("domination", "oracle-equivalence")]
+    if isinstance(initial, RateField):
+        start = np.zeros(len(partition), dtype=np.int64)
+        mass = np.array([initial.integral_over(box) for box in partition])
     else:
-        # the envelope starts from the first snapshot's densities, which it
-        # equals there by construction, so that snapshot is left out
-        origin = np.zeros(params.dimension)
-        flows = (SurgailisFlow.from_params(params, float(t - series.times[0]))
-                 for t in series.times[1:])
-        envelope = np.array([poisson_density_flow(dens[0], f, origin)
-                             for f in flows])
-        yield _envelope("domination", "worst envelope excess {:.3g}",
-                        dens[1:], envelope, err[1:])
-        if params.a_integral == 0.0:   # the envelope is the exact law
-            yield _envelope("oracle-equivalence",
-                            "worst |deviation| - 3 sigma = {:.3g}",
-                            np.abs(dens[1:] - envelope), 0.0, err[1:])
-        else:
-            yield "oracle-equivalence", "SKIP", "competition kernel present"
-    a_cell, b_cell = cell_rates(params, partition.cell_side)
-    if a_cell > 0.0 and constant_rates:
-        q0 = np.max(series.factorial[0], axis=0)
-        mb = moment_bound_system(
-            q0, b_cell, a_cell, series.times - series.times[0],
-            kappa0=max(volume * math.exp(params.theta0),
-                       kappa_from_factorial_moments(q0)))
-        yield _envelope("moment-envelope",
-                        f"kappa {mb.kappa:.4g}, worst excess {{:.3g}}",
-                        series.factorial, mb.envelope, series.factorial_stderr)
-    else:
-        yield "moment-envelope", "SKIP", "needs constant rates" if a_cell > 0 \
-            else "kernel infimum over the cell separations is zero"
+        start = np.bincount(_cell_index(partition, initial)[0],
+                            minlength=len(partition))
+        mass = np.zeros(len(partition))
+    origin, r = np.zeros(params.dimension), ensemble.n_replicas
+    psi, phi = np.array([[flow.psi(origin), flow.phi(origin)] for flow in (
+        SurgailisFlow.from_params(params, t) for t in ensemble.times)]).T
+    mu = r * (psi[:, None] * mass + phi[:, None] * partition.volume)
+    cells = _cell_counts(ensemble, partition).sum(axis=0)   # (times, cells)
+    upper = both = 1.0   # the least Bonferroni-adjusted p-values
+    for x, n, p, m in ((cells, r * start, psi[:, None], mu),
+                       (cells.sum(axis=1), r * start.sum(), psi,
+                        mu.sum(axis=1))):
+        below, above = _count_tails(x, n, p, m)
+        upper = min(upper, 2 * x.size * float(np.min(above)))
+        both = min(both, 4 * x.size * float(np.min(np.minimum(below, above))))
+    detail = (f"over {cells.size} cell-times and {len(cells)} totals, "
+              f"alpha {ALPHA:g}: least adjusted p {{:.3g}}")
+    return [("domination", "PASS" if upper > ALPHA else "FAIL",
+             "upper tail " + detail.format(upper)),
+            ("oracle-equivalence", "PASS" if both > ALPHA else "FAIL",
+             "both tails " + detail.format(both)) if params.a_integral == 0.0
+            else ("oracle-equivalence", "SKIP", "competition kernel present")]
+
+
+def _density_cap(params, partition, series) -> tuple:
+    """Cell densities against stationary_density_bound's level + 3 sigma."""
+    dens = series.factorial[:, :, 0] / partition.volume
+    err = series.factorial_stderr[:, :, 0] / partition.volume
     try:
         level = stationary_density_bound(
             params, float(np.max(dens[0]))).global_bound
     except EffectiveMortalityUnavailable:
-        yield "density-cap", "SKIP", "kernel vanishes at the origin"
-    else:
-        yield _envelope("density-cap",
-                        f"level {level:.4g}, worst excess {{:.3g}}",
-                        dens, level, err)
+        return "density-cap", "SKIP", "kernel vanishes at the origin"
+    worst = float(np.max(dens - level - 3.0 * err))
+    return ("density-cap", "PASS" if worst <= 0 else "FAIL",
+            f"level {level:.4g}, worst excess {worst:.3g}")
 
 
 def cmd_verify(args) -> int:
@@ -600,7 +599,8 @@ def cmd_verify(args) -> int:
     if actual != manifest.get("config_sha256"):
         raise ConfigError(f"config hash mismatch: {actual} vs manifest "
                           f"{manifest.get('config_sha256')}")
-    params = build_params(load_config(args.config))
+    cfg = load_config(args.config)
+    params = build_params(cfg)
     arguments = manifest.get("arguments")
     # the settings verify reads, of the types simulate records (no booleans)
     kinds = {"replicas": [int], "l_max": [int], "n_max": [int],
@@ -611,17 +611,27 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{manifest_path}: arguments lack replicas, "
                           "snapshots, cell_side, l_max or n_max, or hold one "
                           "of the wrong type")
+    # the replicas and times pass the checks of simulate's plan
+    initial = ReplicaPlan(arguments["replicas"], 0, arguments["snapshots"],
+                          build_initial(cfg, params)).initial
     ensemble = _load_ensemble(run, params, arguments)
     partition = CellPartition(params.window, arguments["cell_side"])
     grids = density_estimate(ensemble, partition)
-    k1_check, _ = _recompute("k1-recompute", run / "k1.csv",
-                             k1_table(grids, ensemble.times, params.dimension))
     series = moment_series(ensemble, partition, l_max=arguments["l_max"],
                            n_max=arguments["n_max"])
-    moments_check, moments = _recompute(
-        "moments-recompute", run / "moments.csv", moments_table(series))
-    results = [k1_check, moments_check, _moment_identity(moments, series),
-               *_envelope_checks(params, partition, series)]
+    with tempfile.TemporaryDirectory() as scratch:   # simulate's writers
+        write_k1_csv(Path(scratch, "k1.csv"), grids, ensemble.times,
+                     params.dimension)
+        write_moments_csv(Path(scratch, "moments.csv"), series)
+        same = [(run / name).read_bytes() == Path(scratch, name).read_bytes()
+                for name in ("k1.csv", "moments.csv")]
+    results = [(check, "PASS", "same bytes as the rebuilt file") if ok else
+               (check, "FAIL", "differs from the rebuilt file")
+               for check, ok in zip(("k1-recompute", "moments-recompute"), same)]
+    results.append(_moment_identity(series) if results[1][1] == "PASS" else
+                   ("moment-identity", "SKIP", "moments-recompute failed"))
+    results += [*_law_checks(params, partition, ensemble, initial),
+                _density_cap(params, partition, series)]
     for name, status, detail in results:
         print(f"verify {status} {name}: {detail}")
     passed, skipped, failed = (sum(r[1] == s for r in results)

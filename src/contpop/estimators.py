@@ -24,9 +24,8 @@ each counted in its own thread into its own integer histograms, so the sum
 does not depend on the number of ranges.
 
 `write_csv` is the package's one CSV writer: every CSV of every command
-goes through it, as blocks of columns with floats written by repr.
-`k1_table` and `moments_table` are the one place the k1.csv and moments.csv
-layouts are spelled out; `verify` compares the stored files with them.
+goes through it, as blocks of columns with floats written by repr; `verify`
+writes k1.csv and moments.csv again with the same writers.
 """
 
 from __future__ import annotations
@@ -55,10 +54,8 @@ __all__ = [
     "check_moment_orders",
     "moment_series",
     "write_csv",
-    "k1_table",
     "write_k1_csv",
     "write_k2_csv",
-    "moments_table",
     "write_moments_csv",
     "read_csv_columns",
 ]
@@ -454,16 +451,13 @@ def write_csv(path, header, blocks) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*text)))
 
 
-def k1_table(grids: list[CorrelationGrid], times, dimension: int) -> tuple:
-    """k1.csv as (header, blocks): t, cell center, value, stderr by time."""
-    return (["t", *(f"x{i + 1}" for i in range(dimension)), "value", "stderr"],
-            ([np.full(g.values.size, t, dtype=float),
-              *g.centers.reshape(g.values.size, -1).T, g.values, g.stderr]
-             for t, g in zip(times, grids)))
-
-
 def write_k1_csv(path, grids, times, dimension: int) -> None:
-    write_csv(path, *k1_table(grids, times, dimension))
+    """k1.csv: t, cell center, value, stderr; a block per time."""
+    write_csv(path, ["t", *(f"x{i + 1}" for i in range(dimension)), "value",
+                     "stderr"],
+              ([np.full(g.values.size, t, dtype=float),
+                *g.centers.reshape(g.values.size, -1).T, g.values, g.stderr]
+               for t, g in zip(times, grids)))
 
 
 def write_k2_csv(path, grids: list[CorrelationGrid], times) -> None:
@@ -473,25 +467,21 @@ def write_k2_csv(path, grids: list[CorrelationGrid], times) -> None:
                 g.stderr] for t, g in zip(times, grids)))
 
 
-def moments_table(series: MomentSeries) -> tuple:
-    """moments.csv as (header, blocks): t, cell_id, l_or_n, kind, value,
-    stderr by time; each cell's factorial orders come before its raw ones."""
+def write_moments_csv(path, series: MomentSeries) -> None:
+    """moments.csv: t, cell_id, l_or_n, kind, value, stderr; a block per
+    time, each cell's factorial orders before its raw ones."""
     cells = series.factorial.shape[1]
     orders = np.r_[1:series.orders + 1, 1:series.raw_orders + 1]
     kinds = ["factorial"] * series.orders + ["raw"] * series.raw_orders
     rows = cells * orders.size
-    return (["t", "cell_id", "l_or_n", "kind", "value", "stderr"],
-            ([np.full(rows, t, dtype=float),
-              np.repeat(np.arange(cells), orders.size),
-              np.tile(orders, cells), np.tile(kinds, cells),
-              np.hstack([series.factorial[k], series.raw[k]]).ravel(),
-              np.hstack([series.factorial_stderr[k],
-                         series.raw_stderr[k]]).ravel()]
-             for k, t in enumerate(series.times)))
-
-
-def write_moments_csv(path, series: MomentSeries) -> None:
-    write_csv(path, *moments_table(series))
+    write_csv(path, ["t", "cell_id", "l_or_n", "kind", "value", "stderr"],
+              ([np.full(rows, t, dtype=float),
+                np.repeat(np.arange(cells), orders.size),
+                np.tile(orders, cells), np.tile(kinds, cells),
+                np.hstack([series.factorial[k], series.raw[k]]).ravel(),
+                np.hstack([series.factorial_stderr[k],
+                           series.raw_stderr[k]]).ravel()]
+               for k, t in enumerate(series.times)))
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:

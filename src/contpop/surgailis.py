@@ -157,8 +157,7 @@ def propagate_correlation(eta, k0: Callable, flow: SurgailisFlow):
 
 def poisson_density_flow(rho0, flow: SurgailisFlow, x):
     """Density at time t of an initially Poisson state: psi rho0 + phi.
-    `rho0` is a density field, evaluated at x, or densities that broadcast
-    against psi(x), such as one per cell at a single point x."""
+    `rho0` is a density field, evaluated at x, or a number."""
     x = np.asarray(x, dtype=float)
     r0 = rho0(x) if callable(rho0) else rho0
     return flow.psi(x) * np.asarray(r0, dtype=float) + flow.phi(x)

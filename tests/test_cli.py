@@ -224,27 +224,26 @@ def test_golden_interacting_csvs_are_byte_identical(golden_interacting_runs,
 
 
 # exit code and per-check lines of verify on the two golden runs, recorded
-# before the recompute checks were rebuilt on the estimator writers' own
-# tables; six free replicas are too few for oracle-equivalence, which
-# false-alarms here
+# when the estimator files were first checked by their bytes and the cell
+# counts against the free flow's exact law
 GOLDEN_VERIFY = {
-    "free": (1, [
-        "verify PASS k1-recompute: max deviation 0",
-        "verify PASS moments-recompute: max deviation 0",
+    "free": (0, [
+        "verify PASS k1-recompute: same bytes as the rebuilt file",
+        "verify PASS moments-recompute: same bytes as the rebuilt file",
         "verify PASS moment-identity: max relative residual 1.57e-16",
-        "verify PASS domination: worst envelope excess -0.393",
-        "verify FAIL oracle-equivalence: worst |deviation| - 3 sigma = 2.42",
-        "verify SKIP moment-envelope: kernel infimum over the cell "
-        "separations is zero",
+        "verify PASS domination: upper tail over 200 cell-times and 2 "
+        "totals, alpha 0.01: least adjusted p 0.601",
+        "verify PASS oracle-equivalence: both tails over 200 cell-times and "
+        "2 totals, alpha 0.01: least adjusted p 1",
         "verify SKIP density-cap: kernel vanishes at the origin",
     ]),
     "interacting": (0, [
-        "verify PASS k1-recompute: max deviation 0",
-        "verify PASS moments-recompute: max deviation 0",
+        "verify PASS k1-recompute: same bytes as the rebuilt file",
+        "verify PASS moments-recompute: same bytes as the rebuilt file",
         "verify PASS moment-identity: max relative residual 2.13e-16",
-        "verify PASS domination: worst envelope excess -2.35",
+        "verify PASS domination: upper tail over 40 cell-times and 2 "
+        "totals, alpha 0.01: least adjusted p 1",
         "verify SKIP oracle-equivalence: competition kernel present",
-        "verify PASS moment-envelope: kappa 1036, worst excess -1.04e+03",
         "verify PASS density-cap: level 2, worst excess -1.09",
     ]),
 }
@@ -1042,9 +1041,8 @@ def test_verify_passes_on_clean_free_run(tmp_path, capsys):
     assert "PASS moment-identity" in output
     assert "PASS domination" in output
     assert "PASS oracle-equivalence" in output
-    assert "SKIP moment-envelope" in output
     assert "SKIP density-cap" in output
-    assert "verify: 5 passed, 2 skipped, 0 failed" in output
+    assert "verify: 5 passed, 1 skipped, 0 failed" in output
 
 
 def edit_rows(path, edit):
@@ -1104,28 +1102,28 @@ def test_verify_fails_on_empty_k1_csv(tmp_path, capsys):
 def test_verify_reads_each_bound_from_its_owner(golden_runs,
                                                 golden_interacting_runs,
                                                 capsys, monkeypatch):
-    # shift what each owner returns: every printed level, kappa and excess
-    # must move with it, so verify holds no copy of the formulas
+    # shift what each owner returns: every printed level and p-value must
+    # move with it, so verify holds no copy of the formulas; a flow that
+    # keeps no particle and brings none makes every count impossible
     def shifted(owner, change):
         return lambda *args, **kwargs: change(owner(*args, **kwargs))
 
     monkeypatch.setattr(cli, "stationary_density_bound", shifted(
         cli.stationary_density_bound,
         lambda bound: dataclasses.replace(bound, global_bound=5e6)))
-    monkeypatch.setattr(cli, "moment_bound_system", shifted(
-        cli.moment_bound_system, lambda system: dataclasses.replace(
-            system, kappa=7e6, envelope=np.full_like(system.envelope, 3e6))))
-    monkeypatch.setattr(cli, "poisson_density_flow", shifted(
-        cli.poisson_density_flow, lambda density: density + 4e6))
+    for field in ("psi", "phi"):
+        monkeypatch.setattr(cli.SurgailisFlow, field, shifted(
+            getattr(cli.SurgailisFlow, field), lambda value: 0.0 * value))
     expected = {
         "free": [
-            "verify PASS domination: worst envelope excess -4e+06",
-            "verify FAIL oracle-equivalence: worst |deviation| - 3 sigma "
-            "= 4e+06",
+            "verify FAIL domination: upper tail over 200 cell-times and 2 "
+            "totals, alpha 0.01: least adjusted p 0",
+            "verify FAIL oracle-equivalence: both tails over 200 cell-times "
+            "and 2 totals, alpha 0.01: least adjusted p 0",
             "verify SKIP density-cap: kernel vanishes at the origin"],
         "interacting": [
-            "verify PASS domination: worst envelope excess -4e+06",
-            "verify PASS moment-envelope: kappa 7e+06, worst excess -3e+06",
+            "verify FAIL domination: upper tail over 40 cell-times and 2 "
+            "totals, alpha 0.01: least adjusted p 0",
             "verify PASS density-cap: level 5e+06, worst excess -5e+06"],
     }
     for run, runs in (("free", golden_runs),
@@ -1184,13 +1182,18 @@ def _without(mapping, key):
       for key, value in (("replicas", "6"), ("replicas", 6.0),
                          ("snapshots", "0.5,1.0"), ("snapshots", [0.5, "1"]),
                          ("cell_side", "0.1"), ("cell_side", None),
-                         ("l_max", [4]), ("n_max", True))),
+                         ("l_max", [4]), ("n_max", True),
+                         ("snapshots", [0.5, math.nan]),
+                         ("snapshots", [0.5, math.inf]),
+                         ("snapshots", [-1, 1.0]),
+                         ("snapshots", [1.0, 0.5]))),
 ], ids=["root-list", "root-string", "no-arguments", "arguments-list",
         *(f"no-{key}" for key in ("replicas", "snapshots", "cell_side",
                                   "l_max", "n_max")),
         "replicas-string", "replicas-float", "snapshots-string",
         "snapshot-string", "cell_side-string", "cell_side-null",
-        "l_max-list", "n_max-bool"])
+        "l_max-list", "n_max-bool", "snapshot-nan", "snapshot-infinity",
+        "snapshot-negative", "snapshots-descending"])
 def test_verify_refuses_a_malformed_manifest(golden_runs, tmp_path, capsys,
                                               edit):
     # a manifest verify cannot read is a configuration error, one line and
@@ -1234,7 +1237,6 @@ def test_verify_interacting_run_all_checks(tmp_path, capsys):
     assert code == 0, output
     assert "PASS domination" in output
     assert "SKIP oracle-equivalence" in output
-    assert "PASS moment-envelope" in output
     assert "PASS density-cap" in output
 
 
@@ -1251,8 +1253,9 @@ def run_late_free_simulation(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_verify_envelope_starts_at_first_snapshot(tmp_path, capsys, seed):
-    # the exact law is propagated from the first snapshot's densities over
-    # t - t_0; propagating over t from there false-alarmed on these runs
+    # the exact law runs from the config's start at t = 0, not from the
+    # first snapshot, so a run whose first snapshot is at t = 1 is read at
+    # each snapshot's own time
     cfg, out = run_late_free_simulation(tmp_path, seed)
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
     output = capsys.readouterr().out
@@ -1261,30 +1264,24 @@ def test_verify_envelope_starts_at_first_snapshot(tmp_path, capsys, seed):
     assert "PASS oracle-equivalence" in output
 
 
-def test_verify_envelope_leaves_out_the_first_snapshot(tmp_path, capsys):
-    # the envelope equals the first snapshot's densities by construction, and
-    # one replica has no stderr, so that snapshot pinned the worst excess at
-    # 0 and hid the later one's margin; here competition keeps the density
-    # far below the free envelope
+def test_verify_tests_every_snapshot_against_the_start(tmp_path, capsys):
+    # the law starts from the config, not from the first snapshot, so the
+    # first snapshot is tested too and a run with one snapshot is no SKIP;
+    # here competition keeps the density far below the free law
     cfg = write_cfg(tmp_path, kernel=dict(UNIT_KERNEL),
                     initial={"kind": "poisson", "density": 5.0})
-    out = tmp_path / "one"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                 "--seed", "3", "--replicas", "1",
-                 "--snapshots", "0.0,1.0"]) == 0
-    capsys.readouterr()
-    main(["verify", "--config", str(cfg), "--run", str(out)])
-    line = next(l for l in capsys.readouterr().out.splitlines()
-                if "domination" in l)
-    assert line.startswith("verify PASS domination")
-    assert float(line.rsplit(" ", 1)[1]) < 0.0
-    out = tmp_path / "single"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                 "--seed", "3", "--replicas", "2", "--snapshots", "1.0"]) == 0
-    main(["verify", "--config", str(cfg), "--run", str(out)])
-    output = capsys.readouterr().out
-    assert "SKIP domination: needs two snapshots" in output
-    assert "SKIP oracle-equivalence: needs two snapshots" in output
+    for snapshots in ("0.0,1.0", "1.0"):
+        out = tmp_path / snapshots
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "3", "--replicas", "2",
+                     "--snapshots", snapshots]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--run", str(out)]) == 0
+        output = capsys.readouterr().out
+        totals = len(snapshots.split(","))
+        assert f"verify PASS domination: upper tail over {totals} " \
+            f"cell-times and {totals} totals" in output
+        assert "SKIP oracle-equivalence: competition kernel present" in output
 
 
 def test_verify_oracle_catches_lost_particles(tmp_path, capsys):
@@ -1296,6 +1293,90 @@ def test_verify_oracle_catches_lost_particles(tmp_path, capsys):
     code = main(["verify", "--config", str(cfg), "--run", str(out)])
     assert code == 1
     assert "FAIL oracle-equivalence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "poisson", "density": 0.5},
+    {"kind": "explicit", "points": [[1.25 * i] for i in range(8)]}],
+    ids=("poisson", "explicit"))
+def test_verify_law_is_calibrated_on_correct_runs(initial):
+    # each exact-law check spends ALPHA over a run, so over K correct runs
+    # its FAIL count is at most Binomial(K, ALPHA): allow the count that
+    # such a law exceeds with probability below 1e-3
+    cfg = {"dimension": 1, "sides": [10.0], "kernel": FREE_KERNEL,
+           "b": {"kind": "constant", "value": 1.0},
+           "m": {"kind": "constant", "value": 0.5}, "initial": initial}
+    params = build_params(cfg)
+    partition = cli.CellPartition(params.window, 0.5)
+    start = cli.build_initial(cfg, params)
+    runs = 200
+    fails = {"domination": 0, "oracle-equivalence": 0}
+    for seed in range(runs):
+        ensemble, _ = cli.run_replicas(params, cli.ReplicaPlan(
+            replicas=20, base_seed=seed, snapshots=(0.0, 1.0, 2.0, 4.0),
+            initial=start))
+        for name, status, _ in cli._law_checks(params, partition, ensemble,
+                                               start):
+            assert status in ("PASS", "FAIL")
+            fails[name] += status == "FAIL"
+    tail = lambda c: sum(math.comb(runs, i) * cli.ALPHA**i
+                         * (1 - cli.ALPHA)**(runs - i)
+                         for i in range(c + 1, runs + 1))
+    allowed = next(c for c in range(runs) if tail(c) < 1e-3)
+    assert max(fails.values()) <= allowed, fails
+
+
+def free_run(tmp_path, initial):
+    """A free run, b = 1 and m = 0.5, of 100 replicas; its config and
+    directory."""
+    cfg = write_cfg(tmp_path, m=0.5, initial=initial)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "17", "--replicas", "100",
+                 "--snapshots", "0,1,2,4", "--cell-side", "1.0"]) == 0
+    return cfg, out
+
+
+def verify_claim(tmp_path, out, capsys, **changes):
+    """verify's exit code and output on `out` checked against a config like
+    free_run's with `changes`, whose hash the run's manifest now records."""
+    cfg = write_cfg(tmp_path, "claim.json", m=0.5, **changes)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest,
+                                "config_sha256": cli.config_sha256(cfg)}))
+    capsys.readouterr()
+    code = main(["verify", "--config", str(cfg), "--run", str(out)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claimed_b, failing", [
+    (0.8, "domination"), (1.2, "oracle-equivalence")])
+def test_verify_law_fails_a_wrong_birth_rate(tmp_path, capsys, claimed_b,
+                                             failing):
+    initial = {"kind": "poisson", "density": 0.5}
+    _, out = free_run(tmp_path, initial)
+    code, output = verify_claim(tmp_path, out, capsys, b=claimed_b,
+                                initial=initial)
+    assert code == 1 and f"FAIL {failing}" in output
+    # competition only removes particles, so domination tests the upper
+    # tail alone, which a larger b leaves unharmed
+    assert ("PASS domination" in output) == (claimed_b > 1.0)
+
+
+def test_verify_law_counts_explicit_start_points(tmp_path, capsys):
+    # the survivors of explicit start points are Binomial(R n(0), psi) per
+    # cell: a run from them PASSes, and one checked against half of them
+    # FAILs domination
+    points = [[0.125 + 0.25 * i] for i in range(40)]
+    cfg, out = free_run(tmp_path, {"kind": "explicit", "points": points})
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--run", str(out)]) == 0
+    output = capsys.readouterr().out
+    assert "PASS domination" in output and "PASS oracle-equivalence" in output
+    code, output = verify_claim(tmp_path, out, capsys, initial={
+        "kind": "explicit", "points": points[::2]})
+    assert code == 1 and "FAIL domination" in output
 
 
 def test_simulate_without_a_compiler_is_one_line(tmp_path, monkeypatch,
